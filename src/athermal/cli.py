@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import AthermalityState, ExtendedBeta, GibbsContext, validate_state
 from .errors import AthermalError, BisectionError
-from .esets import _phi, construct_gap_example, fa_point, gap_set
+from .esets import _feasible, _phi, construct_gap_example, fa_point, gap_set
 from .majorization import compute_elbows
 from .monotones import (
     convertible_via_monotones,
@@ -273,7 +273,7 @@ def _cmd_eset(args) -> int:
                 phi, member = 0.0, True
             else:
                 phi = _phi(boundary, a, math.exp(-ctx.beta * E))
-                member = phi >= 0.0
+                member = _feasible(phi)
             rows.append(f"{E:.17g},{phi:.17g},{int(member)}\n")
         _write_out(args.out, "".join(rows).encode())
     else:

@@ -70,10 +70,22 @@ def _curve_xy(a: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return wa / (1.0 + wa), y
 
 
+def _feasible(clearance):
+    """The one membership rule, for scalars and arrays: a curve point counts
+    as inside the resource's testing region down to a clearance of
+    -DOMINATION_SLACK, so exact boundary contact is feasible."""
+    return clearance >= -DOMINATION_SLACK
+
+
 def _phi(boundary: TestingBoundary, a: float, w: float) -> float:
     """Signed clearance of the curve point inside the resource boundary."""
     x, y = fa_point(a, w)
     return alpha_at(boundary, y) - x
+
+
+def _inside(boundary: TestingBoundary, a: float, w: float) -> bool:
+    """Membership of the curve point at parameter w."""
+    return _feasible(_phi(boundary, a, w))
 
 
 def gap_membership(
@@ -86,8 +98,7 @@ def gap_membership(
         raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
     if beta_tilde == beta:
         return True
-    boundary = compute_elbows(resource)
-    return _phi(boundary, beta_tilde / beta, math.exp(-beta * E)) >= -DOMINATION_SLACK
+    return _inside(compute_elbows(resource), beta_tilde / beta, math.exp(-beta * E))
 
 
 @dataclass(frozen=True)
@@ -113,12 +124,13 @@ class EnergyGapSet:
 def _refine_crossing(
     boundary: TestingBoundary, a: float, beta: float, w_lo: float, w_hi: float
 ) -> float:
-    """Bisect a sign change of the clearance down to |delta E| < resolution."""
+    """Bisect a change of membership down to |delta E| < resolution."""
+    inside_lo = _inside(boundary, a, w_lo)
     for _ in range(200):
         if math.log(w_hi / w_lo) / beta < ENDPOINT_RESOLUTION:
             break
         mid = 0.5 * (w_lo + w_hi)
-        if (_phi(boundary, a, mid) >= 0.0) == (_phi(boundary, a, w_lo) >= 0.0):
+        if _inside(boundary, a, mid) == inside_lo:
             w_lo = mid
         else:
             w_hi = mid
@@ -136,7 +148,8 @@ def gap_set(
 
     The scan runs on a uniform grid in w = exp(-beta*E) (compact, uniform
     resolution of the curve at both ends); each sign change is refined by
-    bisection. Exact boundary contact counts as feasible.
+    bisection. Scan, refinement and closedness all use the membership rule
+    of `gap_membership`.
     """
     if not (math.isfinite(beta) and beta > 0.0):
         raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
@@ -157,9 +170,7 @@ def gap_set(
     boundary = compute_elbows(resource)
     ws = w_min + step * np.arange(n_grid)
     xs, ys = _curve_xy(a, ws)
-    bx = np.asarray([p[0] for p in boundary.elbows])
-    by = np.asarray([p[1] for p in boundary.elbows])
-    member = np.interp(ys, by, bx) - xs >= 0.0
+    member = _feasible(np.interp(ys, boundary.ys, boundary.xs) - xs)
 
     intervals: list[GapInterval] = []
     i = 0
@@ -172,15 +183,15 @@ def gap_set(
             j += 1
         # run [i, j] of feasible grid points; w increasing means E decreasing
         if i == 0:
-            hi, hi_closed = e_max, _phi(boundary, a, w_min) >= 0.0
+            hi, hi_closed = e_max, _inside(boundary, a, w_min)
         else:
             w_root = _refine_crossing(boundary, a, beta, float(ws[i - 1]), float(ws[i]))
-            hi, hi_closed = -math.log(w_root) / beta, _phi(boundary, a, w_root) >= 0.0
+            hi, hi_closed = -math.log(w_root) / beta, _inside(boundary, a, w_root)
         if j == n_grid - 1:
             lo, lo_closed = 0.0, False  # gaps are strictly positive
         else:
             w_root = _refine_crossing(boundary, a, beta, float(ws[j]), float(ws[j + 1]))
-            lo, lo_closed = -math.log(w_root) / beta, _phi(boundary, a, w_root) >= 0.0
+            lo, lo_closed = -math.log(w_root) / beta, _inside(boundary, a, w_root)
         if hi > lo:
             intervals.append(GapInterval(lo, hi, lo_closed, hi_closed))
         i = j + 1
@@ -285,17 +296,13 @@ def eset_superset_check(
         raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
     src = compute_elbows(source)
     tgt = compute_elbows(target)
-    sx = np.asarray([p[0] for p in src.elbows])
-    sy = np.asarray([p[1] for p in src.elbows])
-    tx = np.asarray([p[0] for p in tgt.elbows])
-    ty = np.asarray([p[1] for p in tgt.elbows])
     ws = np.exp(-beta * np.asarray(e_grid, dtype=float))
     for bt in beta_tilde_grid:
         if bt == beta:
             continue
         xs, ys = _curve_xy(bt / beta, ws)
-        in_target = np.interp(ys, ty, tx) - xs >= -DOMINATION_SLACK
-        in_source = np.interp(ys, sy, sx) - xs >= -DOMINATION_SLACK
+        in_target = _feasible(np.interp(ys, tgt.ys, tgt.xs) - xs)
+        in_source = _feasible(np.interp(ys, src.ys, src.xs) - xs)
         if np.any(in_target & ~in_source):
             return False
     return True

@@ -4,13 +4,16 @@ The lower boundary of the testing region of a state (r, g) is the
 piecewise-linear concave curve through the "elbows" obtained from prefix
 sums in non-increasing r_i/g_i order. Pointwise domination of these
 boundaries decides relative majorization.
+
+Building a boundary costs one sort, O(n log n); the elbow coordinates are
+stored once, so evaluating a boundary at an ordinate is a bisection,
+O(log n), and deciding domination at all m target elbows is O(m log n).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cmp_to_key
+from dataclasses import dataclass, field
 
 from .core import AthermalityState
 from .errors import YOutOfRange
@@ -19,23 +22,36 @@ from .errors import YOutOfRange
 # exact elbow ordinates where both sides are short sums/products of inputs.
 DOMINATION_SLACK = 1e-12
 
-# Adjacent segments whose direction cross-product is below this are merged.
-COLLINEARITY_TOL = 1e-14
+# Consecutive levels whose ratios r/g agree to this relative tolerance are
+# one segment. The test is scale-invariant, so a real elbow between tiny
+# masses is never merged away. Tied ratios that went through renormalization
+# or a convex mixture differ by a few ulps (~1e-15), a hundredth of it, and
+# merging two slopes this close moves the dropped elbow by at most this
+# fraction of its segment's mass, a tenth of DOMINATION_SLACK.
+COLLINEARITY_TOL = 1e-13
 
 _Y_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
 class TestingBoundary:
-    """Ordered elbow list from (0,0) to (1,1); canonical (collinear-merged)."""
+    """Ordered elbow list from (0,0) to (1,1); canonical (collinear-merged).
+
+    `xs` and `ys` hold the elbow abscissae and ordinates, for lookups.
+    """
 
     elbows: tuple[tuple[float, float], ...]
+    xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    ys: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.elbows) < 2:
             raise ValueError("boundary needs at least the two endpoints")
         if self.elbows[0] != (0.0, 0.0) or self.elbows[-1] != (1.0, 1.0):
             raise ValueError("boundary must run from (0,0) to (1,1)")
+        xs, ys = zip(*self.elbows)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
     @property
     def is_diagonal(self) -> bool:
@@ -53,43 +69,28 @@ class TestingBoundary:
 def compute_elbows(state: AthermalityState) -> TestingBoundary:
     """Elbows of (r, g): prefix sums in non-increasing r_i/g_i order.
 
-    Ratios are compared by cross-multiplication so ties sort exactly; ties
-    are broken by original index and the resulting collinear elbows merged,
-    which makes the output canonical (tie-invariant).
+    One stable sort on the ratio r_i/g_i, then one pass of prefix sums that
+    keeps an elbow only where the slope changes: a level joins the current
+    segment when its ratio lies within the relative COLLINEARITY_TOL of the
+    segment's first ratio. Tied levels therefore give one elbow whatever
+    their order or split, which makes the output canonical.
     """
     r = state.r.entries
     g = state.g.entries
-    n = state.dim
+    ratio = [ri / gi for ri, gi in zip(r, g)]
+    order = sorted(range(len(ratio)), key=ratio.__getitem__, reverse=True)
 
-    def cmp(i: int, j: int) -> int:
-        cross = r[i] * g[j] - r[j] * g[i]  # sign of r_i/g_i - r_j/g_j
-        if cross > 0.0:
-            return -1
-        if cross < 0.0:
-            return 1
-        return i - j
-
-    order = sorted(range(n), key=cmp_to_key(cmp))
-
-    points = [(0.0, 0.0)]
+    elbows = [(0.0, 0.0)]
     x = y = 0.0
+    floor = ratio[order[0]] * (1.0 - COLLINEARITY_TOL)
     for idx in order:
+        if ratio[idx] < floor:  # slope changes: close the segment
+            elbows.append((x, y))
+            floor = ratio[idx] * (1.0 - COLLINEARITY_TOL)
         x += r[idx]
         y += g[idx]
-        points.append((x, y))
-    points[-1] = (1.0, 1.0)  # prefix sums of renormalized entries, pin exactly
-
-    out = [points[0]]
-    for k in range(1, len(points) - 1):
-        ax, ay = out[-1]
-        bx, by = points[k]
-        cx, cy = points[k + 1]
-        cross = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
-        if abs(cross) < COLLINEARITY_TOL:
-            continue
-        out.append((bx, by))
-    out.append(points[-1])
-    return TestingBoundary(tuple(out))
+    elbows.append((1.0, 1.0))  # prefix sums of renormalized entries, pin exactly
+    return TestingBoundary(tuple(elbows))
 
 
 def alpha_at(boundary: TestingBoundary, y: float) -> float:
@@ -101,15 +102,15 @@ def alpha_at(boundary: TestingBoundary, y: float) -> float:
             y = 1.0
         else:
             raise YOutOfRange(f"y={y!r} outside [0, 1]")
-    ys = [p[1] for p in boundary.elbows]
+    xs, ys = boundary.xs, boundary.ys
     k = bisect_right(ys, y) - 1
     if k >= len(ys) - 1:
-        return boundary.elbows[-1][0]
-    x0, y0 = boundary.elbows[k]
+        return xs[-1]
+    y0 = ys[k]
     if y == y0:
-        return x0
-    x1, y1 = boundary.elbows[k + 1]
-    return x0 + (x1 - x0) / (y1 - y0) * (y - y0)
+        return xs[k]
+    x0 = xs[k]
+    return x0 + (xs[k + 1] - x0) / (ys[k + 1] - y0) * (y - y0)
 
 
 def relatively_majorizes(

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 from .core import AthermalityState
 from .errors import NonPositiveBeta, NonPositiveGap
-from .majorization import DOMINATION_SLACK, alpha_at, compute_elbows
+from .majorization import (
+    DOMINATION_SLACK,
+    TestingBoundary,
+    alpha_at,
+    compute_elbows,
+)
 from .tempbounds import qubit_beta_bounds
 
 # Elbow ordinates this close to 1/2 have no finite critical gap; the
@@ -30,11 +35,15 @@ class CriticalEnergySet:
     degenerate_flags: tuple[int, ...]  # elbow indices with ordinate 1/2
 
 
+def _check_beta(beta: float) -> None:
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
+
+
 def _check_gap_args(beta: float, E: float) -> None:
     if not (math.isfinite(E) and E > 0.0):
         raise NonPositiveGap(f"energy gap must be > 0, got {E!r}")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
+    _check_beta(beta)
 
 
 def cooling_monotone(state: AthermalityState, beta: float, E: float) -> float:
@@ -57,9 +66,11 @@ def heating_monotone(state: AthermalityState, beta: float, E: float) -> float:
 
 def critical_energies(target: AthermalityState, beta: float) -> CriticalEnergySet:
     """Per-elbow critical gaps of a quasi-classical target state."""
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
-    boundary = compute_elbows(target)
+    _check_beta(beta)
+    return _critical_set(compute_elbows(target), beta)
+
+
+def _critical_set(boundary: TestingBoundary, beta: float) -> CriticalEnergySet:
     entries = []
     degenerate = []
     for k, (_, y) in enumerate(boundary.interior(), start=1):
@@ -88,9 +99,10 @@ def convertible_via_monotones(
     Elbows at ordinate 1/2 (no finite gap) are perturbed both ways and both
     perturbed checks must pass.
     """
-    crit = critical_energies(target, beta)
+    _check_beta(beta)
     src = compute_elbows(source)
     tgt = compute_elbows(target)
+    crit = _critical_set(tgt, beta)
 
     def dominated_at(y: float) -> bool:
         return alpha_at(src, y) >= alpha_at(tgt, y) - DOMINATION_SLACK

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from athermal import (
+    alpha_at,
+    compute_elbows,
     construct_gap_example,
     eset_superset_check,
     fa_point,
@@ -119,6 +121,21 @@ class TestGapSet:
                 assert not gap_membership(resource, 1.0, 0.5, iv.lo - 1e-6)
             if iv.hi < 10.0:
                 assert not gap_membership(resource, 1.0, 0.5, iv.hi + 1e-6)
+
+    def test_near_contact_agrees_with_membership(self):
+        # the curve point at one scan grid point lies just outside the
+        # resource's single elbow, by less than 1e-13
+        a, e_max, n_grid = 0.5, 10.0, 1000
+        w_min = math.exp(-e_max)
+        w = w_min + (1.0 - w_min) / n_grid * 400
+        E = -math.log(w)
+        x, y = fa_point(a, w)
+        resource = validate_state((x - 5e-14, 1.0 - x + 5e-14), (y, 1.0 - y))
+        clearance = alpha_at(compute_elbows(resource), y) - x
+        assert -1e-13 < clearance < 0.0
+        assert gap_membership(resource, 1.0, a, E)
+        out = gap_set(resource, 1.0, a, e_max=e_max, n_grid=n_grid)
+        assert any(iv.lo <= E <= iv.hi for iv in out.intervals)
 
 
 class TestConstructGapExample:

@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from athermal import alpha_at, compute_elbows, relatively_majorizes, validate_state
+from athermal import (
+    alpha_at,
+    compute_elbows,
+    convertible_via_monotones,
+    lp_feasible,
+    relatively_majorizes,
+    validate_state,
+)
 from athermal.errors import YOutOfRange
+from athermal.majorization import DOMINATION_SLACK
 
 
 _weight = st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
@@ -20,6 +28,51 @@ def states(draw):
     r = [x / math.fsum(rw) for x in rw]
     g = [x / math.fsum(gw) for x in gw]
     return validate_state(r, g)
+
+
+# Weights spread log-uniformly over twelve decades, so segments carry masses
+# down to 1e-12 next to ones of order 1.
+_log_weight = st.floats(min_value=-12.0, max_value=0.0)
+
+
+@st.composite
+def wide_pairs(draw):
+    """Unnormalized (r, g) weights of dim 1..64."""
+    dim = draw(st.integers(min_value=1, max_value=64))
+    rw = draw(st.lists(_log_weight, min_size=dim, max_size=dim))
+    gw = draw(st.lists(_log_weight, min_size=dim, max_size=dim))
+    return [10.0**e for e in rw], [10.0**e for e in gw]
+
+
+def _normalized(w):
+    total = math.fsum(w)
+    return [x / total for x in w]
+
+
+def _wide_state(weights):
+    r, g = weights
+    return validate_state(_normalized(r), _normalized(g))
+
+
+def _thermalized(state, lam):
+    r, g = state.r.entries, state.g.entries
+    return validate_state([lam * a + (1.0 - lam) * b for a, b in zip(r, g)], g)
+
+
+def _reference_violation(source, target):
+    """Largest excess of the target boundary over the source's at the
+    target's elbows, from plain prefix sums: no merging, no slack."""
+
+    def polyline(state):
+        r = np.asarray(state.r.entries)
+        g = np.asarray(state.g.entries)
+        order = np.argsort(-(r / g), kind="stable")
+        return (np.concatenate([[0.0], np.cumsum(r[order])]),
+                np.concatenate([[0.0], np.cumsum(g[order])]))
+
+    sx, sy = polyline(source)
+    tx, ty = polyline(target)
+    return float(np.max(tx - np.interp(ty, sy, sx)))
 
 
 class TestComputeElbows:
@@ -63,6 +116,31 @@ class TestComputeElbows:
             for (x1, y1), (x2, y2) in zip(b.elbows, b.elbows[1:])
         ]
         assert all(s2 >= s1 - 1e-9 for s1, s2 in zip(slopes, slopes[1:]))
+
+    def test_small_mass_elbow_kept(self):
+        # slopes 3, 2 and ~1 on segments of mass 1e-8: three distinct elbows
+        state = validate_state((3e-8, 2e-8, 1 - 5e-8), (1e-8, 1e-8, 1 - 2e-8))
+        assert compute_elbows(state).elbows == (
+            (0.0, 0.0), (3e-8, 1e-8), (5e-8, 2e-8), (1.0, 1.0)
+        )
+
+    @given(wide_pairs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tie_invariance(self, weights, data):
+        # splitting a level into tied copies, then permuting all levels
+        r, g = weights
+        i = data.draw(st.integers(min_value=0, max_value=len(r) - 1))
+        parts = data.draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
+                                   min_size=2, max_size=4))
+        share = [p / math.fsum(parts) for p in parts]
+        split_r = r[:i] + [r[i] * p for p in share] + r[i + 1:]
+        split_g = g[:i] + [g[i] * p for p in share] + g[i + 1:]
+        perm = data.draw(st.permutations(range(len(split_r))))
+        split = _wide_state(([split_r[k] for k in perm], [split_g[k] for k in perm]))
+        whole = compute_elbows(_wide_state(weights)).elbows
+        tied = compute_elbows(split).elbows
+        assert len(tied) == len(whole)
+        assert np.allclose(tied, whole, rtol=0.0, atol=1e-15)
 
 
 class TestAlphaAt:
@@ -122,6 +200,30 @@ class TestRelativelyMajorizes:
             alpha_at(ba, y) >= x - 1e-12 for x, y in bb.elbows
         )
         assert verdict == dominated
+
+    def test_small_mass_false_merge_repro(self):
+        source = validate_state((3e-8, 2e-8, 1 - 5e-8), (1e-8, 1e-8, 1 - 2e-8))
+        target = validate_state((2.8e-8, 1 - 2.8e-8), (1e-8, 1 - 1e-8))
+        assert relatively_majorizes(source, target)
+        assert convertible_via_monotones(source, target, 1.0)
+        assert lp_feasible(source.r, source.g, target.r, target.g, tol=1e-12).feasible
+
+    @given(wide_pairs(), st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_partial_thermalization_is_reachable(self, weights, lam):
+        source = _wide_state(weights)
+        target = _thermalized(source, lam)
+        assert _reference_violation(source, target) <= DOMINATION_SLACK
+        assert relatively_majorizes(source, target)
+
+    @given(wide_pairs(), st.floats(min_value=0.0, max_value=0.9))
+    @settings(max_examples=200, deadline=None)
+    def test_reverse_thermalization_is_refused(self, weights, lam):
+        target = _wide_state(weights)
+        source = _thermalized(target, lam)
+        # a tenth of the slack above it clears rounding in 64-term prefix sums
+        assume(_reference_violation(source, target) > 1.1 * DOMINATION_SLACK)
+        assert not relatively_majorizes(source, target)
 
 
 class TestBoundaryCsv:
