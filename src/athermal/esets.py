@@ -83,11 +83,6 @@ def _phi(boundary: TestingBoundary, a: float, w: float) -> float:
     return alpha_at(boundary, y) - x
 
 
-def _inside(boundary: TestingBoundary, a: float, w: float) -> bool:
-    """Membership of the curve point at parameter w."""
-    return _feasible(_phi(boundary, a, w))
-
-
 def gap_membership(
     resource: AthermalityState, beta: float, beta_tilde: float, E: float
 ) -> bool:
@@ -98,7 +93,8 @@ def gap_membership(
         raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
     if beta_tilde == beta:
         return True
-    return _inside(compute_elbows(resource), beta_tilde / beta, math.exp(-beta * E))
+    boundary = compute_elbows(resource)
+    return _feasible(_phi(boundary, beta_tilde / beta, math.exp(-beta * E)))
 
 
 @dataclass(frozen=True)
@@ -125,12 +121,12 @@ def _refine_crossing(
     boundary: TestingBoundary, a: float, beta: float, w_lo: float, w_hi: float
 ) -> float:
     """Bisect a change of membership down to |delta E| < resolution."""
-    inside_lo = _inside(boundary, a, w_lo)
+    inside_lo = _feasible(_phi(boundary, a, w_lo))
     for _ in range(200):
         if math.log(w_hi / w_lo) / beta < ENDPOINT_RESOLUTION:
             break
         mid = 0.5 * (w_lo + w_hi)
-        if _inside(boundary, a, mid) == inside_lo:
+        if _feasible(_phi(boundary, a, mid)) == inside_lo:
             w_lo = mid
         else:
             w_hi = mid
@@ -183,15 +179,17 @@ def gap_set(
             j += 1
         # run [i, j] of feasible grid points; w increasing means E decreasing
         if i == 0:
-            hi, hi_closed = e_max, _inside(boundary, a, w_min)
+            hi, hi_closed = e_max, _feasible(_phi(boundary, a, w_min))
         else:
             w_root = _refine_crossing(boundary, a, beta, float(ws[i - 1]), float(ws[i]))
-            hi, hi_closed = -math.log(w_root) / beta, _inside(boundary, a, w_root)
+            hi = -math.log(w_root) / beta
+            hi_closed = _feasible(_phi(boundary, a, w_root))
         if j == n_grid - 1:
             lo, lo_closed = 0.0, False  # gaps are strictly positive
         else:
             w_root = _refine_crossing(boundary, a, beta, float(ws[j]), float(ws[j + 1]))
-            lo, lo_closed = -math.log(w_root) / beta, _inside(boundary, a, w_root)
+            lo = -math.log(w_root) / beta
+            lo_closed = _feasible(_phi(boundary, a, w_root))
         if hi > lo:
             intervals.append(GapInterval(lo, hi, lo_closed, hi_closed))
         i = j + 1

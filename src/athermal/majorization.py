@@ -74,6 +74,11 @@ def compute_elbows(state: AthermalityState) -> TestingBoundary:
     segment when its ratio lies within the relative COLLINEARITY_TOL of the
     segment's first ratio. Tied levels therefore give one elbow whatever
     their order or split, which makes the output canonical.
+
+    Once the prefix sum of g has rounded to 1, the remaining levels carry
+    less than an ulp of Gibbs mass, and no more than that of r because their
+    ratios are the smallest; they are folded into the endpoint (1, 1), so
+    every interior elbow has an ordinate strictly inside (0, 1).
     """
     r = state.r.entries
     g = state.g.entries
@@ -85,6 +90,8 @@ def compute_elbows(state: AthermalityState) -> TestingBoundary:
     floor = ratio[order[0]] * (1.0 - COLLINEARITY_TOL)
     for idx in order:
         if ratio[idx] < floor:  # slope changes: close the segment
+            if y >= 1.0:  # the rest weighs under an ulp of 1: it ends at (1, 1)
+                break
             elbows.append((x, y))
             floor = ratio[idx] * (1.0 - COLLINEARITY_TOL)
         x += r[idx]

@@ -9,6 +9,7 @@ from athermal import (
     alpha_at,
     compute_elbows,
     convertible_via_monotones,
+    critical_energies,
     lp_feasible,
     relatively_majorizes,
     validate_state,
@@ -33,14 +34,21 @@ def states(draw):
 # Weights spread log-uniformly over twelve decades, so segments carry masses
 # down to 1e-12 next to ones of order 1.
 _log_weight = st.floats(min_value=-12.0, max_value=0.0)
+# Gibbs weights of tail levels, below an ulp of 1, so the prefix sum of g
+# rounds onto 1 before the last level.
+_log_tail = st.floats(min_value=-20.0, max_value=-17.0)
 
 
 @st.composite
 def wide_pairs(draw):
-    """Unnormalized (r, g) weights of dim 1..64."""
+    """Unnormalized (r, g) weights of dim 1..64, plus up to two tail levels
+    whose ratio r/g of 1e-21 is below every other level's."""
     dim = draw(st.integers(min_value=1, max_value=64))
     rw = draw(st.lists(_log_weight, min_size=dim, max_size=dim))
     gw = draw(st.lists(_log_weight, min_size=dim, max_size=dim))
+    tail = draw(st.lists(_log_tail, max_size=2))
+    rw += [e - 21.0 for e in tail]
+    gw += tail
     return [10.0**e for e in rw], [10.0**e for e in gw]
 
 
@@ -52,6 +60,12 @@ def _normalized(w):
 def _wide_state(weights):
     r, g = weights
     return validate_state(_normalized(r), _normalized(g))
+
+
+def _resolved(elbows, tol=1e-15):
+    """Elbows farther than tol below the endpoint's ordinate; nearer ones
+    are folded into (1, 1) or kept depending on how the prefix sums round."""
+    return [p for p in elbows[:-1] if 1.0 - p[1] > tol] + [elbows[-1]]
 
 
 def _thermalized(state, lam):
@@ -117,6 +131,13 @@ class TestComputeElbows:
         ]
         assert all(s2 >= s1 - 1e-9 for s1, s2 in zip(slopes, slopes[1:]))
 
+    def test_tail_below_an_ulp_folds_into_endpoint(self):
+        # the Gibbs tail rounds away in the prefix sum: no elbow at y == 1
+        state = validate_state((1.0, 0.0), (1.0, 4e-18))
+        assert compute_elbows(state).is_diagonal
+        assert critical_energies(state, 1.0).entries == ()
+        assert convertible_via_monotones(state, state, 1.0)
+
     def test_small_mass_elbow_kept(self):
         # slopes 3, 2 and ~1 on segments of mass 1e-8: three distinct elbows
         state = validate_state((3e-8, 2e-8, 1 - 5e-8), (1e-8, 1e-8, 1 - 2e-8))
@@ -137,8 +158,8 @@ class TestComputeElbows:
         split_g = g[:i] + [g[i] * p for p in share] + g[i + 1:]
         perm = data.draw(st.permutations(range(len(split_r))))
         split = _wide_state(([split_r[k] for k in perm], [split_g[k] for k in perm]))
-        whole = compute_elbows(_wide_state(weights)).elbows
-        tied = compute_elbows(split).elbows
+        whole = _resolved(compute_elbows(_wide_state(weights)).elbows)
+        tied = _resolved(compute_elbows(split).elbows)
         assert len(tied) == len(whole)
         assert np.allclose(tied, whole, rtol=0.0, atol=1e-15)
 
@@ -215,6 +236,7 @@ class TestRelativelyMajorizes:
         target = _thermalized(source, lam)
         assert _reference_violation(source, target) <= DOMINATION_SLACK
         assert relatively_majorizes(source, target)
+        assert convertible_via_monotones(source, target, 1.0)
 
     @given(wide_pairs(), st.floats(min_value=0.0, max_value=0.9))
     @settings(max_examples=200, deadline=None)
