@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import AthermalityState, ExtendedBeta, GibbsContext, validate_state
-from .errors import AthermalError, BisectionError
+from .errors import AthermalError, BisectionError, DimensionMismatch
 from .esets import _feasible, _phi, construct_gap_example, fa_point, gap_set
 from .majorization import compute_elbows
 from .monotones import (
@@ -49,19 +49,49 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _number(path: str, key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise AthermalError(
+            f"{path}: {key!r} must hold numbers, got {value!r}"
+        ) from exc
+
+
+def _numbers(path: str, key: str, value) -> list[float]:
+    if not isinstance(value, list):
+        raise AthermalError(f"{path}: {key!r} must be a list, got {value!r}")
+    return [_number(path, key, x) for x in value]
+
+
+def _context(path: str, doc: dict) -> GibbsContext:
+    if "energies" not in doc or "beta" not in doc:
+        raise AthermalError(f"{path}: 'energies' and 'beta' are required")
+    return GibbsContext(
+        tuple(_numbers(path, "energies", doc["energies"])),
+        _number(path, "beta", doc["beta"]),
+    )
+
+
+def load_target(path: str) -> GibbsContext:
+    """Read a target file: only its energies and beta are used, so its Gibbs
+    vector need not be full rank."""
+    return _context(path, _load_json(path))
+
+
 def load_state(path: str) -> tuple[AthermalityState, GibbsContext]:
     """Read a state file: energies + beta, plus populations xor a matrix."""
     doc = _load_json(path)
-    if "energies" not in doc or "beta" not in doc:
-        raise AthermalError(f"{path}: 'energies' and 'beta' are required")
-    ctx = GibbsContext(tuple(float(h) for h in doc["energies"]), float(doc["beta"]))
+    ctx = _context(path, doc)
     has_pop = "populations" in doc
     has_dm = "density_matrix" in doc
     if has_pop and has_dm:
         raise AthermalError(f"{path}: give populations or density_matrix, not both")
     g = gibbs_vector(ctx.energies, ctx.beta)
     if has_pop:
-        populations = ctx.apply_permutation([float(x) for x in doc["populations"]])
+        populations = ctx.apply_permutation(
+            _numbers(path, "populations", doc["populations"])
+        )
         return validate_state(populations, g.entries), ctx
     if has_dm:
         raw = doc["density_matrix"]
@@ -73,6 +103,11 @@ def load_state(path: str) -> tuple[AthermalityState, GibbsContext]:
             raise AthermalError(
                 f"{path}: density_matrix must be nested [re, im] pairs"
             ) from exc
+        if m.shape != (ctx.dim, ctx.dim):
+            raise DimensionMismatch(
+                f"{path}: density_matrix has shape {m.shape}, expected "
+                f"{ctx.dim}x{ctx.dim}"
+            )
         perm = list(ctx.permutation)
         rho = DensityMatrix(m[np.ix_(perm, perm)])
         return to_quasiclassical(rho, ctx), ctx
@@ -148,32 +183,14 @@ def _side_file(args, states, labels=None, csv_override: bytes | None = None) -> 
     _write_out(args.out, render_boundary(states, fmt, labels))
 
 
-def _cmd_cool(args) -> int:
+def _cmd_temperature(args) -> int:
     resource, _ = load_state(args.state)
-    _, target = load_state(args.target)
-    report = beta_max(resource, target)
+    target = load_target(args.target)
+    report = args.solve(resource, target)
     _emit(
         {
             "beta": target.beta,
-            "beta_max": _eb_json(report.beta_max),
-            "per_condition": [
-                {"k": k, "beta": _eb_json(b), "alpha": a}
-                for k, b, a in report.per_condition
-            ],
-        }
-    )
-    _side_file(args, [resource], ["resource"])
-    return EXIT_OK
-
-
-def _cmd_heat(args) -> int:
-    resource, _ = load_state(args.state)
-    _, target = load_state(args.target)
-    report = beta_min(resource, target)
-    _emit(
-        {
-            "beta": target.beta,
-            "beta_min": _eb_json(report.beta_min),
+            args.key: _eb_json(getattr(report, args.key)),
             "per_condition": [
                 {"k": k, "beta": _eb_json(b), "alpha": a}
                 for k, b, a in report.per_condition
@@ -186,7 +203,7 @@ def _cmd_heat(args) -> int:
 
 def _cmd_overlap(args) -> int:
     resource, _ = load_state(args.state)
-    _, target = load_state(args.target)
+    target = load_target(args.target)
     value = max_ground_overlap(resource, target, args.ground_degeneracy)
     _emit({"ground_degeneracy": args.ground_degeneracy, "o_max": value})
     _side_file(args, [resource], ["resource"])
@@ -335,17 +352,15 @@ def _build_parser() -> argparse.ArgumentParser:
             help="side file format",
         )
 
-    p = sub.add_parser("cool", help="maximal inverse temperature reachable")
-    p.add_argument("--state", "-s", required=True)
-    p.add_argument("--target", "-t", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_cool)
-
-    p = sub.add_parser("heat", help="minimal inverse temperature reachable")
-    p.add_argument("--state", "-s", required=True)
-    p.add_argument("--target", "-t", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_heat)
+    for name, solve, key, extreme in (
+        ("cool", beta_max, "beta_max", "maximal"),
+        ("heat", beta_min, "beta_min", "minimal"),
+    ):
+        p = sub.add_parser(name, help=f"{extreme} inverse temperature reachable")
+        p.add_argument("--state", "-s", required=True)
+        p.add_argument("--target", "-t", required=True)
+        add_common(p)
+        p.set_defaults(func=_cmd_temperature, solve=solve, key=key)
 
     p = sub.add_parser("overlap", help="maximal ground-state overlap")
     p.add_argument("--state", "-s", required=True)

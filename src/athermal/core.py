@@ -192,6 +192,12 @@ class ExtendedBeta:
     def __ge__(self, other: "ExtendedBeta") -> bool:
         return self._key() >= other._key()
 
+    def __neg__(self) -> "ExtendedBeta":
+        """Reflection through 0: swaps the tags, negates a finite value."""
+        if self.kind == "finite":
+            return ExtendedBeta.finite(-self.value)
+        return ExtendedBeta("-inf" if self.kind == "+inf" else "+inf")
+
     def to_json(self):
         """Finite values as numbers, tags as the strings "+inf" / "-inf"."""
         return self.value if self.kind == "finite" else self.kind

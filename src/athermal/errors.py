@@ -53,5 +53,17 @@ class WOutOfRange(AthermalError):
     pass
 
 
+class InvalidDensityMatrix(AthermalError):
+    pass
+
+
+class InvalidGrid(AthermalError):
+    pass
+
+
+class NonPositiveTolerance(AthermalError):
+    pass
+
+
 class BisectionError(RuntimeError):
     """Raised when a root bracket cannot be established or refined."""

@@ -20,6 +20,7 @@ import numpy as np
 from .core import AthermalityState, validate_state
 from .errors import (
     BisectionError,
+    InvalidGrid,
     NonPositiveBeta,
     NonPositiveGap,
     TrivialRatio,
@@ -154,7 +155,7 @@ def gap_set(
     if not e_max > 0.0:
         raise NonPositiveGap(f"e_max must be > 0, got {e_max!r}")
     if n_grid < 100:
-        raise ValueError(f"n_grid must be >= 100, got {n_grid}")
+        raise InvalidGrid(f"n_grid must be >= 100, got {n_grid}")
     w_min = math.exp(-beta * e_max)
     step = (1.0 - w_min) / n_grid
     if beta_tilde == beta:
@@ -289,7 +290,7 @@ def eset_superset_check(
 ) -> bool:
     """Sampled check that the source's feasible-gap sets contain the target's."""
     if len(beta_tilde_grid) == 0 or len(e_grid) == 0:
-        raise ValueError("grids must be non-empty")
+        raise InvalidGrid("grids must be non-empty")
     if not (math.isfinite(beta) and beta > 0.0):
         raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
     src = compute_elbows(source)

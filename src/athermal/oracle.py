@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProbabilityVector
-from .errors import BisectionError, DimensionMismatch
+from .errors import BisectionError, DimensionMismatch, NonPositiveTolerance
 
 DEFAULT_TOL = 1e-7
 
@@ -89,7 +89,7 @@ def lp_feasible(
     if q.dim != s.dim:
         raise DimensionMismatch(f"dim(q)={q.dim} != dim(s)={s.dim}")
     if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+        raise NonPositiveTolerance(f"tol must be > 0, got {tol!r}")
     n = p.dim
     m = q.dim
     pv = np.asarray(p.entries)

@@ -2,17 +2,28 @@
 ground-state overlap.
 
 Cooling: the largest inverse temperature beta~ such that the target Gibbs
-pair (g~(beta~), g) is still dominated by the resource boundary. One
-condition per k in [n-1]; each is solved on the monotone map
-beta~ -> mass of the k lowest levels. Heating mirrors this with top-k
-masses and allows negative beta~ (population inversion).
+pair (g~(beta~), g) is still dominated by the resource boundary. Condition
+k in [n-1] caps the mass of the k lowest levels at alpha_k. It is solved on
+the log-odds
+
+    L_k(beta~) = ln sum_{i<k} exp(-beta~ h_i) - ln sum_{i>=k} exp(-beta~ h_i),
+
+which rises with slope <h>_{i>=k} - <h>_{i<k} > 0, by Newton steps toward
+logit(alpha_k) inside a bracket found by doubling the offset from beta; a
+step that leaves the bracket is replaced by a bisection step. Each sum is
+shifted by its own largest exponent, so neither underflows.
+
+Heating is cooling mirrored: exp(-beta~ h) = exp(-(-beta~)(-h)), so it
+solves the energies -h (reversed) at -beta and negates the result, which
+may be negative (population inversion).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import AthermalityState, ExtendedBeta, GibbsContext
 from .errors import (
@@ -23,9 +34,10 @@ from .errors import (
     WrongDegeneracy,
 )
 from .majorization import alpha_at, compute_elbows
+from .thermo import shifted_weights
 
 # An unreachable condition (alpha at or above the analytic beta~ -> +-inf
-# limit) is tagged infinite rather than chased by bisection.
+# limit) is tagged infinite rather than chased by the root search.
 LIMIT_SLACK = 1e-12
 
 _REL_WIDTH = 1e-13
@@ -33,21 +45,11 @@ _MAX_ITERS = 200
 _MAX_DOUBLINGS = 120
 
 
-def _thermal_weights(energies: Sequence[float], beta: float) -> list[float]:
-    shift = max(-beta * h for h in energies)
-    return [math.exp(-beta * h - shift) for h in energies]
-
-
-def _bottom_mass(energies: Sequence[float], beta: float, k: int) -> float:
-    """Mass of the k lowest-energy levels of the Gibbs vector at beta."""
-    w = _thermal_weights(energies, beta)
-    return math.fsum(w[:k]) / math.fsum(w)
-
-
-def _top_mass(energies: Sequence[float], beta: float, k: int) -> float:
-    """Mass of the k highest-energy levels of the Gibbs vector at beta."""
-    w = _thermal_weights(energies, beta)
-    return math.fsum(w[len(w) - k:]) / math.fsum(w)
+def _bottom_masses(energies: Sequence[float], beta: float, ks) -> list[float]:
+    """Mass of the k lowest-energy levels of the Gibbs vector at beta, per k."""
+    _, w = shifted_weights(energies, beta)
+    total = math.fsum(w)
+    return [math.fsum(w[:k]) / total for k in ks]
 
 
 @dataclass(frozen=True)
@@ -62,99 +64,92 @@ class HeatingReport:
     per_condition: tuple[tuple[int, ExtendedBeta, float], ...]
 
 
-def _bisect(
-    f: Callable[[float], float], lo: float, hi: float
-) -> float:
-    """Root of f on [lo, hi] with f(lo) <= 0 <= f(hi) or f(lo) >= 0 >= f(hi)."""
-    flo = f(lo)
-    rising = flo <= 0.0
-    mid = 0.5 * (lo + hi)
-    for _ in range(_MAX_ITERS):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < _REL_WIDTH * max(1.0, abs(mid)):
-            return mid
-        fm = f(mid)
-        if (fm <= 0.0) == rising:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+def _log_odds(head, tail, bt: float) -> tuple[float, float]:
+    """L_k at bt and its slope dL_k/dbt > 0, for head = h[:k], tail = h[k:]."""
+    shift_h, wh = shifted_weights(head, bt)
+    shift_t, wt = shifted_weights(tail, bt)
+    zh, zt = sum(wh), sum(wt)
+    value = shift_h - shift_t + math.log(zh / zt)
+    mean_h = sum(map(operator.mul, wh, head)) / zh
+    mean_t = sum(map(operator.mul, wt, tail)) / zt
+    return value, mean_t - mean_h
 
 
-def _solve_cooling_condition(
-    energies: Sequence[float], beta: float, k: int, alpha_k: float, limit: float
+def _cooling_condition(
+    energies: Sequence[float],
+    beta: float,
+    k: int,
+    y_k: float,
+    alpha_k: float,
+    limit: float,
 ) -> ExtendedBeta:
+    """Largest beta~ whose bottom-k mass stays at or below alpha_k, where
+    y_k is that mass at beta."""
     if alpha_k >= limit - LIMIT_SLACK:
         return ExtendedBeta.pos_inf()
-
-    def f(bt: float) -> float:
-        return _bottom_mass(energies, bt, k) - alpha_k
-
-    if f(beta) >= 0.0:
+    if y_k >= alpha_k:
         return ExtendedBeta.finite(beta)
-    offset = 1.0
+    head, tail = energies[:k], energies[k:]
+    goal = math.log(alpha_k) - math.log1p(-alpha_k)
+
+    lo, offset = beta, 1.0
     for _ in range(_MAX_DOUBLINGS):
-        if f(beta + offset) >= 0.0:
-            return ExtendedBeta.finite(_bisect(f, beta, beta + offset))
+        x = beta + offset
+        value, slope = _log_odds(head, tail, x)
+        if value >= goal:
+            break
+        lo = x
         offset *= 2.0
-    raise BisectionError(f"no cooling bracket for condition k={k}")
+    else:
+        raise BisectionError(f"no bracket for condition k={k}")
+
+    # Safeguarded Newton: L(lo) < goal <= L(hi) holds throughout.
+    hi = x
+    for _ in range(_MAX_ITERS):
+        mid = 0.5 * (lo + hi)
+        width = _REL_WIDTH * max(1.0, abs(mid))
+        if hi - lo < width:
+            return ExtendedBeta.finite(mid)
+        step = (value - goal) / slope if slope > 0.0 else math.inf
+        if abs(step) < width:
+            return ExtendedBeta.finite(x - step)
+        x = x - step if lo < x - step < hi else mid
+        value, slope = _log_odds(head, tail, x)
+        if value >= goal:
+            hi = x
+        else:
+            lo = x
+    return ExtendedBeta.finite(x)
 
 
-def _solve_heating_condition(
-    energies: Sequence[float], beta: float, k: int, alpha_k: float, limit: float
-) -> ExtendedBeta:
-    if alpha_k >= limit - LIMIT_SLACK:
-        return ExtendedBeta.neg_inf()
-
-    def f(bt: float) -> float:
-        return _top_mass(energies, bt, k) - alpha_k
-
-    if f(beta) >= 0.0:
-        return ExtendedBeta.finite(beta)
-    offset = 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        if f(beta - offset) >= 0.0:
-            return ExtendedBeta.finite(_bisect(f, beta - offset, beta))
-        offset *= 2.0
-    raise BisectionError(f"no heating bracket for condition k={k}")
+def _conditions(
+    resource: AthermalityState, target: GibbsContext, heating: bool
+) -> tuple[tuple[int, ExtendedBeta, float], ...]:
+    """(k, beta~_k, alpha_k) of every condition; heating solves the mirror."""
+    if target.is_degenerate:
+        raise DegenerateTarget("target energies are completely degenerate")
+    h, beta, d = target.energies, target.beta, target.ground_degeneracy()
+    if heating:
+        h, beta, d = tuple(-x for x in reversed(h)), -beta, target.top_degeneracy()
+    boundary = compute_elbows(resource)
+    per = []
+    for k, y_k in enumerate(_bottom_masses(h, beta, range(1, len(h))), 1):
+        alpha_k = alpha_at(boundary, y_k)
+        b = _cooling_condition(h, beta, k, y_k, alpha_k, k / d if k < d else 1.0)
+        per.append((k, -b if heating else b, alpha_k))
+    return tuple(per)
 
 
 def beta_max(resource: AthermalityState, target: GibbsContext) -> CoolingReport:
     """Maximal inverse temperature to which the target can be cooled."""
-    if target.is_degenerate:
-        raise DegenerateTarget("target energies are completely degenerate")
-    boundary = compute_elbows(resource)
-    h = target.energies
-    n = target.dim
-    d = target.ground_degeneracy()
-    per = []
-    for k in range(1, n):
-        y_k = _bottom_mass(h, target.beta, k)
-        alpha_k = alpha_at(boundary, y_k)
-        limit = k / d if k < d else 1.0
-        beta_k = _solve_cooling_condition(h, target.beta, k, alpha_k, limit)
-        per.append((k, beta_k, alpha_k))
-    best = min(b for _, b, _ in per)
-    return CoolingReport(beta_max=best, per_condition=tuple(per))
+    per = _conditions(resource, target, heating=False)
+    return CoolingReport(min(b for _, b, _ in per), per)
 
 
 def beta_min(resource: AthermalityState, target: GibbsContext) -> HeatingReport:
     """Minimal (possibly negative) inverse temperature reachable by heating."""
-    if target.is_degenerate:
-        raise DegenerateTarget("target energies are completely degenerate")
-    boundary = compute_elbows(resource)
-    h = target.energies
-    n = target.dim
-    d_top = target.top_degeneracy()
-    per = []
-    for k in range(1, n):
-        y_k = _top_mass(h, target.beta, k)
-        alpha_k = alpha_at(boundary, y_k)
-        limit = k / d_top if k < d_top else 1.0
-        beta_k = _solve_heating_condition(h, target.beta, k, alpha_k, limit)
-        per.append((k, beta_k, alpha_k))
-    best = max(b for _, b, _ in per)
-    return HeatingReport(beta_min=best, per_condition=tuple(per))
+    per = _conditions(resource, target, heating=True)
+    return HeatingReport(max(b for _, b, _ in per), per)
 
 
 def qubit_beta_bounds(
@@ -196,7 +191,7 @@ def max_ground_overlap(
             f"(multiplicity {target.ground_degeneracy()})"
         )
     boundary = compute_elbows(resource)
-    y = _bottom_mass(target.energies, target.beta, ground_degeneracy)
+    (y,) = _bottom_masses(target.energies, target.beta, (ground_degeneracy,))
     return alpha_at(boundary, y)
 
 

@@ -9,12 +9,27 @@ from typing import Sequence
 import numpy as np
 
 from .core import AthermalityState, GibbsContext, ProbabilityVector, validate_state
-from .errors import DimensionMismatch, NonFiniteBeta
+from .errors import DimensionMismatch, InvalidDensityMatrix, NonFiniteBeta
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-10
 DEGENERACY_TOL = 1e-12
+
+
+def shifted_weights(
+    energies: Sequence[float], beta: float
+) -> tuple[float, list[float]]:
+    """The shift s = max_i(-beta*h_i) and the weights exp(-beta*h_i - s).
+
+    The largest weight is exactly 1, so their sum lies in [1, n] and never
+    underflows: sum_i exp(-beta*h_i) = exp(s) * sum(weights).
+    """
+    neg_beta = -beta
+    # max_i(-beta*h_i) sits at an end of the energies, since rounding is
+    # monotone; the weights then take one pass.
+    shift = neg_beta * (min(energies) if beta >= 0.0 else max(energies))
+    return shift, [math.exp(neg_beta * h - shift) for h in energies]
 
 
 def gibbs_vector(energies: Sequence[float], beta: float) -> ProbabilityVector:
@@ -24,9 +39,7 @@ def gibbs_vector(energies: Sequence[float], beta: float) -> ProbabilityVector:
     """
     if not math.isfinite(beta):
         raise NonFiniteBeta(f"beta must be finite, got {beta!r}")
-    exponents = [-beta * h for h in energies]
-    shift = max(exponents)
-    weights = [math.exp(e - shift) for e in exponents]
+    _, weights = shifted_weights(energies, beta)
     total = math.fsum(weights)
     return ProbabilityVector(tuple(w / total for w in weights))
 
@@ -35,9 +48,8 @@ def log_partition(energies: Sequence[float], beta: float) -> float:
     """ln Z(beta) via the shifted log-sum-exp."""
     if not math.isfinite(beta):
         raise NonFiniteBeta(f"beta must be finite, got {beta!r}")
-    exponents = [-beta * h for h in energies]
-    shift = max(exponents)
-    return shift + math.log(math.fsum(math.exp(e - shift) for e in exponents))
+    shift, weights = shifted_weights(energies, beta)
+    return shift + math.log(math.fsum(weights))
 
 
 @dataclass(frozen=True)
@@ -51,12 +63,14 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
+            raise InvalidDensityMatrix("matrix is not Hermitian within tolerance")
         tr = np.trace(m).real
         if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr!r} not within {TRACE_TOL} of 1")
+            raise InvalidDensityMatrix(f"trace {tr!r} not within {TRACE_TOL} of 1")
         if np.min(np.linalg.eigvalsh(m)) < -PSD_TOL:
-            raise ValueError("matrix is not positive semidefinite within tolerance")
+            raise InvalidDensityMatrix(
+                "matrix is not positive semidefinite within tolerance"
+            )
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

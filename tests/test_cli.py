@@ -89,6 +89,93 @@ class TestStateFiles:
         assert json.loads(out)["beta_max"] == 1.0
 
 
+def _input_error(code, err):
+    """Exit 2 with a single JSON error object on stderr, no traceback."""
+    assert code == 2
+    doc = json.loads(err)
+    assert set(doc) == {"error"}
+    return doc["error"]
+
+
+class TestInputErrors:
+    def _state(self, tmp_path, doc):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_non_numeric_beta(self, capsys, tmp_path, target_file):
+        bad = self._state(tmp_path, {"energies": [0.0, 1.0], "beta": "abc"})
+        code, _, err = _run(capsys, ["cool", "-s", bad, "-t", target_file])
+        assert "beta" in _input_error(code, err)["message"]
+
+    def test_energies_not_a_list(self, capsys, tmp_path, target_file):
+        bad = self._state(tmp_path, {"energies": 1.0, "beta": 1.0})
+        code, _, err = _run(capsys, ["heat", "-s", bad, "-t", target_file])
+        _input_error(code, err)
+
+    def test_non_hermitian_density_matrix(self, capsys, tmp_path, target_file):
+        bad = self._state(
+            tmp_path,
+            {
+                "energies": [0.0, LN4],
+                "beta": 1.0,
+                "density_matrix": [
+                    [[0.5, 0.0], [0.4, 0.0]],
+                    [[0.1, 0.0], [0.5, 0.0]],
+                ],
+            },
+        )
+        code, _, err = _run(capsys, ["cool", "-s", bad, "-t", target_file])
+        assert _input_error(code, err)["code"] == "InvalidDensityMatrix"
+
+    def test_density_matrix_of_wrong_size(self, capsys, tmp_path, target_file):
+        bad = self._state(
+            tmp_path,
+            {
+                "energies": [0.0, 1.0, 2.0],
+                "beta": 1.0,
+                "density_matrix": [
+                    [[0.5, 0.0], [0.0, 0.0]],
+                    [[0.0, 0.0], [0.5, 0.0]],
+                ],
+            },
+        )
+        code, _, err = _run(capsys, ["cool", "-s", bad, "-t", target_file])
+        assert _input_error(code, err)["code"] == "DimensionMismatch"
+
+    def test_eset_grid_too_coarse(self, capsys, resource_file):
+        code, _, err = _run(
+            capsys,
+            ["eset", "-s", resource_file, "--beta-tilde", "2.0", "--grid", "50"],
+        )
+        assert _input_error(code, err)["code"] == "InvalidGrid"
+
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    def test_oracle_non_positive_tol(self, capsys, resource_file, tol):
+        code, _, err = _run(
+            capsys,
+            ["oracle", "--from", resource_file, "--to", resource_file,
+             "--tol", tol],
+        )
+        assert _input_error(code, err)["code"] == "NonPositiveTolerance"
+
+
+class TestFarLevels:
+    @pytest.mark.parametrize("energies", [[0.0, 5000.0], [0.0, 2500.0, 5000.0]])
+    @pytest.mark.parametrize("beta", [1e-3, 1e-2, 1.0])
+    @pytest.mark.parametrize("command", ["cool", "heat"])
+    def test_no_traceback(self, capsys, tmp_path, resource_file, energies, beta,
+                          command):
+        target = tmp_path / "far.json"
+        target.write_text(json.dumps({"energies": energies, "beta": beta}))
+        code, out, err = _run(capsys, [command, "-s", resource_file, "-t", str(target)])
+        assert code in (0, 4)
+        if code == 0:
+            assert len(json.loads(out)["per_condition"]) == len(energies) - 1
+        else:
+            assert set(json.loads(err)) == {"error"}
+
+
 class TestSubcommands:
     def test_cool_hand_value(self, capsys, resource_file, target_file):
         code, out, _ = _run(capsys, ["cool", "-s", resource_file, "-t", target_file])

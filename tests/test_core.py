@@ -89,3 +89,8 @@ class TestExtendedBeta:
     def test_is_finite(self):
         assert ExtendedBeta.finite(0.0).is_finite
         assert not ExtendedBeta.pos_inf().is_finite
+
+    def test_negation_reflects_order(self):
+        assert -ExtendedBeta.finite(1.5) == ExtendedBeta.finite(-1.5)
+        assert -ExtendedBeta.pos_inf() == ExtendedBeta.neg_inf()
+        assert -ExtendedBeta.neg_inf() == ExtendedBeta.pos_inf()

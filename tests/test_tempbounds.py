@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from athermal import (
     ExtendedBeta,
@@ -93,6 +95,119 @@ class TestBetaMin:
             resource = validate_state(r, g / g.sum())
             report = beta_min(resource, GibbsContext((0.0, 0.4, 1.1), 2.0))
             assert report.beta_min <= ExtendedBeta.finite(2.0)
+
+    def test_reachability_bracketing(self):
+        resource = validate_state((0.05, 0.05, 0.9), (0.5, 0.3, 0.2))
+        target = GibbsContext((0.0, 0.7, 1.9), 1.0)
+        bm = beta_min(resource, target).beta_min.value
+        for bt, expect in ((bm + 1e-6, True), (bm - 1e-6, False)):
+            pair = validate_state(
+                gibbs_vector(target.energies, bt).entries,
+                gibbs_vector(target.energies, target.beta).entries,
+            )
+            assert relatively_majorizes(resource, pair) is expect
+
+
+def _two_valued_t(n, d, k, alpha):
+    """exp(-beta~ E) solving cooling condition k of a target with d levels
+    at 0 and n - d at E: k/(d + (n-d)t) = alpha for k < d, and
+    (d + (k-d)t)/(d + (n-d)t) = alpha for k >= d."""
+    if k < d:
+        return (k - alpha * d) / (alpha * (n - d))
+    return d * (1.0 - alpha) / (alpha * (n - d) - (k - d))
+
+
+_pop_weight = st.floats(min_value=1e-3, max_value=1.0)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("eps", [1e-9, 1e-11])
+    def test_near_pure_ground_resource(self, eps):
+        # Condition 1 of (0, E, E) is exp(-beta~ E) = (1 - alpha)/(2 alpha);
+        # with alpha = 1 - eps a solve on the k-level mass loses
+        # 1e-16/eps of relative accuracy, the log-odds does not.
+        E = 1.0
+        target = GibbsContext((0.0, E, E), 1.0)
+        g = gibbs_vector(target.energies, target.beta).entries
+        resource = validate_state((1.0 - eps, eps / 2, eps / 2), g)
+        k, b, alpha = beta_max(resource, target).per_condition[0]
+        assert k == 1
+        assert b.value == pytest.approx(
+            math.log(2.0 * alpha / (1.0 - alpha)) / E, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-11])
+    def test_near_pure_top_resource(self, eps):
+        E = 1.0
+        target = GibbsContext((0.0, 0.0, E), 1.0)
+        g = gibbs_vector(target.energies, target.beta).entries
+        resource = validate_state((eps / 2, eps / 2, 1.0 - eps), g)
+        k, b, alpha = beta_min(resource, target).per_condition[0]
+        assert k == 1
+        assert b.value == pytest.approx(
+            -math.log(2.0 * alpha / (1.0 - alpha)) / E, rel=1e-12
+        )
+
+    @given(
+        st.integers(min_value=2, max_value=8).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(min_value=1, max_value=n - 1),
+                st.lists(_pop_weight, min_size=n, max_size=n),
+                st.lists(_pop_weight, min_size=n, max_size=n),
+            )
+        ),
+        st.floats(min_value=0.05, max_value=5.0),
+        st.floats(min_value=0.05, max_value=3.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_two_valued_targets(self, drawn, E, beta):
+        n, d, rw, gw = drawn
+        resource = validate_state(
+            [x / math.fsum(rw) for x in rw], [x / math.fsum(gw) for x in gw]
+        )
+        target = GibbsContext((0.0,) * d + (E,) * (n - d), beta)
+        # Below |beta~| = 1 the solver's stopping width is absolute, 1e-13.
+        for k, b, alpha in beta_max(resource, target).per_condition:
+            if b.is_finite:
+                t = _two_valued_t(n, d, k, alpha)
+                assert b.value == pytest.approx(
+                    -math.log(t) / E, rel=1e-10, abs=1e-12
+                )
+        # Heating mirrors the target: n - d levels at 0, d at E, at -beta~.
+        for k, b, alpha in beta_min(resource, target).per_condition:
+            if b.is_finite:
+                t = _two_valued_t(n, n - d, k, alpha)
+                assert b.value == pytest.approx(
+                    math.log(t) / E, rel=1e-10, abs=1e-12
+                )
+
+
+class TestFarLevels:
+    # With beta~ E in the thousands, a sum of Gibbs weights under one common
+    # shift underflows to 0; each condition must still resolve.
+    @pytest.mark.parametrize("energies", [(0.0, 5000.0), (0.0, 2500.0, 5000.0)])
+    @pytest.mark.parametrize("beta", [1e-3, 1e-2, 1.0])
+    def test_cool_and_heat(self, energies, beta):
+        resource = validate_state((0.9, 0.1), (0.8, 0.2))
+        target = GibbsContext(energies, beta)
+        cool = beta_max(resource, target)
+        heat = beta_min(resource, target)
+        assert cool.beta_max >= ExtendedBeta.finite(beta)
+        assert heat.beta_min <= ExtendedBeta.finite(beta)
+        for report in (cool, heat):
+            assert len(report.per_condition) == len(energies) - 1
+
+    def test_two_level_matches_closed_form(self):
+        resource = validate_state((0.9, 0.1), (0.8, 0.2))
+        target = GibbsContext((0.0, 5000.0), 1e-3)
+        bmax, bmin = qubit_beta_bounds(resource, 5000.0, 1e-3)
+        assert beta_max(resource, target).beta_max.value == pytest.approx(
+            bmax.value, rel=1e-12
+        )
+        assert beta_min(resource, target).beta_min.value == pytest.approx(
+            bmin.value, rel=1e-12
+        )
 
 
 class TestQubitBetaBounds:
