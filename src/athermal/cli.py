@@ -19,8 +19,15 @@ from typing import Sequence
 import numpy as np
 
 from .core import AthermalityState, ExtendedBeta, GibbsContext, validate_state
-from .errors import AthermalError, BisectionError, DimensionMismatch
-from .esets import _feasible, _phi, construct_gap_example, fa_point, gap_set
+from .errors import AthermalError, BisectionError, DimensionMismatch, InvalidGrid
+from .esets import (
+    _clearance,
+    _feasible,
+    _scan_grid,
+    construct_gap_example,
+    fa_point,
+    gap_set,
+)
 from .majorization import compute_elbows
 from .monotones import (
     convertible_via_monotones,
@@ -171,16 +178,9 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _side_file(args, states, labels=None, csv_override: bytes | None = None) -> None:
-    if not getattr(args, "out", None):
-        return
-    fmt = args.format
-    if fmt == "json":
-        return
-    if fmt == "csv" and csv_override is not None:
-        _write_out(args.out, csv_override)
-        return
-    _write_out(args.out, render_boundary(states, fmt, labels))
+def _side_file(args, states, labels=None) -> None:
+    if getattr(args, "out", None) and args.format != "json":
+        _write_out(args.out, render_boundary(states, args.format, labels))
 
 
 def _cmd_temperature(args) -> int:
@@ -281,18 +281,14 @@ def _cmd_eset(args) -> int:
         }
     )
     if getattr(args, "out", None) and args.format == "csv":
-        boundary = compute_elbows(state)
-        a = args.beta_tilde / ctx.beta
-        e_max = args.e_max if args.e_max else -math.log(1e-10) / ctx.beta
-        rows = []
-        for E in np.linspace(e_max / args.grid, e_max, args.grid):
-            if a == 1.0:
-                phi, member = 0.0, True
-            else:
-                phi = _phi(boundary, a, math.exp(-ctx.beta * E))
-                member = _feasible(phi)
-            rows.append(f"{E:.17g},{phi:.17g},{int(member)}\n")
-        _write_out(args.out, "".join(rows).encode())
+        ws = _scan_grid(ctx.beta, args.e_max, args.grid)[2][::-1]  # ascending in E
+        clearance = np.zeros_like(ws)  # beta~ = beta: every gap is feasible
+        if args.beta_tilde != ctx.beta:
+            a = args.beta_tilde / ctx.beta
+            clearance = _clearance(compute_elbows(state), a, ws)
+        rows = zip(-np.log(ws) / ctx.beta, clearance, _feasible(clearance))
+        csv = "".join(f"{E:.17g},{c:.17g},{int(m)}\n" for E, c, m in rows)
+        _write_out(args.out, csv.encode())
     else:
         _side_file(args, [state], ["resource"])
     return EXIT_OK
@@ -326,6 +322,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_curve(args) -> int:
     n = args.grid
+    if n < 1:
+        raise InvalidGrid(f"--grid must be >= 1, got {n}")
     points = []
     for i in range(1, n + 1):
         w = i / n
@@ -338,8 +336,14 @@ def _cmd_curve(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error, in JSON
+        _error("UsageError", f"{self.prog}: {message}")
+        self.exit(EXIT_INPUT)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="athermal",
         description="Cooling, heating, and convertibility of athermality states",
     )

@@ -21,6 +21,7 @@ from .core import AthermalityState, validate_state
 from .errors import (
     BisectionError,
     InvalidGrid,
+    NonFiniteBeta,
     NonPositiveBeta,
     NonPositiveGap,
     TrivialRatio,
@@ -42,6 +43,19 @@ ENDPOINT_RESOLUTION = 1e-10  # bisection target on |delta E| for interval ends
 _TANGENT_EPS = 1e-9
 
 
+def _curve_xy(a: float, w):
+    """Target-qubit elbow (x, y) at curve parameter w, a float or an array."""
+    if not math.isfinite(a):
+        raise NonFiniteBeta(f"ratio a = beta~/beta must be finite, got {a!r}")
+    if a > 1.0:
+        return 1.0 / (1.0 + w**a), 1.0 / (1.0 + w)
+    y = w / (1.0 + w)
+    if a <= 0.0:
+        return 1.0 / (1.0 + w ** (-a)), y  # w^a/(1+w^a), overflow-safe form
+    wa = w**a
+    return wa / (1.0 + wa), y
+
+
 def fa_point(a: float, w: float) -> tuple[float, float]:
     """Elbow (x, y) of the target qubit pair at curve parameter w.
 
@@ -52,23 +66,7 @@ def fa_point(a: float, w: float) -> tuple[float, float]:
         raise TrivialRatio("a = 1 leaves the qubit at the background temperature")
     if not (0.0 < w <= 1.0):
         raise WOutOfRange(f"w must lie in (0, 1], got {w!r}")
-    y = w / (1.0 + w)
-    if a > 1.0:
-        return 1.0 / (1.0 + w**a), 1.0 / (1.0 + w)
-    if a <= 0.0:
-        return 1.0 / (1.0 + w ** (-a)), y  # w^a/(1+w^a), overflow-safe form
-    wa = w**a
-    return wa / (1.0 + wa), y
-
-
-def _curve_xy(a: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if a > 1.0:
-        return 1.0 / (1.0 + w**a), 1.0 / (1.0 + w)
-    y = w / (1.0 + w)
-    if a <= 0.0:
-        return 1.0 / (1.0 + w ** (-a)), y
-    wa = w**a
-    return wa / (1.0 + wa), y
+    return _curve_xy(a, w)
 
 
 def _feasible(clearance):
@@ -82,6 +80,48 @@ def _phi(boundary: TestingBoundary, a: float, w: float) -> float:
     """Signed clearance of the curve point inside the resource boundary."""
     x, y = fa_point(a, w)
     return alpha_at(boundary, y) - x
+
+
+def _clearance(boundary: TestingBoundary, a: float, ws: np.ndarray) -> np.ndarray:
+    """`_phi` at every point of the array ws."""
+    xs, ys = _curve_xy(a, ws)
+    return np.interp(ys, boundary.ys, boundary.xs) - xs
+
+
+def _scan_grid(
+    beta: float, e_max: float | None, n_grid: int
+) -> tuple[float, float, np.ndarray]:
+    """(e_max, step, ws): n_grid points ws ascending from exp(-beta*e_max)
+    in steps of (1 - ws[0])/n_grid, so E = -ln(w)/beta descends to one
+    step short of 0. The default e_max puts ws[0] at DEFAULT_W_MIN."""
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
+    if e_max is None:
+        e_max = -math.log(DEFAULT_W_MIN) / beta
+    if not (math.isfinite(e_max) and e_max > 0.0):
+        raise NonPositiveGap(f"e_max must be finite and > 0, got {e_max!r}")
+    if n_grid < 100:
+        raise InvalidGrid(f"n_grid must be >= 100, got {n_grid}")
+    w_min = math.exp(-beta * e_max)
+    if w_min == 0.0:
+        raise InvalidGrid(f"exp(-beta*e_max) underflows at e_max = {e_max!r}")
+    step = (1.0 - w_min) / n_grid
+    return e_max, step, w_min + step * np.arange(n_grid)
+
+
+def _bisect(inside, lo: float, hi: float, fine) -> float:
+    """Halve [lo, hi] around the change of the boolean inside(x) until
+    fine(lo, hi) holds or no float lies strictly between; return the middle."""
+    at_lo = inside(lo)
+    while not fine(lo, hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if inside(mid) == at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def gap_membership(
@@ -118,22 +158,6 @@ class EnergyGapSet:
         return not self.intervals
 
 
-def _refine_crossing(
-    boundary: TestingBoundary, a: float, beta: float, w_lo: float, w_hi: float
-) -> float:
-    """Bisect a change of membership down to |delta E| < resolution."""
-    inside_lo = _feasible(_phi(boundary, a, w_lo))
-    for _ in range(200):
-        if math.log(w_hi / w_lo) / beta < ENDPOINT_RESOLUTION:
-            break
-        mid = 0.5 * (w_lo + w_hi)
-        if _feasible(_phi(boundary, a, mid)) == inside_lo:
-            w_lo = mid
-        else:
-            w_hi = mid
-    return 0.5 * (w_lo + w_hi)
-
-
 def gap_set(
     resource: AthermalityState,
     beta: float,
@@ -143,21 +167,13 @@ def gap_set(
 ) -> EnergyGapSet:
     """Scan the feasible-gap set over E in (0, e_max].
 
-    The scan runs on a uniform grid in w = exp(-beta*E) (compact, uniform
-    resolution of the curve at both ends); each sign change is refined by
-    bisection. Scan, refinement and closedness all use the membership rule
-    of `gap_membership`.
+    The clearance is evaluated on n_grid points uniform in w = exp(-beta*E)
+    from exp(-beta*e_max) up (e_max defaults to -ln(DEFAULT_W_MIN)/beta);
+    each run of feasible points is one interval. An end between two points
+    is bisected in w down to ENDPOINT_RESOLUTION in E and is closed iff
+    feasible there. Every step uses the membership rule of `gap_membership`.
     """
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
-    if e_max is None:
-        e_max = -math.log(DEFAULT_W_MIN) / beta
-    if not e_max > 0.0:
-        raise NonPositiveGap(f"e_max must be > 0, got {e_max!r}")
-    if n_grid < 100:
-        raise InvalidGrid(f"n_grid must be >= 100, got {n_grid}")
-    w_min = math.exp(-beta * e_max)
-    step = (1.0 - w_min) / n_grid
+    e_max, step, ws = _scan_grid(beta, e_max, n_grid)
     if beta_tilde == beta:
         return EnergyGapSet(
             (GapInterval(0.0, e_max, lo_closed=False, hi_closed=True),), step
@@ -165,35 +181,27 @@ def gap_set(
 
     a = beta_tilde / beta
     boundary = compute_elbows(resource)
-    ws = w_min + step * np.arange(n_grid)
-    xs, ys = _curve_xy(a, ws)
-    member = _feasible(np.interp(ys, boundary.ys, boundary.xs) - xs)
 
+    def inside(w: float) -> bool:
+        return _feasible(_phi(boundary, a, w))
+
+    def crossing(k: int) -> tuple[float, bool]:
+        """(E, closed) of the membership change between ws[k-1] and ws[k]."""
+        w = _bisect(
+            inside, float(ws[k - 1]), float(ws[k]),
+            lambda lo, hi: math.log(hi / lo) / beta < ENDPOINT_RESOLUTION,
+        )
+        return -math.log(w) / beta, inside(w)
+
+    # runs [i, j) of feasible points; w increasing means E decreasing
+    member = _feasible(_clearance(boundary, a, ws))
+    edges = np.flatnonzero(np.diff(member, prepend=False, append=False)).tolist()
     intervals: list[GapInterval] = []
-    i = 0
-    while i < n_grid:
-        if not member[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n_grid and member[j + 1]:
-            j += 1
-        # run [i, j] of feasible grid points; w increasing means E decreasing
-        if i == 0:
-            hi, hi_closed = e_max, _feasible(_phi(boundary, a, w_min))
-        else:
-            w_root = _refine_crossing(boundary, a, beta, float(ws[i - 1]), float(ws[i]))
-            hi = -math.log(w_root) / beta
-            hi_closed = _feasible(_phi(boundary, a, w_root))
-        if j == n_grid - 1:
-            lo, lo_closed = 0.0, False  # gaps are strictly positive
-        else:
-            w_root = _refine_crossing(boundary, a, beta, float(ws[j]), float(ws[j + 1]))
-            lo = -math.log(w_root) / beta
-            lo_closed = _feasible(_phi(boundary, a, w_root))
+    for i, j in zip(edges[::2], edges[1::2]):
+        hi, hi_closed = (e_max, inside(float(ws[0]))) if i == 0 else crossing(i)
+        lo, lo_closed = (0.0, False) if j == len(ws) else crossing(j)  # E > 0
         if hi > lo:
             intervals.append(GapInterval(lo, hi, lo_closed, hi_closed))
-        i = j + 1
     intervals.reverse()  # ascending in E
     return EnergyGapSet(tuple(intervals), step)
 
@@ -214,47 +222,29 @@ def _curve_slope(x: float, a: float) -> float:
     return c * inner / denom
 
 
-def _bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BisectionError("no sign change on the given bracket")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _construct_heating_example(a: float) -> AthermalityState:
     """Tangent-line construction for 0 < a < 1 (heating branch)."""
     eps = _TANGENT_EPS
+
+    def root(f, lo: float, hi: float) -> float:
+        """Sign change of f on [lo, hi], to the last float."""
+        if (f(lo) > 0.0) == (f(hi) > 0.0):
+            raise BisectionError("no sign change on the given bracket")
+        return _bisect(lambda x: f(x) > 0.0, lo, hi, lambda lo, hi: False)
 
     # affine function through (1,1) tangent to the curve
     def tangency(x: float) -> float:
         return _curve_slope(x, a) - (1.0 - _curve_height(x, a)) / (1.0 - x)
 
-    x0 = _bisect_root(tangency, eps, 0.5 - eps)
+    x0 = root(tangency, eps, 0.5 - eps)
     slope = _curve_slope(x0, a)
     c_half = (1.0 - slope) / 2.0  # half the tangent's ordinate at x = 0
 
     def lowered(x: float) -> float:
         return c_half + (1.0 - c_half) * x
 
-    def clearance(x: float) -> float:
-        return _curve_height(x, a) - lowered(x)
-
     x4 = -c_half / (1.0 - c_half)  # x-intercept of the lowered line
-    x2 = _bisect_root(clearance, x4, x0)
+    x2 = root(lambda x: _curve_height(x, a) - lowered(x), x4, x0)
     x1 = 0.5 * (x2 - x4)
     y1 = lowered(x1)
     if y1 <= 0.0:
@@ -274,10 +264,13 @@ def construct_gap_example(a: float) -> AthermalityState:
         raise TrivialRatio("a = 1 is trivial: every gap is feasible")
     if not (math.isfinite(a) and a > 0.0):
         raise TrivialRatio(f"construction requires a > 0, a != 1, got {a!r}")
+    try:
+        state = _construct_heating_example(min(a, 1.0 / a))
+    except ArithmeticError as exc:  # the curve under- or overflows at extreme a
+        raise BisectionError(f"construction fails at a = {a!r}: {exc}") from exc
     if a < 1.0:
-        return _construct_heating_example(a)
-    mirrored = _construct_heating_example(1.0 / a)
-    x1, y1 = mirrored.r.entries[0], mirrored.g.entries[0]
+        return state
+    x1, y1 = state.r.entries[0], state.g.entries[0]
     return validate_state((1.0 - y1, y1), (1.0 - x1, x1))
 
 
@@ -299,9 +292,7 @@ def eset_superset_check(
     for bt in beta_tilde_grid:
         if bt == beta:
             continue
-        xs, ys = _curve_xy(bt / beta, ws)
-        in_target = _feasible(np.interp(ys, tgt.ys, tgt.xs) - xs)
-        in_source = _feasible(np.interp(ys, src.ys, src.xs) - xs)
-        if np.any(in_target & ~in_source):
+        in_target = _feasible(_clearance(tgt, bt / beta, ws))
+        if np.any(in_target & ~_feasible(_clearance(src, bt / beta, ws))):
             return False
     return True

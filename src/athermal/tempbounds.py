@@ -156,7 +156,7 @@ def qubit_beta_bounds(
     resource: AthermalityState, E: float, beta: float
 ) -> tuple[ExtendedBeta, ExtendedBeta]:
     """Closed-form (beta~_max, beta~_min) for a qubit target with gap E."""
-    if not E > 0.0:
+    if not (math.isfinite(E) and E > 0.0):
         raise NonPositiveGap(f"energy gap must be > 0, got {E!r}")
     if not (math.isfinite(beta) and beta > 0.0):
         raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
@@ -173,9 +173,19 @@ def qubit_beta_bounds(
     else:
         bmax = ExtendedBeta.finite(math.log(alpha / (1.0 - alpha)) / E)
 
-    alpha_t = alpha_at(boundary, g2)
+    x1, y1 = boundary.xs[1], boundary.ys[1]
+    if g2 < y1:  # first segment: alpha_t = (x1/y1) g2
+        log_slope = math.log(x1 / y1)
+        alpha_t = math.exp(log_slope - beta * E - math.log1p(w))
+    else:
+        alpha_t = alpha_at(boundary, g2)
     if alpha_t >= 1.0 - LIMIT_SLACK:
         bmin = ExtendedBeta.neg_inf()
+    elif g2 < y1:
+        # ln((1 - alpha_t)/alpha_t) = beta*E + excess, kept apart: g2
+        # underflows to 0 once beta*E exceeds ~745, and beta*E may overflow
+        excess = math.log1p(-alpha_t) - log_slope + math.log1p(w)
+        bmin = ExtendedBeta.finite(beta + excess / E)
     else:
         bmin = ExtendedBeta.finite(math.log((1.0 - alpha_t) / alpha_t) / E)
     return bmax, bmin

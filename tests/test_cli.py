@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -150,6 +151,38 @@ class TestInputErrors:
         )
         assert _input_error(code, err)["code"] == "InvalidGrid"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_eset_non_finite_beta_tilde(self, capsys, resource_file, value):
+        code, out, err = _run(
+            capsys, ["eset", "-s", resource_file, f"--beta-tilde={value}"]
+        )
+        assert _input_error(code, err)["code"] == "NonFiniteBeta"
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_curve_non_finite_ratio(self, capsys, value):
+        code, out, err = _run(capsys, ["curve", "--a", value])
+        assert _input_error(code, err)["code"] == "NonFiniteBeta"
+        assert out == ""
+
+    def test_curve_empty_grid(self, capsys):
+        code, out, err = _run(capsys, ["curve", "--a", "nan", "--grid", "0"])
+        assert _input_error(code, err)["code"] == "InvalidGrid"
+        assert out == ""
+
+    def test_usage_error_is_json(self, capsys, resource_file):
+        # argparse reads -1e300 as an option, so --beta-tilde has no value
+        code, _, err = _run(
+            capsys, ["eset", "-s", resource_file, "--beta-tilde", "-1e300"]
+        )
+        assert _input_error(code, err)["code"] == "UsageError"
+
+    @pytest.mark.parametrize("a", ["1e-300", "1e300"])
+    def test_gap_example_extreme_ratio(self, capsys, a):
+        code, _, err = _run(capsys, ["gap-example", "--a", a])
+        assert code == 4
+        assert json.loads(err)["error"]["code"] == "BisectionError"
+
     @pytest.mark.parametrize("tol", ["0", "nan"])
     def test_oracle_non_positive_tol(self, capsys, resource_file, tol):
         code, _, err = _run(
@@ -177,6 +210,12 @@ class TestFarLevels:
 
 
 class TestSubcommands:
+    def test_monotones_at_far_gap(self, capsys, resource_file):
+        code, out, _ = _run(capsys, ["monotones", "-s", resource_file, "-E", "800"])
+        assert code == 0
+        (entry,) = json.loads(out)["entries"]
+        assert 0.0 < entry["heating"] < 1e-3
+
     def test_cool_hand_value(self, capsys, resource_file, target_file):
         code, out, _ = _run(capsys, ["cool", "-s", resource_file, "-t", target_file])
         assert code == 0
@@ -350,7 +389,7 @@ class TestOutputContracts:
 
     def test_eset_csv_rows(self, capsys, tmp_path, resource_file):
         csv = tmp_path / "scan.csv"
-        code, _, _ = _run(
+        code, out, _ = _run(
             capsys,
             [
                 "eset", "-s", resource_file, "--beta-tilde", "2.0",
@@ -359,7 +398,113 @@ class TestOutputContracts:
             ],
         )
         assert code == 0
-        rows = csv.read_text().strip().splitlines()
+        rows = [row.split(",") for row in csv.read_text().strip().splitlines()]
         assert len(rows) == 500
-        E, phi, member = rows[0].split(",")
-        assert member in ("0", "1")
+        energies = [float(E) for E, _, _ in rows]
+        assert energies == sorted(set(energies))
+        intervals = json.loads(out)["intervals"]
+        for E, member in zip(energies, (m for _, _, m in rows)):
+            # the first interval may end at e_max, which the last row
+            # reproduces up to rounding
+            inside = any(lo <= E <= hi * (1.0 + 1e-15) for lo, hi in intervals)
+            assert member == str(int(inside))
+        assert {m for _, _, m in rows} == {"0", "1"}
+
+    def test_eset_csv_same_temperature(self, capsys, tmp_path, resource_file):
+        csv = tmp_path / "scan.csv"
+        code, _, _ = _run(
+            capsys,
+            [
+                "eset", "-s", resource_file, "--beta-tilde", "1.0", "--grid", "100",
+                "--out", str(csv), "--format", "csv",
+            ],
+        )
+        assert code == 0
+        rows = csv.read_text().strip().splitlines()
+        assert len(rows) == 100
+        assert all(row.endswith(",0,1") for row in rows)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token} on stdout")
+
+
+# Pools for the fuzz test. Grids stay small so no draw allocates much.
+_FUZZ_FLOATS = [
+    "1", "0.5", "2", "3.7", "0", "-1", "nan", "inf", "-inf", "1e-300",
+    "1e300", "-1e300", "1e-5", "800", "abc", "", "--", "1,5",
+]
+_FUZZ_INTS = ["0", "-3", "1", "2", "4", "50", "100", "150", "1.5", "abc"]
+_FUZZ_STATES = [
+    {"energies": [0.0, LN4], "beta": 1.0, "populations": [0.9, 0.1]},
+    {"energies": [0.0, 1.0, 2.5], "beta": 0.7, "populations": [0.2, 0.5, 0.3]},
+    {"energies": [0.0, LN4], "beta": 1.0},
+    {"energies": [0.0, 0.0], "beta": 1.0, "populations": [0.5, 0.5]},
+    {"energies": [0.0, 5000.0], "beta": 1.0, "populations": [0.3, 0.7]},
+    {"energies": [0.0, 1e-300], "beta": 1e300, "populations": [0.6, 0.4]},
+    {"energies": [0.0, 1.0], "beta": 1e-300, "populations": [1.0, 0.0]},
+    {"energies": [0.0, 1.0], "beta": "nan", "populations": [0.5, 0.5]},
+    {"energies": [0.0, 1.0], "beta": -1.0, "populations": [0.5, 0.5]},
+    {"energies": [0.0, 1.0], "beta": 1.0, "populations": [0.7, 0.7]},
+    {"energies": [0.0, 1.0], "beta": 1.0, "populations": [-0.5, 1.5]},
+    {"energies": [0.0, 1.0], "beta": 1.0, "populations": [0.5]},
+    {"energies": [0.0, 1.0], "beta": 1.0, "populations": ["x", 0.5]},
+    {"energies": [0.0, "inf"], "beta": 1.0, "populations": [0.5, 0.5]},
+    {"energies": [], "beta": 1.0},
+    {"energies": [0.0], "beta": 1.0, "populations": [1.0]},
+    {"energies": {"a": 1}, "beta": 1.0},
+    {"beta": 1.0},
+    {"energies": [0.0, 1.0], "beta": 1.0, "density_matrix": [[1, 2], [3, 4]]},
+    {"energies": [0.0, 1.0], "beta": 1.0, "density_matrix": "rho"},
+    [0.0, 1.0],
+    "not json at all {",
+]
+_FUZZ_COMMANDS = {
+    "cool": [("-s", "state"), ("-t", "state")],
+    "heat": [("-s", "state"), ("-t", "state")],
+    "overlap": [("-s", "state"), ("-t", "state"), ("--ground-degeneracy", "int")],
+    "convert": [("--from", "state"), ("--to", "state")],
+    "oracle": [("--from", "state"), ("--to", "state"), ("--tol", "float")],
+    "monotones": [("-s", "state"), ("-E", "float"), ("-E", "float")],
+    "critical-energies": [("-s", "state")],
+    "eset": [("-s", "state"), ("--beta-tilde", "float"), ("--e-max", "float"),
+             ("--grid", "int")],
+    "gap-example": [("--a", "float")],
+    "curve": [("--a", "float"), ("--grid", "int")],
+}
+
+
+class TestFuzz:
+    def test_random_malformed_invocations(self, capsys, tmp_path):
+        """Every invocation ends in a documented exit code: JSON on stderr
+        when it fails, strict JSON (no NaN/Infinity) on stdout when not."""
+        states = []
+        for i, doc in enumerate(_FUZZ_STATES):
+            path = tmp_path / f"state{i}.json"
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            states.append(str(path))
+        states.append(str(tmp_path / "missing.json"))
+        pools = {"state": states, "float": _FUZZ_FLOATS, "int": _FUZZ_INTS}
+        rng = random.Random(1)
+        for _ in range(600):
+            command = rng.choice([*_FUZZ_COMMANDS, "no-such-command"])
+            argv = [command]
+            for flag, kind in _FUZZ_COMMANDS.get(command, []):
+                if rng.random() < 0.9:
+                    argv += [flag, rng.choice(pools[kind])]
+            if rng.random() < 0.2:
+                argv += ["--out", str(tmp_path / "side"),
+                         "--format", rng.choice(["json", "csv", "svg", "png"])]
+            if rng.random() < 0.05:
+                argv.append(rng.choice(["--bogus", "extra", "-x"]))
+            code, out, err = _run(capsys, argv)
+            assert code in (0, 2, 3, 4), argv
+            if code in (0, 3):
+                json.loads(out, parse_constant=_reject_constant)
+            else:
+                assert set(json.loads(err)) == {"error"}, argv
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = _run(capsys, ["eset", "--help"])
+        assert code == 0
+        assert "--beta-tilde" in out

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from athermal import (
     alpha_at,
@@ -13,7 +15,15 @@ from athermal import (
     gap_set,
     validate_state,
 )
-from athermal.errors import NonPositiveGap, TrivialRatio, WOutOfRange
+from athermal.errors import (
+    BisectionError,
+    InvalidGrid,
+    NonFiniteBeta,
+    NonPositiveGap,
+    TrivialRatio,
+    WOutOfRange,
+)
+from athermal.majorization import DOMINATION_SLACK
 
 
 def _free(g):
@@ -30,6 +40,11 @@ class TestFaPoint:
             fa_point(2.0, 0.0)
         with pytest.raises(WOutOfRange):
             fa_point(2.0, 1.5)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_ratio(self, a):
+        with pytest.raises(NonFiniteBeta):
+            fa_point(a, 0.5)
 
     def test_anchor_at_w_one(self):
         assert fa_point(2.0, 1.0) == (0.5, 0.5)
@@ -74,6 +89,11 @@ class TestGapMembership:
         with pytest.raises(NonPositiveGap):
             gap_membership(_free((0.8, 0.2)), 1.0, 2.0, 0.0)
 
+    @pytest.mark.parametrize("beta_tilde", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_target(self, beta_tilde):
+        with pytest.raises(NonFiniteBeta):
+            gap_membership(_free((0.8, 0.2)), 1.0, beta_tilde, 1.0)
+
     def test_nonmonotone_pattern(self):
         # this resource admits beta~ = 1/2 at small and at moderate gaps,
         # but not in between
@@ -90,6 +110,17 @@ class TestGapSet:
         assert len(out.intervals) == 1
         iv = out.intervals[0]
         assert (iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) == (0.0, 5.0, False, True)
+
+    @pytest.mark.parametrize("beta_tilde", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_target(self, beta_tilde):
+        with pytest.raises(NonFiniteBeta):
+            gap_set(_free((0.8, 0.2)), 1.0, beta_tilde, e_max=5.0)
+
+    def test_rejects_e_max_beyond_float_range(self):
+        with pytest.raises(NonPositiveGap):
+            gap_set(_free((0.8, 0.2)), 1.0, 2.0, e_max=math.inf)
+        with pytest.raises(InvalidGrid):  # exp(-beta*e_max) underflows to 0
+            gap_set(_free((0.8, 0.2)), 1.0, 2.0, e_max=800.0)
 
     def test_free_resource_empty(self):
         assert gap_set(_free((0.8, 0.2)), 1.0, 2.0, e_max=5.0).is_empty
@@ -145,6 +176,12 @@ class TestConstructGapExample:
         out = gap_set(resource, 1.0, a, n_grid=20_000)
         assert len(out.intervals) >= 2
 
+    @pytest.mark.parametrize("a", [1e-300, 1e-4, 1e4, 1e300])
+    def test_extreme_ratio_is_a_numeric_failure(self, a):
+        # the curve underflows there; no arithmetic error escapes
+        with pytest.raises(BisectionError):
+            construct_gap_example(a)
+
     def test_rejects_trivial_and_nonpositive(self):
         with pytest.raises(TrivialRatio):
             construct_gap_example(1.0)
@@ -165,3 +202,61 @@ class TestEsetSupersetCheck:
         grid_e = list(np.linspace(0.05, 6.0, 40))
         assert eset_superset_check(src, tgt, 1.0, grid_bt, grid_e)
         assert not eset_superset_check(tgt, src, 1.0, grid_bt, grid_e)
+
+    def test_rejects_non_finite_target(self):
+        state = validate_state((0.95, 0.05), (0.8, 0.2))
+        with pytest.raises(NonFiniteBeta):
+            eset_superset_check(state, state, 1.0, [math.nan], [1.0])
+
+
+@st.composite
+def _scan_cases(draw):
+    """A dim-2..4 resource on a random Gibbs vector, beta and beta~."""
+    dim = draw(st.integers(min_value=2, max_value=4))
+    unit = st.floats(min_value=1e-3, max_value=1.0)
+    r = np.array(draw(st.lists(unit, min_size=dim, max_size=dim)))
+    energies = np.array(
+        draw(st.lists(st.floats(0.0, 4.0), min_size=dim, max_size=dim))
+    )
+    beta = draw(st.floats(0.2, 3.0))
+    g = np.exp(-beta * energies)
+    ratio = draw(st.floats(0.3, 3.0).filter(lambda x: x != 1.0))
+    return validate_state(r / r.sum(), g / g.sum()), beta, beta * ratio
+
+
+@given(_scan_cases())
+@settings(max_examples=200, deadline=None)
+def test_membership_agrees_with_scan(case):
+    """gap_membership matches gap_set at the midpoint of every interval and
+    of every gap between them, unless the curve lies within the slack there.
+
+    A scan on a grid cannot see a feature narrower than one grid cell: the
+    membership can leave and re-enter between two grid points. Such a probe
+    is let through only if both ends of its cell agree with the scan.
+    """
+    resource, beta, beta_tilde = case
+    a = beta_tilde / beta
+    boundary = compute_elbows(resource)
+
+    def clearance(w):
+        x, y = fa_point(a, w)
+        return alpha_at(boundary, y) - x
+
+    out = gap_set(resource, beta, beta_tilde)
+    e_max = -math.log(1e-10) / beta
+    w_min = math.exp(-beta * e_max)
+    step = (1.0 - w_min) / 10_000
+    ends = [0.0] + [e for iv in out.intervals for e in (iv.lo, iv.hi)] + [e_max]
+    for k, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        if hi <= lo:  # an interval that starts at 0 or ends at e_max
+            continue
+        E = 0.5 * (lo + hi)
+        w = math.exp(-beta * E)
+        if abs(clearance(w)) <= DOMINATION_SLACK:
+            continue
+        inside = k % 2 == 1
+        if gap_membership(resource, beta, beta_tilde, E) is not inside:
+            cell = w_min + step * math.floor((w - w_min) / step)
+            for end in (cell, min(cell + step, 1.0)):
+                assert (clearance(end) >= -DOMINATION_SLACK) is inside
+

@@ -240,6 +240,22 @@ class TestQubitBetaBounds:
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(NonPositiveGap):
             qubit_beta_bounds(_free((0.8, 0.2)), 0.0, 1.0)
+        with pytest.raises(NonPositiveGap):
+            qubit_beta_bounds(_free((0.8, 0.2)), math.inf, 1.0)
+
+    @pytest.mark.parametrize("E", [700.0, 800.0, 1e4])
+    def test_far_gap_heating_bound(self, E):
+        # g2 = w/(1+w) underflows to 0 from E ~ 745 on; alpha_t = lam*g2 on
+        # the first segment, lam = 0.9/0.8
+        resource = validate_state((0.9, 0.1), (0.8, 0.2))
+        _, bmin = qubit_beta_bounds(resource, E, 1.0)
+        lam, w = 0.9 / 0.8, math.exp(-E)
+        alpha_t = lam * w / (1.0 + w)
+        expected = (
+            1.0 - math.log(lam) / E + math.log1p(w) / E + math.log1p(-alpha_t) / E
+        )
+        assert bmin.is_finite
+        assert bmin.value == pytest.approx(expected, rel=1e-12)
 
     def test_ordering(self):
         resource = validate_state((0.9, 0.1), (0.8, 0.2))
