@@ -21,6 +21,7 @@ import numpy as np
 from .core import AthermalityState, ExtendedBeta, GibbsContext, validate_state
 from .errors import AthermalError, BisectionError, DimensionMismatch, InvalidGrid
 from .esets import (
+    MAX_GRID,
     _clearance,
     _feasible,
     _scan_grid,
@@ -322,8 +323,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_curve(args) -> int:
     n = args.grid
-    if n < 1:
-        raise InvalidGrid(f"--grid must be >= 1, got {n}")
+    if not 1 <= n <= MAX_GRID:
+        raise InvalidGrid(f"--grid must be in [1, {MAX_GRID}], got {n}")
     points = []
     for i in range(1, n + 1):
         w = i / n

@@ -41,6 +41,10 @@ class NonPositiveGap(AthermalError):
     pass
 
 
+class GapTooSmall(AthermalError):
+    """A closed-form temperature overflows a float at this gap."""
+
+
 class WrongDegeneracy(AthermalError):
     pass
 

@@ -35,12 +35,18 @@ from .majorization import (
 )
 
 DEFAULT_N_GRID = 10_000
+# Largest scan grid (eset, gap_set, curve): about 8 MB per float array.
+MAX_GRID = 1_000_000
 # Default scan depth: beyond w = 1e-10 the qubit Gibbs vector is numerically
 # pure and membership no longer changes.
 DEFAULT_W_MIN = 1e-10
 ENDPOINT_RESOLUTION = 1e-10  # bisection target on |delta E| for interval ends
 
 _TANGENT_EPS = 1e-9
+# Points per block of the vector clearance (64 KiB float arrays). Whole-grid
+# temporaries above glibc's 128 KiB mmap threshold can be handed back to the
+# OS and faulted in again on every scan, depending on the heap's layout.
+_SCAN_BLOCK = 8192
 
 
 def _curve_xy(a: float, w):
@@ -84,8 +90,11 @@ def _phi(boundary: TestingBoundary, a: float, w: float) -> float:
 
 def _clearance(boundary: TestingBoundary, a: float, ws: np.ndarray) -> np.ndarray:
     """`_phi` at every point of the array ws."""
-    xs, ys = _curve_xy(a, ws)
-    return np.interp(ys, boundary.ys, boundary.xs) - xs
+    clearance = np.empty_like(ws)
+    for k in range(0, len(ws), _SCAN_BLOCK):
+        xs, ys = _curve_xy(a, ws[k : k + _SCAN_BLOCK])
+        clearance[k : k + _SCAN_BLOCK] = np.interp(ys, boundary.ys, boundary.xs) - xs
+    return clearance
 
 
 def _scan_grid(
@@ -100,8 +109,8 @@ def _scan_grid(
         e_max = -math.log(DEFAULT_W_MIN) / beta
     if not (math.isfinite(e_max) and e_max > 0.0):
         raise NonPositiveGap(f"e_max must be finite and > 0, got {e_max!r}")
-    if n_grid < 100:
-        raise InvalidGrid(f"n_grid must be >= 100, got {n_grid}")
+    if not 100 <= n_grid <= MAX_GRID:
+        raise InvalidGrid(f"n_grid must be in [100, {MAX_GRID}], got {n_grid}")
     w_min = math.exp(-beta * e_max)
     if w_min == 0.0:
         raise InvalidGrid(f"exp(-beta*e_max) underflows at e_max = {e_max!r}")

@@ -1,8 +1,10 @@
 """Independent LP feasibility oracle for relative majorization.
 
 Decides whether a column-stochastic matrix exists mapping p -> q and
-r -> s, by a self-contained dense phase-1 simplex (Bland's rule). Problem
-sizes here are tiny, so determinism beats speed.
+r -> s, by a self-contained dense phase-1 simplex. The pivot rule is
+Bland's (smallest improving column, ties in the ratio test to the smallest
+basic variable), so the vertex found is deterministic; each pivot is one
+masked pricing step, one masked ratio test and one outer-product update.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import BisectionError, DimensionMismatch, NonPositiveTolerance
 DEFAULT_TOL = 1e-7
 
 _PIVOT_TOL = 1e-11
+_RATIO_TIE = 1e-15
 _MAX_PIVOTS = 20_000
 
 
@@ -32,48 +35,42 @@ def _phase_one(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     Returns (optimum, x at optimum restricted to the original columns).
     """
     n_rows, n_cols = A.shape
-    tableau = np.hstack([A, np.eye(n_rows), b.reshape(-1, 1)])
-    basis = list(range(n_cols, n_cols + n_rows))
-    # phase-1 objective row: reduced costs after pricing out the artificials
-    obj = np.concatenate([A.sum(axis=0), np.zeros(n_rows), [b.sum()]])
+    # constraints [A | I | b], then the phase-1 objective with the
+    # artificials priced out, so one pivot updates both
+    t = np.zeros((n_rows + 1, n_cols + n_rows + 1))
+    t[:-1, :n_cols] = A
+    t[:-1, n_cols:-1] = np.eye(n_rows)
+    t[:-1, -1] = b
+    t[-1, :n_cols] = A.sum(axis=0)
+    t[-1, -1] = b.sum()
+    obj = t[-1, :-1]
+    rhs = t[:-1, -1]
+    basis = np.arange(n_cols, n_cols + n_rows)
 
     for _ in range(_MAX_PIVOTS):
-        entering = -1
-        for j in range(n_cols + n_rows):
-            if obj[j] > _PIVOT_TOL:
-                entering = j  # Bland: smallest improving index
-                break
-        if entering < 0:
+        improving = obj > _PIVOT_TOL
+        entering = improving.argmax()  # Bland: smallest improving index
+        if not improving[entering]:
             break
-        leaving = -1
-        best = np.inf
-        for i in range(n_rows):
-            a = tableau[i, entering]
-            if a > _PIVOT_TOL:
-                ratio = tableau[i, -1] / a
-                if ratio < best - 1e-15 or (
-                    abs(ratio - best) <= 1e-15
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = i
-        if leaving < 0:
+        col = t[:, entering]
+        rows = np.flatnonzero(col[:-1] > _PIVOT_TOL)
+        if rows.size == 0:
             raise BisectionError("phase-1 objective unbounded; malformed input")
-        pivot = tableau[leaving, entering]
-        tableau[leaving] /= pivot
-        for i in range(n_rows):
-            if i != leaving and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[leaving]
-        obj -= obj[entering] * tableau[leaving]
+        ratios = rhs[rows] / col[rows]
+        # a difference, not min + tie: that sum rounds a 1.1e-15 gap to a tie
+        ties = rows[ratios - ratios.min() <= _RATIO_TIE]
+        leaving = ties[basis[ties].argmin()]
+        row = t[leaving] / col[leaving]
+        t -= np.outer(col, row)  # also clobbers t[leaving], reset next
+        t[leaving] = row
         basis[leaving] = entering
     else:
         raise BisectionError("simplex pivot limit exceeded")
 
     x = np.zeros(n_cols)
-    for i, var in enumerate(basis):
-        if var < n_cols:
-            x[var] = tableau[i, -1]
-    return float(obj[-1]), x
+    orig = basis < n_cols
+    x[basis[orig]] = rhs[orig]
+    return float(t[-1, -1]), x
 
 
 def lp_feasible(
@@ -92,21 +89,19 @@ def lp_feasible(
         raise NonPositiveTolerance(f"tol must be > 0, got {tol!r}")
     n = p.dim
     m = q.dim
-    pv = np.asarray(p.entries)
-    rv = np.asarray(r.entries)
 
-    # variables: E flattened row-major, E[i, j] at index i*n + j
-    n_vars = m * n
-    A = np.zeros((2 * m + n, n_vars))
-    b = np.zeros(2 * m + n)
-    for i in range(m):
-        A[i, i * n : (i + 1) * n] = pv
-        b[i] = q.entries[i]
-        A[m + i, i * n : (i + 1) * n] = rv
-        b[m + i] = s.entries[i]
-    for j in range(n):
-        A[2 * m + j, j::n] = 1.0
-        b[2 * m + j] = 1.0
+    # variables: E flattened row-major, E[i, j] at index i*n + j; rows:
+    # (Ep)_i = q_i, (Er)_i = s_i, then column sums sum_i E[i, j] = 1.
+    # I_m ⊗ p by broadcasting: np.kron's overhead outweighs a small problem
+    eye_m = np.eye(m)[:, :, None]
+    A = np.vstack(
+        [
+            (eye_m * p.entries).reshape(m, m * n),
+            (eye_m * r.entries).reshape(m, m * n),
+            np.tile(np.eye(n), m),
+        ]
+    )
+    b = np.concatenate([q.entries, s.entries, np.ones(n)])
 
     optimum, x = _phase_one(A, b)
     feasible = optimum <= tol

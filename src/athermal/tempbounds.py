@@ -29,6 +29,7 @@ from .core import AthermalityState, ExtendedBeta, GibbsContext
 from .errors import (
     BisectionError,
     DegenerateTarget,
+    GapTooSmall,
     NonPositiveBeta,
     NonPositiveGap,
     WrongDegeneracy,
@@ -171,7 +172,7 @@ def qubit_beta_bounds(
     if alpha >= 1.0 - LIMIT_SLACK:
         bmax = ExtendedBeta.pos_inf()
     else:
-        bmax = ExtendedBeta.finite(math.log(alpha / (1.0 - alpha)) / E)
+        bmax = _finite_beta(math.log(alpha / (1.0 - alpha)) / E, E)
 
     x1, y1 = boundary.xs[1], boundary.ys[1]
     if g2 < y1:  # first segment: alpha_t = (x1/y1) g2
@@ -185,10 +186,17 @@ def qubit_beta_bounds(
         # ln((1 - alpha_t)/alpha_t) = beta*E + excess, kept apart: g2
         # underflows to 0 once beta*E exceeds ~745, and beta*E may overflow
         excess = math.log1p(-alpha_t) - log_slope + math.log1p(w)
-        bmin = ExtendedBeta.finite(beta + excess / E)
+        bmin = _finite_beta(beta + excess / E, E)
     else:
-        bmin = ExtendedBeta.finite(math.log((1.0 - alpha_t) / alpha_t) / E)
+        bmin = _finite_beta(math.log((1.0 - alpha_t) / alpha_t) / E, E)
     return bmax, bmin
+
+
+def _finite_beta(value: float, E: float) -> ExtendedBeta:
+    # a log-odds of order 1 over a gap near the subnormal range overflows
+    if not math.isfinite(value):
+        raise GapTooSmall(f"energy gap {E!r} too small: beta~ overflows a float")
+    return ExtendedBeta.finite(value)
 
 
 def max_ground_overlap(

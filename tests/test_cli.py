@@ -165,6 +165,25 @@ class TestInputErrors:
         assert _input_error(code, err)["code"] == "NonFiniteBeta"
         assert out == ""
 
+    @pytest.mark.parametrize("gap", ["5e-324", "1e-310"])
+    def test_monotones_subnormal_gap(self, capsys, resource_file, gap):
+        code, out, err = _run(capsys, ["monotones", "-s", resource_file, "-E", gap])
+        assert _input_error(code, err)["code"] == "GapTooSmall"
+        assert out == ""
+
+    def test_eset_grid_above_cap(self, capsys, resource_file):
+        code, out, err = _run(
+            capsys,
+            ["eset", "-s", resource_file, "--beta-tilde", "2.0", "--grid", "100000000"],
+        )
+        assert _input_error(code, err)["code"] == "InvalidGrid"
+        assert out == ""
+
+    def test_curve_grid_above_cap(self, capsys):
+        code, out, err = _run(capsys, ["curve", "--a", "2.0", "--grid", str(2**62)])
+        assert _input_error(code, err)["code"] == "InvalidGrid"
+        assert out == ""
+
     def test_curve_empty_grid(self, capsys):
         code, out, err = _run(capsys, ["curve", "--a", "nan", "--grid", "0"])
         assert _input_error(code, err)["code"] == "InvalidGrid"
@@ -210,6 +229,12 @@ class TestFarLevels:
 
 
 class TestSubcommands:
+    def test_monotones_at_tiny_gap(self, capsys, resource_file):
+        code, out, _ = _run(capsys, ["monotones", "-s", resource_file, "-E", "1e-300"])
+        assert code == 0
+        (entry,) = json.loads(out)["entries"]
+        assert entry["cooling"] == pytest.approx(math.log(9.0 / 7.0) / 1e-300)
+
     def test_monotones_at_far_gap(self, capsys, resource_file):
         code, out, _ = _run(capsys, ["monotones", "-s", resource_file, "-E", "800"])
         assert code == 0
@@ -429,12 +454,16 @@ def _reject_constant(token):
     raise ValueError(f"non-JSON token {token} on stdout")
 
 
-# Pools for the fuzz test. Grids stay small so no draw allocates much.
+# Pools for the fuzz test. Grids above esets.MAX_GRID are refused before
+# anything is allocated, so huge ones are safe to draw.
 _FUZZ_FLOATS = [
     "1", "0.5", "2", "3.7", "0", "-1", "nan", "inf", "-inf", "1e-300",
-    "1e300", "-1e300", "1e-5", "800", "abc", "", "--", "1,5",
+    "1e300", "-1e300", "1e-5", "800", "5e-324", "abc", "", "--", "1,5",
 ]
-_FUZZ_INTS = ["0", "-3", "1", "2", "4", "50", "100", "150", "1.5", "abc"]
+_FUZZ_INTS = [
+    "0", "-3", "1", "2", "4", "50", "100", "150", "1000000000", str(2**62),
+    "1.5", "abc",
+]
 _FUZZ_STATES = [
     {"energies": [0.0, LN4], "beta": 1.0, "populations": [0.9, 0.1]},
     {"energies": [0.0, 1.0, 2.5], "beta": 0.7, "populations": [0.2, 0.5, 0.3]},

@@ -23,6 +23,13 @@ from athermal.errors import (
     TrivialRatio,
     WOutOfRange,
 )
+from athermal.esets import (
+    MAX_GRID,
+    _SCAN_BLOCK,
+    _clearance,
+    _curve_xy,
+    _scan_grid,
+)
 from athermal.majorization import DOMINATION_SLACK
 
 
@@ -121,6 +128,21 @@ class TestGapSet:
             gap_set(_free((0.8, 0.2)), 1.0, 2.0, e_max=math.inf)
         with pytest.raises(InvalidGrid):  # exp(-beta*e_max) underflows to 0
             gap_set(_free((0.8, 0.2)), 1.0, 2.0, e_max=800.0)
+
+    def test_grid_cap(self):
+        resource = validate_state((0.9, 0.1), (0.5, 0.5))
+        assert not gap_set(resource, 1.0, 2.0, n_grid=MAX_GRID).is_empty
+        with pytest.raises(InvalidGrid):
+            gap_set(resource, 1.0, 2.0, n_grid=MAX_GRID + 1)
+
+    def test_blocked_clearance_matches_whole_grid(self):
+        boundary = compute_elbows(construct_gap_example(0.5))
+        _, _, ws = _scan_grid(1.0, None, 3 * _SCAN_BLOCK + 5)
+        for a in (0.5, 2.0, -1.0):
+            for grid in (ws, ws[::-1]):  # the eset CSV scans ascending in E
+                xs, ys = _curve_xy(a, grid)
+                whole = np.interp(ys, boundary.ys, boundary.xs) - xs
+                np.testing.assert_array_equal(_clearance(boundary, a, grid), whole)
 
     def test_free_resource_empty(self):
         assert gap_set(_free((0.8, 0.2)), 1.0, 2.0, e_max=5.0).is_empty

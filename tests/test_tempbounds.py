@@ -16,7 +16,12 @@ from athermal import (
     relatively_majorizes,
     validate_state,
 )
-from athermal.errors import DegenerateTarget, NonPositiveGap, WrongDegeneracy
+from athermal.errors import (
+    DegenerateTarget,
+    GapTooSmall,
+    NonPositiveGap,
+    WrongDegeneracy,
+)
 from athermal.thermo import gibbs_vector
 
 LN4 = math.log(4.0)
@@ -256,6 +261,19 @@ class TestQubitBetaBounds:
         )
         assert bmin.is_finite
         assert bmin.value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("E", [5e-324, 1e-310])
+    def test_subnormal_gap_overflows(self, E):
+        resource = validate_state((0.9, 0.1), (0.8, 0.2))
+        with pytest.raises(GapTooSmall):
+            qubit_beta_bounds(resource, E, 1.0)
+
+    def test_tiny_gap_stays_finite(self):
+        # w rounds to 1, so g = (1/2, 1/2) and alpha = alpha_t = 0.5 * 0.9/0.8
+        resource = validate_state((0.9, 0.1), (0.8, 0.2))
+        bmax, bmin = qubit_beta_bounds(resource, 1e-300, 1.0)
+        assert bmax.value == pytest.approx(math.log(9.0 / 7.0) / 1e-300, rel=1e-14)
+        assert bmin.value == pytest.approx(-math.log(9.0 / 7.0) / 1e-300, rel=1e-14)
 
     def test_ordering(self):
         resource = validate_state((0.9, 0.1), (0.8, 0.2))
