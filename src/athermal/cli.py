@@ -31,6 +31,8 @@ from .esets import (
 )
 from .majorization import compute_elbows
 from .monotones import (
+    DEGENERATE_PERTURBATION,
+    _gap_of_ordinate,
     convertible_via_monotones,
     cooling_monotone,
     critical_energies,
@@ -212,8 +214,18 @@ def _cmd_overlap(args) -> int:
 
 
 def _first_witness(source, target, beta):
+    """First checked gap where the target cools or heats further than the
+    source. An elbow at ordinate 1/2 has no critical gap; it is checked, as
+    in `convertible_via_monotones`, at the gaps of its two perturbed
+    ordinates (about 4e-9/beta)."""
     crit = critical_energies(target, beta)
-    for k, E_k, kind in crit.entries:
+    checks = list(crit.entries)
+    interior = compute_elbows(target).interior()
+    for k in crit.degenerate_flags:
+        y = interior[k - 1][1]
+        for y_pert in (y - DEGENERATE_PERTURBATION, y + DEGENERATE_PERTURBATION):
+            checks.append((k, *_gap_of_ordinate(beta, y_pert)))
+    for k, E_k, kind in checks:
         mono = cooling_monotone if kind == "cooling" else heating_monotone
         lhs = mono(source, beta, E_k)
         rhs = mono(target, beta, E_k)

@@ -31,6 +31,7 @@ from .majorization import (
     DOMINATION_SLACK,
     TestingBoundary,
     alpha_at,
+    alphas_at,
     compute_elbows,
 )
 
@@ -93,7 +94,7 @@ def _clearance(boundary: TestingBoundary, a: float, ws: np.ndarray) -> np.ndarra
     clearance = np.empty_like(ws)
     for k in range(0, len(ws), _SCAN_BLOCK):
         xs, ys = _curve_xy(a, ws[k : k + _SCAN_BLOCK])
-        clearance[k : k + _SCAN_BLOCK] = np.interp(ys, boundary.ys, boundary.xs) - xs
+        clearance[k : k + _SCAN_BLOCK] = alphas_at(boundary, ys) - xs
     return clearance
 
 

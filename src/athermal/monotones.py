@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import AthermalityState
+from .core import _NUMPY_MIN_DIM, AthermalityState
 from .errors import NonPositiveBeta, NonPositiveGap
 from .majorization import (
     DOMINATION_SLACK,
     TestingBoundary,
     alpha_at,
+    alphas_at,
     compute_elbows,
 )
 from .tempbounds import qubit_beta_bounds
@@ -76,16 +77,46 @@ def _critical_set(boundary: TestingBoundary, beta: float) -> CriticalEnergySet:
     for k, (_, y) in enumerate(boundary.interior(), start=1):
         if abs(y - 0.5) <= DEGENERATE_ORDINATE_TOL:
             degenerate.append(k)
-        elif y > 0.5:
-            entries.append((k, math.log(y / (1.0 - y)) / beta, "cooling"))
         else:
-            entries.append((k, math.log((1.0 - y) / y) / beta, "heating"))
+            entries.append((k, *_gap_of_ordinate(beta, y)))
     return CriticalEnergySet(tuple(entries), tuple(degenerate))
+
+
+def _gap_of_ordinate(beta: float, y: float) -> tuple[float, str]:
+    """(E, kind): the qubit gap whose check maps to ordinate y != 1/2."""
+    if y > 0.5:
+        return math.log(y / (1.0 - y)) / beta, "cooling"
+    return math.log((1.0 - y) / y) / beta, "heating"
 
 
 def _ordinate_of_gap(beta: float, E: float, kind: str) -> float:
     w = math.exp(-beta * E)
     return 1.0 / (1.0 + w) if kind == "cooling" else w / (1.0 + w)
+
+
+def _check_ordinates(boundary: TestingBoundary, beta: float):
+    """Every ordinate `convertible_via_monotones` compares at, as one array:
+    the critical gaps mapped back, then each degenerate elbow perturbed both
+    ways. Vector form of `_critical_set` and `_ordinate_of_gap`; numpy's log
+    and exp may differ from libm's in the last bit, so a mapped ordinate may
+    differ from the scalar one by an ulp, which moves a verdict only when a
+    clearance lies within about 1e-16 of the slack."""
+    import numpy as np
+
+    y = boundary.arrays[1][1:-1]
+    degenerate = np.abs(y - 0.5) <= DEGENERATE_ORDINATE_TOL
+    yc = y[~degenerate]
+    cooling = yc > 0.5
+    # A subnormal ordinate's gap overflows to inf, as in floats; its ordinate is 0.
+    with np.errstate(over="ignore"):
+        E = np.log(np.where(cooling, yc / (1.0 - yc), (1.0 - yc) / yc)) / beta
+        w = np.exp(-beta * E)
+    yd = y[degenerate]
+    return np.concatenate((
+        np.where(cooling, 1.0 / (1.0 + w), w / (1.0 + w)),
+        yd - DEGENERATE_PERTURBATION,
+        yd + DEGENERATE_PERTURBATION,
+    ))
 
 
 def convertible_via_monotones(
@@ -102,6 +133,9 @@ def convertible_via_monotones(
     _check_beta(beta)
     src = compute_elbows(source)
     tgt = compute_elbows(target)
+    if target.dim >= _NUMPY_MIN_DIM:
+        ys = _check_ordinates(tgt, beta)
+        return bool((alphas_at(src, ys) >= alphas_at(tgt, ys) - DOMINATION_SLACK).all())
     crit = _critical_set(tgt, beta)
 
     def dominated_at(y: float) -> bool:

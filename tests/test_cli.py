@@ -291,6 +291,26 @@ class TestSubcommands:
         assert doc["witness"]["kind"] in ("cooling", "heating")
         assert doc["witness"]["lhs"] < doc["witness"]["rhs"]
 
+    def test_convert_witness_at_degenerate_elbow(self, capsys, tmp_path):
+        # The target's only interior elbow has ordinate 1/2, so it has no
+        # critical gap: the witness is a perturbed gap of about 4e-9/beta.
+        energies = [0.0, math.log(2.0), math.log(2.0)]
+        paths = {}
+        for name, pops in (("free", [0.5, 0.25, 0.25]), ("hot", [0.75, 0.125, 0.125])):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(
+                json.dumps({"energies": energies, "beta": 1.0, "populations": pops})
+            )
+        code, out, _ = _run(
+            capsys, ["convert", "--from", str(paths["free"]), "--to", str(paths["hot"])]
+        )
+        assert code == 3
+        witness = json.loads(out)["witness"]
+        assert witness is not None
+        assert witness["k"] == 1
+        assert witness["E"] == pytest.approx(4e-9, rel=1e-6)
+        assert witness["lhs"] < witness["rhs"]
+
     def test_monotones_lists_each_gap(self, capsys, resource_file):
         code, out, _ = _run(
             capsys, ["monotones", "-s", resource_file, "-E", "1.0", "-E", "2.0"]

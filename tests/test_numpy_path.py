@@ -1,0 +1,252 @@
+"""The size-switched numpy path of the decision kernel against the pure-Python
+path: validation, boundary building and both decision methods.
+
+Each case runs the whole chain twice, once with every vector forced onto the
+pure-Python path and once with every vector forced onto the numpy path, and
+requires bit-identical renormalised entries and elbows and the same verdicts.
+"""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from athermal import (
+    compute_elbows,
+    convertible_via_monotones,
+    relatively_majorizes,
+    validate_state,
+)
+from athermal import core, majorization, monotones
+from athermal.core import _NUMPY_MIN_DIM
+from athermal.errors import (
+    AthermalError,
+    DimensionMismatch,
+    NegativeEntry,
+    NormalizationOutOfTolerance,
+    RankDeficientGibbs,
+)
+from athermal.majorization import COLLINEARITY_TOL
+
+PURE_PYTHON = sys.maxsize
+NUMPY = 1
+SIZES = (_NUMPY_MIN_DIM - 1, _NUMPY_MIN_DIM, 257, 2048, 20_000)
+
+
+def _force(monkeypatch, threshold):
+    for module in (core, majorization, monotones):
+        monkeypatch.setattr(module, "_NUMPY_MIN_DIM", threshold)
+
+
+def test_threshold_bound_only_where_forced():
+    holders = sorted(
+        name for name, module in sys.modules.items()
+        if name.startswith("athermal") and hasattr(module, "_NUMPY_MIN_DIM")
+    )
+    assert holders == ["athermal.core", "athermal.majorization", "athermal.monotones"]
+
+
+# ------------------------------------------------------------------ inputs
+
+
+def _gibbs(rng, n):
+    w = np.exp(-rng.uniform(0.5, 2.0) * rng.uniform(0.0, 4.0, n))
+    return w / w.sum()
+
+
+def _plain(rng, n):
+    g = _gibbs(rng, n)
+    return rng.dirichlet(np.ones(n)), g
+
+
+def _degenerate(rng, n, k=4):
+    """n // k distinct levels, each used at least once, with tied r/g."""
+    levels = max(2, n // k)
+    which = np.concatenate([np.arange(levels), rng.integers(0, levels, n - levels)])
+    g = _gibbs(rng, levels)[which]
+    g /= g.sum()
+    block = rng.dirichlet(np.ones(levels))
+    return block[which] * g / np.bincount(which, weights=g)[which], g
+
+
+def _gibbs_tail(rng, n):
+    """Two top levels below an ulp of 1, with the two smallest ratios. The
+    other Gibbs weights are dyadic and sum to exactly 1, so the prefix sum
+    reaches 1 before the tail and the tail folds into (1, 1)."""
+    scale = 2.0**40
+    w = rng.integers(1, 2**20, n - 3).astype(float)
+    w = np.append(w, scale - w.sum())
+    g = np.append(w / scale, [2.0**-60, 2.0**-61])
+    body = 0.5 * rng.dirichlet(np.ones(n - 2)) + 0.5 * g[:-2]
+    return np.append(body, [1e-22, 0.0]), g
+
+
+def _small_mass(rng, n):
+    """Every level but the dominant one carries a mass down to 1e-15."""
+    s = 10.0 ** rng.uniform(-15.0, -12.0)
+    g_small = rng.dirichlet(np.ones(n - 1)) * s * 10.0 ** rng.uniform(-0.5, 0.5)
+    r_small = rng.dirichlet(np.ones(n - 1)) * s
+    return np.append(r_small, 1.0 - r_small.sum()), np.append(g_small, 1.0 - g_small.sum())
+
+
+def _drift(rng, n):
+    """A chain of ten near-tied ratios, each 0.3 COLLINEARITY_TOL below the
+    last: every step is a tie, the whole chain is not."""
+    r, g = _plain(rng, n)
+    chain = np.arange(10)
+    r[chain] = g[chain] * (r[0] / g[0]) * (1.0 - 0.3 * COLLINEARITY_TOL * chain)
+    return r / r.sum(), g
+
+
+def _exact_ties(rng, n):
+    """Three blocks with r/g exactly 2, 1/2 and 1 and unequal weights within
+    each, so prefix sums depend on the order of tied levels. Both vectors
+    sum to exactly 1: no renormalisation breaks the ties."""
+    a = n // 3
+    w = rng.uniform(0.5, 1.5, n - a)
+    g = np.concatenate((w[:a], 2.0 * w[:a], w[a:]))
+    g /= g.sum()
+    g[-1] = 1.0 - math.fsum(g[:-1])
+    r = np.concatenate((2.0 * g[:a], g[:a], g[2 * a :]))
+    assert math.fsum(g) == math.fsum(r) == 1.0
+    return r, g
+
+
+def _half(rng, n):
+    """Two ratio blocks of Gibbs weight 1/2 each: the elbow between them sits
+    at ordinate 1/2, which has no critical gap and is checked perturbed."""
+    h = n // 2
+    g = np.append(np.full(h, 0.5 / h), np.full(n - h, 0.5 / (n - h)))
+    return np.append(np.full(h, 0.75 / h), np.full(n - h, 0.25 / (n - h))), g
+
+
+CASES = {
+    "plain": _plain,
+    "degenerate": _degenerate,
+    "gibbs_tail": _gibbs_tail,
+    "small_mass": _small_mass,
+    "drift": _drift,
+    "exact_ties": _exact_ties,
+    "half": _half,
+}
+
+
+def _pairs(case, n):
+    """Forward and reversed partial thermalisations of one seeded input."""
+    rng = np.random.default_rng([n, list(CASES).index(case)])
+    r, g = CASES[case](rng, n)
+    lam = rng.uniform(0.2, 0.8)
+    t = lam * r + (1.0 - lam) * g
+    beta = float(rng.uniform(0.5, 2.0))
+    g = g.tolist()
+    return [((r.tolist(), g), (t.tolist(), g), beta), ((t.tolist(), g), (r.tolist(), g), beta)]
+
+
+def _chain(src, tgt, beta):
+    s, t = validate_state(*src), validate_state(*tgt)
+    vectors = [np.array(v.entries) for v in (s.r, s.g, t.r, t.g)]
+    elbows = [np.array(compute_elbows(x).elbows) for x in (s, t)]
+    verdicts = (relatively_majorizes(s, t), convertible_via_monotones(s, t, beta))
+    return vectors, elbows, verdicts
+
+
+# ------------------------------------------------------------- equivalence
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("case", list(CASES))
+def test_kernels_bit_identical(monkeypatch, case, n):
+    for src, tgt, beta in _pairs(case, n):
+        _force(monkeypatch, PURE_PYTHON)
+        vectors, elbows, verdicts = _chain(src, tgt, beta)
+        _force(monkeypatch, NUMPY)
+        vectors_np, elbows_np, verdicts_np = _chain(src, tgt, beta)
+        for a, b in zip(vectors + elbows, vectors_np + elbows_np):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert verdicts_np == verdicts
+        assert all(type(v) is bool for v in verdicts_np)
+
+
+@pytest.mark.parametrize("case", ["plain", "half"])
+def test_forward_and_reverse_verdicts(case):
+    (fwd, rev) = _pairs(case, 2048)
+    for (src, tgt, beta), expected in ((fwd, True), (rev, False)):
+        s, t = validate_state(*src), validate_state(*tgt)
+        assert relatively_majorizes(s, t) is expected
+        assert convertible_via_monotones(s, t, beta) is expected
+
+
+def test_gibbs_tail_folds_into_endpoint():
+    n = 2048
+    (src, _, _), _ = _pairs("gibbs_tail", n)
+    # n - 2 distinct body ratios: n - 3 interior elbows, none at y = 1.
+    assert len(compute_elbows(validate_state(*src)).elbows) == n - 1
+
+
+def test_drifting_chain_takes_the_sequential_pass(monkeypatch):
+    _force(monkeypatch, NUMPY)
+    (src, _, _), _ = _pairs("drift", 2048)
+    state = validate_state(*src)
+    assert majorization._elbows_by_numpy(state) is None
+    assert majorization._elbows_by_numpy(validate_state(*_pairs("plain", 2048)[0][0])) is not None
+
+
+def test_switch_at_threshold():
+    for n, on_numpy in ((_NUMPY_MIN_DIM - 1, False), (_NUMPY_MIN_DIM, True)):
+        state = validate_state(*_pairs("plain", n)[0][0])
+        assert ("array" in vars(state.r)) is on_numpy
+        assert ("arrays" in vars(compute_elbows(state))) is on_numpy
+
+
+# -------------------------------------------------------- validation parity
+
+
+def _with(values, changes):
+    out = list(values)
+    for i, x in changes.items():
+        out[i] = x
+    return out
+
+
+def _bad_inputs(n):
+    """(r, g) pairs, each with one defect (two where the first must be named)."""
+    flat = [1.0 / n] * n
+    nan, inf = float("nan"), float("inf")
+    return {
+        "nan": (_with(flat, {1: nan, n - 1: -1.0}), flat),
+        "+inf": (_with(flat, {1: inf}), flat),
+        "-inf": (_with(flat, {n - 1: -inf}), flat),
+        "negative": (_with(flat, {1: -0.25, n - 1: nan}), flat),
+        "sum": ([1.5 / n] * n, flat),
+        "zero_gibbs": (flat, _with(flat, {0: 0.0, 1: 2.0 / n})),
+        "length": (flat, flat[:-1]),
+    }
+
+
+def _error(monkeypatch, threshold, r, g):
+    _force(monkeypatch, threshold)
+    with pytest.raises(AthermalError) as info:
+        validate_state(r, g)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("n", (3, 5000))
+def test_validation_errors_match(monkeypatch, n):
+    expected = {
+        "nan": (NegativeEntry, "non-finite entry nan"),
+        "+inf": (NegativeEntry, "non-finite entry inf"),
+        "-inf": (NegativeEntry, "non-finite entry -inf"),
+        "negative": (NegativeEntry, "negative entry -0.25"),
+        "sum": (NormalizationOutOfTolerance, None),
+        "zero_gibbs": (RankDeficientGibbs, "Gibbs vector must be strictly positive"),
+        "length": (DimensionMismatch, f"lengths differ: {n} vs {n - 1}"),
+    }
+    for name, (r, g) in _bad_inputs(n).items():
+        scalar = _error(monkeypatch, PURE_PYTHON, r, g)
+        vector = _error(monkeypatch, NUMPY, r, g)
+        assert vector == scalar, name
+        kind, message = expected[name]
+        assert scalar[0] is kind, name
+        if message is not None:
+            assert scalar[1] == message, name
