@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from athermal.errors import (
     NonPositiveGap,
     WrongDegeneracy,
 )
+from athermal.tempbounds import _bottom_masses
 from athermal.thermo import gibbs_vector
 
 LN4 = math.log(4.0)
@@ -119,7 +121,7 @@ def _two_valued_t(n, d, k, alpha):
     (d + (k-d)t)/(d + (n-d)t) = alpha for k >= d."""
     if k < d:
         return (k - alpha * d) / (alpha * (n - d))
-    return d * (1.0 - alpha) / (alpha * (n - d) - (k - d))
+    return d * (1 - alpha) / (alpha * (n - d) - (k - d))
 
 
 _pop_weight = st.floats(min_value=1e-3, max_value=1.0)
@@ -172,20 +174,31 @@ class TestClosedForms:
             [x / math.fsum(rw) for x in rw], [x / math.fsum(gw) for x in gw]
         )
         target = GibbsContext((0.0,) * d + (E,) * (n - d), beta)
+        mirror = tuple(-x for x in reversed(target.energies))
+        # A condition whose bottom-k mass at beta already reaches alpha_k
+        # keeps beta exactly. The closed form through alpha_k is no reference
+        # there: alpha_k carries the rounding of that mass, which moves the
+        # root by |d beta~/d alpha_k| ulp, about 3e-10 at beta E = 15 for a
+        # free resource, whose answer is beta itself. Elsewhere the closed
+        # form is taken in exact rationals: alpha_k (n - d) - (k - d) cancels.
+        y_cool = _bottom_masses(target.energies, beta, range(1, n))
+        y_heat = _bottom_masses(mirror, -beta, range(1, n))
         # Below |beta~| = 1 the solver's stopping width is absolute, 1e-13.
         for k, b, alpha in beta_max(resource, target).per_condition:
             if b.is_finite:
-                t = _two_valued_t(n, d, k, alpha)
-                assert b.value == pytest.approx(
-                    -math.log(t) / E, rel=1e-10, abs=1e-12
-                )
+                if y_cool[k - 1] >= alpha:
+                    expected = beta
+                else:
+                    expected = -math.log(_two_valued_t(n, d, k, Fraction(alpha))) / E
+                assert b.value == pytest.approx(expected, rel=1e-10, abs=1e-12)
         # Heating mirrors the target: n - d levels at 0, d at E, at -beta~.
         for k, b, alpha in beta_min(resource, target).per_condition:
             if b.is_finite:
-                t = _two_valued_t(n, n - d, k, alpha)
-                assert b.value == pytest.approx(
-                    math.log(t) / E, rel=1e-10, abs=1e-12
-                )
+                if y_heat[k - 1] >= alpha:
+                    expected = beta
+                else:
+                    expected = math.log(_two_valued_t(n, n - d, k, Fraction(alpha))) / E
+                assert b.value == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 class TestFarLevels:
