@@ -31,9 +31,7 @@ from .esets import (
 )
 from .majorization import compute_elbows
 from .monotones import (
-    DEGENERATE_PERTURBATION,
-    _gap_of_ordinate,
-    convertible_via_monotones,
+    _failed_check,
     cooling_monotone,
     critical_energies,
     heating_monotone,
@@ -213,41 +211,33 @@ def _cmd_overlap(args) -> int:
     return EXIT_OK
 
 
-def _first_witness(source, target, beta):
-    """First checked gap where the target cools or heats further than the
-    source. An elbow at ordinate 1/2 has no critical gap; it is checked, as
-    in `convertible_via_monotones`, at the gaps of its two perturbed
-    ordinates (about 4e-9/beta)."""
-    crit = critical_energies(target, beta)
-    checks = list(crit.entries)
-    interior = compute_elbows(target).interior()
-    for k in crit.degenerate_flags:
-        y = interior[k - 1][1]
-        for y_pert in (y - DEGENERATE_PERTURBATION, y + DEGENERATE_PERTURBATION):
-            checks.append((k, *_gap_of_ordinate(beta, y_pert)))
-    for k, E_k, kind in checks:
-        mono = cooling_monotone if kind == "cooling" else heating_monotone
-        lhs = mono(source, beta, E_k)
-        rhs = mono(target, beta, E_k)
-        if lhs < rhs:
-            return {"E": E_k, "k": k, "kind": kind, "lhs": _eb_json(lhs), "rhs": _eb_json(rhs)}
-    return None
-
-
-def _cmd_convert(args) -> int:
+def _load_pair(args) -> tuple[AthermalityState, AthermalityState, float]:
+    """The --from and --to states of `convert` and `oracle`, which must share
+    their background beta."""
     source, src_ctx = load_state(getattr(args, "from"))
     target, tgt_ctx = load_state(args.to)
     if src_ctx.beta != tgt_ctx.beta:
         raise AthermalError(
             f"background beta differs: {src_ctx.beta} vs {tgt_ctx.beta}"
         )
-    verdict = convertible_via_monotones(source, target, tgt_ctx.beta)
-    doc = {"convertible": verdict}
-    if not verdict:
-        doc["witness"] = _first_witness(source, target, tgt_ctx.beta)
+    return source, target, tgt_ctx.beta
+
+
+def _cmd_convert(args) -> int:
+    source, target, beta = _load_pair(args)
+    failed = _failed_check(source, target, beta)
+    doc = {"convertible": failed is None}
+    if failed is not None:
+        k, E_k, kind = failed
+        mono = cooling_monotone if kind == "cooling" else heating_monotone
+        doc["witness"] = {
+            "E": E_k, "k": k, "kind": kind,
+            "lhs": _eb_json(mono(source, beta, E_k)),
+            "rhs": _eb_json(mono(target, beta, E_k)),
+        }
     _emit(doc)
     _side_file(args, [source, target], ["from", "to"])
-    return EXIT_OK if verdict else EXIT_INFEASIBLE
+    return EXIT_OK if failed is None else EXIT_INFEASIBLE
 
 
 def _cmd_monotones(args) -> int:
@@ -325,8 +315,7 @@ def _cmd_gap_example(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    source, _ = load_state(getattr(args, "from"))
-    target, _ = load_state(args.to)
+    source, target, _ = _load_pair(args)
     result = lp_feasible(source.r, source.g, target.r, target.g, args.tol)
     _emit({"feasible": result.feasible, "max_violation": result.max_violation})
     _side_file(args, [source, target], ["from", "to"])

@@ -16,6 +16,7 @@ from .errors import (
     DimensionMismatch,
     NegativeEntry,
     NonPositiveBeta,
+    NonPositiveGap,
     NormalizationOutOfTolerance,
     RankDeficientGibbs,
 )
@@ -36,6 +37,16 @@ NORMALIZATION_TOL = 1e-9
 # the n = 32 decide inputs and every dim <= 64 solver, scan and CLI input
 # on the pure-Python path.
 _NUMPY_MIN_DIM = 100
+
+
+def _check_beta(beta: float) -> None:
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
+
+
+def _check_gap(E: float) -> None:
+    if not (math.isfinite(E) and E > 0.0):
+        raise NonPositiveGap(f"energy gap must be > 0, got {E!r}")
 
 
 @dataclass(frozen=True)
@@ -125,8 +136,7 @@ class GibbsContext:
         for h in self.energies:
             if not math.isfinite(h):
                 raise AthermalError(f"non-finite energy {h!r}")
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise NonPositiveBeta(f"beta must be finite and > 0, got {self.beta!r}")
+        _check_beta(self.beta)
         order = sorted(range(len(self.energies)), key=lambda i: self.energies[i])
         object.__setattr__(self, "permutation", tuple(order))
         object.__setattr__(

@@ -17,12 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AthermalityState, validate_state
+from .core import AthermalityState, _check_beta, _check_gap, validate_state
 from .errors import (
     BisectionError,
     InvalidGrid,
     NonFiniteBeta,
-    NonPositiveBeta,
     NonPositiveGap,
     TrivialRatio,
     WOutOfRange,
@@ -104,8 +103,7 @@ def _scan_grid(
     """(e_max, step, ws): n_grid points ws ascending from exp(-beta*e_max)
     in steps of (1 - ws[0])/n_grid, so E = -ln(w)/beta descends to one
     step short of 0. The default e_max puts ws[0] at DEFAULT_W_MIN."""
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
+    _check_beta(beta)
     if e_max is None:
         e_max = -math.log(DEFAULT_W_MIN) / beta
     if not (math.isfinite(e_max) and e_max > 0.0):
@@ -138,10 +136,8 @@ def gap_membership(
     resource: AthermalityState, beta: float, beta_tilde: float, E: float
 ) -> bool:
     """True iff a gap-E qubit can be driven from beta to beta_tilde."""
-    if not (math.isfinite(E) and E > 0.0):
-        raise NonPositiveGap(f"energy gap must be > 0, got {E!r}")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
+    _check_gap(E)
+    _check_beta(beta)
     if beta_tilde == beta:
         return True
     boundary = compute_elbows(resource)
@@ -294,8 +290,7 @@ def eset_superset_check(
     """Sampled check that the source's feasible-gap sets contain the target's."""
     if len(beta_tilde_grid) == 0 or len(e_grid) == 0:
         raise InvalidGrid("grids must be non-empty")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
+    _check_beta(beta)
     src = compute_elbows(source)
     tgt = compute_elbows(target)
     ws = np.exp(-beta * np.asarray(e_grid, dtype=float))

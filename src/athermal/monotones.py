@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import _NUMPY_MIN_DIM, AthermalityState
-from .errors import NonPositiveBeta, NonPositiveGap
+from .core import _NUMPY_MIN_DIM, AthermalityState, _check_beta
 from .majorization import (
     DOMINATION_SLACK,
     TestingBoundary,
@@ -36,20 +35,8 @@ class CriticalEnergySet:
     degenerate_flags: tuple[int, ...]  # elbow indices with ordinate 1/2
 
 
-def _check_beta(beta: float) -> None:
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
-
-
-def _check_gap_args(beta: float, E: float) -> None:
-    if not (math.isfinite(E) and E > 0.0):
-        raise NonPositiveGap(f"energy gap must be > 0, got {E!r}")
-    _check_beta(beta)
-
-
 def cooling_monotone(state: AthermalityState, beta: float, E: float) -> float:
     """How far below the background temperature a gap-E qubit can be driven."""
-    _check_gap_args(beta, E)
     bmax, _ = qubit_beta_bounds(state, E, beta)
     if not bmax.is_finite:
         return math.inf
@@ -58,7 +45,6 @@ def cooling_monotone(state: AthermalityState, beta: float, E: float) -> float:
 
 def heating_monotone(state: AthermalityState, beta: float, E: float) -> float:
     """How far above the background temperature a gap-E qubit can be driven."""
-    _check_gap_args(beta, E)
     _, bmin = qubit_beta_bounds(state, E, beta)
     if not bmin.is_finite:
         return math.inf
@@ -68,18 +54,27 @@ def heating_monotone(state: AthermalityState, beta: float, E: float) -> float:
 def critical_energies(target: AthermalityState, beta: float) -> CriticalEnergySet:
     """Per-elbow critical gaps of a quasi-classical target state."""
     _check_beta(beta)
-    return _critical_set(compute_elbows(target), beta)
+    critical, perturbed = _checks(compute_elbows(target), beta)
+    return CriticalEnergySet(
+        tuple(check[:3] for check in critical),
+        tuple(check[0] for check in perturbed[::2]),
+    )
 
 
-def _critical_set(boundary: TestingBoundary, beta: float) -> CriticalEnergySet:
-    entries = []
-    degenerate = []
+def _checks(boundary: TestingBoundary, beta: float):
+    """The decision's checks, as two lists of (k, E_k, kind, y), where y is
+    the ordinate compared at: the critical gap of each elbow k off ordinate
+    1/2, mapped back, and the two perturbed ordinates of each elbow at 1/2,
+    named by their own gaps (about 4e-9/beta)."""
+    critical, perturbed = [], []
     for k, (_, y) in enumerate(boundary.interior(), start=1):
         if abs(y - 0.5) <= DEGENERATE_ORDINATE_TOL:
-            degenerate.append(k)
+            for y_pert in (y - DEGENERATE_PERTURBATION, y + DEGENERATE_PERTURBATION):
+                perturbed.append((k, *_gap_of_ordinate(beta, y_pert), y_pert))
         else:
-            entries.append((k, *_gap_of_ordinate(beta, y)))
-    return CriticalEnergySet(tuple(entries), tuple(degenerate))
+            E, kind = _gap_of_ordinate(beta, y)
+            critical.append((k, E, kind, _ordinate_of_gap(beta, E, kind)))
+    return critical, perturbed
 
 
 def _gap_of_ordinate(beta: float, y: float) -> tuple[float, str]:
@@ -95,11 +90,10 @@ def _ordinate_of_gap(beta: float, E: float, kind: str) -> float:
 
 
 def _check_ordinates(boundary: TestingBoundary, beta: float):
-    """Every ordinate `convertible_via_monotones` compares at, as one array:
-    the critical gaps mapped back, then each degenerate elbow perturbed both
-    ways. Vector form of `_critical_set` and `_ordinate_of_gap`; numpy's log
-    and exp may differ from libm's in the last bit, so a mapped ordinate may
-    differ from the scalar one by an ulp, which moves a verdict only when a
+    """The ordinates of `_checks`, in its order, as one array, and the mask
+    of elbows at ordinate 1/2. Vector form of `_checks`; numpy's log and exp
+    may differ from libm's in the last bit, so a mapped ordinate may differ
+    from the scalar one by an ulp, which moves a verdict only when a
     clearance lies within about 1e-16 of the slack."""
     import numpy as np
 
@@ -112,11 +106,43 @@ def _check_ordinates(boundary: TestingBoundary, beta: float):
         E = np.log(np.where(cooling, yc / (1.0 - yc), (1.0 - yc) / yc)) / beta
         w = np.exp(-beta * E)
     yd = y[degenerate]
-    return np.concatenate((
+    perturbed = (yd - DEGENERATE_PERTURBATION, yd + DEGENERATE_PERTURBATION)
+    ys = np.concatenate((
         np.where(cooling, 1.0 / (1.0 + w), w / (1.0 + w)),
-        yd - DEGENERATE_PERTURBATION,
-        yd + DEGENERATE_PERTURBATION,
+        np.stack(perturbed, axis=1).ravel(),
     ))
+    return ys, degenerate
+
+
+def _failed_check(
+    source: AthermalityState, target: AthermalityState, beta: float
+) -> tuple[int, float, str] | None:
+    """(k, E_k, kind) of the first check that `convertible_via_monotones`
+    fails, or None when it passes them all."""
+    _check_beta(beta)
+    src = compute_elbows(source)
+    tgt = compute_elbows(target)
+    if target.dim >= _NUMPY_MIN_DIM:
+        import numpy as np
+
+        ys, degenerate = _check_ordinates(tgt, beta)
+        failed = ~(alphas_at(src, ys) >= alphas_at(tgt, ys) - DOMINATION_SLACK)
+        if not failed.any():
+            return None
+        i = int(failed.argmax())
+        elbows = np.concatenate(
+            (np.flatnonzero(~degenerate), np.repeat(np.flatnonzero(degenerate), 2))
+        )
+        k = int(elbows[i]) + 1
+        y = float(tgt.arrays[1][k])
+        if abs(y - 0.5) <= DEGENERATE_ORDINATE_TOL:
+            y = float(ys[i])  # a perturbed check is named by its own gap
+        return (k, *_gap_of_ordinate(beta, y))
+    critical, perturbed = _checks(tgt, beta)
+    for k, E_k, kind, y in critical + perturbed:
+        if not alpha_at(src, y) >= alpha_at(tgt, y) - DOMINATION_SLACK:
+            return k, E_k, kind
+    return None
 
 
 def convertible_via_monotones(
@@ -130,24 +156,4 @@ def convertible_via_monotones(
     Elbows at ordinate 1/2 (no finite gap) are perturbed both ways and both
     perturbed checks must pass.
     """
-    _check_beta(beta)
-    src = compute_elbows(source)
-    tgt = compute_elbows(target)
-    if target.dim >= _NUMPY_MIN_DIM:
-        ys = _check_ordinates(tgt, beta)
-        return bool((alphas_at(src, ys) >= alphas_at(tgt, ys) - DOMINATION_SLACK).all())
-    crit = _critical_set(tgt, beta)
-
-    def dominated_at(y: float) -> bool:
-        return alpha_at(src, y) >= alpha_at(tgt, y) - DOMINATION_SLACK
-
-    for k, E_k, kind in crit.entries:
-        if not dominated_at(_ordinate_of_gap(beta, E_k, kind)):
-            return False
-    interior = tgt.interior()
-    for k in crit.degenerate_flags:
-        y = interior[k - 1][1]
-        for y_pert in (y - DEGENERATE_PERTURBATION, y + DEGENERATE_PERTURBATION):
-            if not dominated_at(y_pert):
-                return False
-    return True
+    return _failed_check(source, target, beta) is None

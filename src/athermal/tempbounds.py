@@ -25,13 +25,11 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import AthermalityState, ExtendedBeta, GibbsContext
+from .core import AthermalityState, ExtendedBeta, GibbsContext, _check_beta, _check_gap
 from .errors import (
     BisectionError,
     DegenerateTarget,
     GapTooSmall,
-    NonPositiveBeta,
-    NonPositiveGap,
     WrongDegeneracy,
 )
 from .majorization import alpha_at, compute_elbows
@@ -157,10 +155,8 @@ def qubit_beta_bounds(
     resource: AthermalityState, E: float, beta: float
 ) -> tuple[ExtendedBeta, ExtendedBeta]:
     """Closed-form (beta~_max, beta~_min) for a qubit target with gap E."""
-    if not (math.isfinite(E) and E > 0.0):
-        raise NonPositiveGap(f"energy gap must be > 0, got {E!r}")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise NonPositiveBeta(f"beta must be finite and > 0, got {beta!r}")
+    _check_gap(E)
+    _check_beta(beta)
     boundary = compute_elbows(resource)
     if boundary.is_diagonal:
         return ExtendedBeta.finite(beta), ExtendedBeta.finite(beta)

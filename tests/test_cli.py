@@ -2,9 +2,12 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
-from athermal.cli import run
+from athermal import convertible_via_monotones, cooling_monotone, heating_monotone
+from athermal import monotones
+from athermal.cli import load_state, run
 
 LN4 = math.log(4.0)
 
@@ -143,6 +146,20 @@ class TestInputErrors:
         )
         code, _, err = _run(capsys, ["cool", "-s", bad, "-t", target_file])
         assert _input_error(code, err)["code"] == "DimensionMismatch"
+
+    @pytest.mark.parametrize("command", ["convert", "oracle"])
+    def test_pair_beta_mismatch(self, capsys, tmp_path, command):
+        paths = []
+        for beta in (1.0, 2.0):
+            paths.append(tmp_path / f"beta{beta}.json")
+            paths[-1].write_text(json.dumps(
+                {"energies": [0.0, LN4], "beta": beta, "populations": [0.9, 0.1]}
+            ))
+        code, out, err = _run(
+            capsys, [command, "--from", str(paths[0]), "--to", str(paths[1])]
+        )
+        assert out == ""
+        assert "background beta differs" in _input_error(code, err)["message"]
 
     def test_eset_grid_too_coarse(self, capsys, resource_file):
         code, _, err = _run(
@@ -310,6 +327,52 @@ class TestSubcommands:
         assert witness["k"] == 1
         assert witness["E"] == pytest.approx(4e-9, rel=1e-6)
         assert witness["lhs"] < witness["rhs"]
+
+    def test_convert_witness_is_failed_check(self, capsys, tmp_path):
+        """Seeded pairs, dim 2-8, some targets on uniform g (elbows at
+        ordinate 1/2), some masses down to 1e-15: every False verdict names
+        the first failed check, the monotones there give lhs < rhs, and
+        `convert` prints exactly that witness."""
+        rng = np.random.default_rng(7)
+        false_verdicts = perturbed = 0
+        for i in range(240):
+            paths = []
+            beta = float(rng.uniform(0.5, 2.0))
+            for side in ("from", "to"):
+                dim = int(rng.integers(2, 9))
+                uniform = side == "to" and i % 4 == 0
+                energies = np.zeros(dim) if uniform else rng.uniform(0.0, 3.0, dim)
+                if i % 3 == 0:  # every level but one carries a tiny mass
+                    small = rng.dirichlet(np.ones(dim - 1)) * 10.0 ** rng.uniform(-15, -1)
+                    pops = np.append(small, 1.0 - small.sum())
+                else:
+                    pops = rng.dirichlet(np.ones(dim))
+                paths.append(tmp_path / f"{side}{i}.json")
+                paths[-1].write_text(json.dumps({
+                    "energies": energies.tolist(), "beta": beta,
+                    "populations": rng.permutation(pops).tolist(),
+                }))
+            (source, _), (target, _) = (load_state(str(p)) for p in paths)
+            failed = monotones._failed_check(source, target, beta)
+            assert (failed is None) is convertible_via_monotones(source, target, beta)
+            code, out, _ = _run(
+                capsys, ["convert", "--from", str(paths[0]), "--to", str(paths[1])]
+            )
+            assert code == (0 if failed is None else 3)
+            if failed is None:
+                continue
+            false_verdicts += 1
+            k, E, kind = failed
+            perturbed += E < 1e-8  # an elbow at 1/2, checked perturbed
+            mono = cooling_monotone if kind == "cooling" else heating_monotone
+            lhs, rhs = mono(source, beta, E), mono(target, beta, E)
+            assert lhs < rhs
+            assert json.loads(out)["witness"] == {
+                "E": E, "k": k, "kind": kind,
+                "lhs": "+inf" if lhs == math.inf else lhs,
+                "rhs": "+inf" if rhs == math.inf else rhs,
+            }
+        assert false_verdicts > 100 and perturbed > 0
 
     def test_monotones_lists_each_gap(self, capsys, resource_file):
         code, out, _ = _run(

@@ -11,6 +11,7 @@ from athermal import (
     relatively_majorizes,
     validate_state,
 )
+from athermal import monotones
 from athermal.errors import NonPositiveBeta, NonPositiveGap
 
 
@@ -114,6 +115,17 @@ class TestConvertibleViaMonotones:
         strong = validate_state((0.99, 0.01), (0.5, 0.5))
         assert convertible_via_monotones(strong, target, 1.0)
         assert not convertible_via_monotones(target, strong, 1.0)
+
+    def test_failed_check_order(self):
+        # Elbows at ordinates 1/4, 1/2 and 3/4; the free source fails every
+        # check. Critical gaps come first, in k order, then the perturbed ones.
+        g = (0.25, 0.25, 0.25, 0.25)
+        target = validate_state((0.5, 0.3, 0.15, 0.05), g)
+        crit = critical_energies(target, 1.0)
+        assert [k for k, _, _ in crit.entries] == [1, 3]
+        assert crit.degenerate_flags == (2,)
+        assert monotones._failed_check(_free(g), target, 1.0) == crit.entries[0]
+        assert monotones._failed_check(target, target, 1.0) is None
 
     def test_agrees_with_relative_majorization(self):
         rng = np.random.default_rng(17)

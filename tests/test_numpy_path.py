@@ -3,7 +3,8 @@ path: validation, boundary building and both decision methods.
 
 Each case runs the whole chain twice, once with every vector forced onto the
 pure-Python path and once with every vector forced onto the numpy path, and
-requires bit-identical renormalised entries and elbows and the same verdicts.
+requires bit-identical renormalised entries and elbows, the same verdicts and
+the same first failed check.
 """
 
 import math
@@ -148,7 +149,7 @@ def _chain(src, tgt, beta):
     vectors = [np.array(v.entries) for v in (s.r, s.g, t.r, t.g)]
     elbows = [np.array(compute_elbows(x).elbows) for x in (s, t)]
     verdicts = (relatively_majorizes(s, t), convertible_via_monotones(s, t, beta))
-    return vectors, elbows, verdicts
+    return vectors, elbows, verdicts, monotones._failed_check(s, t, beta)
 
 
 # ------------------------------------------------------------- equivalence
@@ -159,13 +160,15 @@ def _chain(src, tgt, beta):
 def test_kernels_bit_identical(monkeypatch, case, n):
     for src, tgt, beta in _pairs(case, n):
         _force(monkeypatch, PURE_PYTHON)
-        vectors, elbows, verdicts = _chain(src, tgt, beta)
+        vectors, elbows, verdicts, witness = _chain(src, tgt, beta)
         _force(monkeypatch, NUMPY)
-        vectors_np, elbows_np, verdicts_np = _chain(src, tgt, beta)
+        vectors_np, elbows_np, verdicts_np, witness_np = _chain(src, tgt, beta)
         for a, b in zip(vectors + elbows, vectors_np + elbows_np):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert verdicts_np == verdicts
         assert all(type(v) is bool for v in verdicts_np)
+        assert witness_np == witness
+        assert (witness is None) is verdicts[1]
 
 
 @pytest.mark.parametrize("case", ["plain", "half"])
