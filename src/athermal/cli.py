@@ -3,7 +3,8 @@
 One subcommand per computation: cool, heat, overlap, convert, monotones,
 critical-energies, eset, gap-example, oracle, curve. Results go to stdout
 as a single JSON document (sorted keys; infinities as "+inf"/"-inf"); side
-files (CSV / SVG boundary plots) are written only when --out is given.
+files (boundary plots as CSV / SVG; scans as CSV) are written only when
+--out is given, in the formats each subcommand lists.
 
 Exit codes: 0 ok, 2 invalid input, 3 infeasible request, 4 numeric failure.
 """
@@ -180,7 +181,7 @@ def _emit(doc: dict) -> None:
 
 
 def _side_file(args, states, labels=None) -> None:
-    if getattr(args, "out", None) and args.format != "json":
+    if args.out:
         _write_out(args.out, render_boundary(states, args.format, labels))
 
 
@@ -283,7 +284,7 @@ def _cmd_eset(args) -> int:
             "resolution": result.resolution,
         }
     )
-    if getattr(args, "out", None) and args.format == "csv":
+    if args.out and args.format == "csv":
         ws = _scan_grid(ctx.beta, args.e_max, args.grid)[2][::-1]  # ascending in E
         clearance = np.zeros_like(ws)  # beta~ = beta: every gap is feasible
         if args.beta_tilde != ctx.beta:
@@ -306,7 +307,7 @@ def _cmd_gap_example(args) -> int:
         "populations": list(state.r.entries),
     }
     _emit(doc)
-    if getattr(args, "out", None):
+    if args.out:
         if args.format == "json":
             _write_out(args.out, (json.dumps(doc, sort_keys=True) + "\n").encode())
         else:
@@ -332,7 +333,7 @@ def _cmd_curve(args) -> int:
         x, y = fa_point(args.a, w)
         points.append([w, x, y])
     _emit({"a": args.a, "points": points})
-    if getattr(args, "out", None) and args.format == "csv":
+    if args.out:
         rows = "".join(f"{w:.17g},{x:.17g},{y:.17g}\n" for w, x, y in points)
         _write_out(args.out, rows.encode())
     return EXIT_OK
@@ -351,10 +352,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, *formats):
         p.add_argument("--out", help="side file path")
         p.add_argument(
-            "--format", choices=["json", "csv", "svg"], default="json",
+            "--format", choices=formats, default=formats[0],
             help="side file format",
         )
 
@@ -365,31 +366,30 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{extreme} inverse temperature reachable")
         p.add_argument("--state", "-s", required=True)
         p.add_argument("--target", "-t", required=True)
-        add_common(p)
+        add_common(p, "svg", "csv")
         p.set_defaults(func=_cmd_temperature, solve=solve, key=key)
 
     p = sub.add_parser("overlap", help="maximal ground-state overlap")
     p.add_argument("--state", "-s", required=True)
     p.add_argument("--target", "-t", required=True)
     p.add_argument("--ground-degeneracy", type=int, default=1)
-    add_common(p)
+    add_common(p, "svg", "csv")
     p.set_defaults(func=_cmd_overlap)
 
     p = sub.add_parser("convert", help="decide state convertibility")
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
-    add_common(p)
+    add_common(p, "svg", "csv")
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("monotones", help="cooling/heating monotones at gaps")
     p.add_argument("--state", "-s", required=True)
     p.add_argument("--gap", "-E", type=float, action="append", required=True)
-    add_common(p)
+    add_common(p, "svg", "csv")
     p.set_defaults(func=_cmd_monotones)
 
     p = sub.add_parser("critical-energies", help="finite sufficient gap set")
     p.add_argument("--state", "-s", required=True)
-    add_common(p)
     p.set_defaults(func=_cmd_critical_energies)
 
     p = sub.add_parser("eset", help="feasible energy-gap intervals")
@@ -397,25 +397,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-tilde", type=float, required=True)
     p.add_argument("--e-max", type=float, default=None)
     p.add_argument("--grid", type=int, default=10_000)
-    add_common(p)
+    add_common(p, "csv", "svg")
     p.set_defaults(func=_cmd_eset)
 
     p = sub.add_parser("gap-example", help="construct a non-interval example")
     p.add_argument("--a", type=float, required=True)
-    add_common(p)
+    add_common(p, "json", "csv", "svg")
     p.set_defaults(func=_cmd_gap_example)
 
     p = sub.add_parser("oracle", help="LP feasibility of the conversion")
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    add_common(p)
+    add_common(p, "svg", "csv")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("curve", help="sample the target-elbow curve")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--grid", type=int, default=100)
-    add_common(p)
+    add_common(p, "csv")
     p.set_defaults(func=_cmd_curve)
 
     return parser

@@ -3,7 +3,8 @@
 The lower boundary of the testing region of a state (r, g) is the
 piecewise-linear concave curve through the "elbows" obtained from prefix
 sums in non-increasing r_i/g_i order. Pointwise domination of these
-boundaries decides relative majorization.
+boundaries decides relative majorization; `_first_shortfall` is the one
+comparison, shared by both decision methods.
 
 Two paths build and compare boundaries, split at `core._NUMPY_MIN_DIM`
 (100) levels of the state (of the target, for a decision); both give
@@ -16,7 +17,7 @@ identical elbows and verdicts (tests/test_numpy_path.py):
   decision takes half the time it takes in numpy; it stays the path of
   every small input, including the qubit and dim <= 64 solver layers.
 - numpy, from the threshold up. The same sort, prefix sums and merge rule
-  in whole-array steps, and one `np.interp` (`alphas_at`) at all compared
+  in whole-array steps, and `np.interp` (`alphas_at`) at the compared
   ordinates. A boundary keeps its arrays and builds its elbow tuples only
   when they are read. A full decision at n = 2048 takes about 2 ms against
   6-11 ms in pure Python; the remaining cost is mostly validation.
@@ -222,14 +223,36 @@ def relatively_majorizes(
     """True iff (r, g) of `source` relatively majorizes that of `target`.
 
     By convexity it suffices to dominate the target boundary at the target's
-    elbow ordinates.
+    elbows.
     """
     src = compute_elbows(source)
     tgt = compute_elbows(target)
-    if target.dim >= _NUMPY_MIN_DIM:
-        xa, ya = tgt.arrays
-        return not (alphas_at(src, ya) < xa - DOMINATION_SLACK).any()
-    for x, y in tgt.elbows:
-        if alpha_at(src, y) < x - DOMINATION_SLACK:
-            return False
-    return True
+    points = tgt.arrays if target.dim >= _NUMPY_MIN_DIM else (tgt.xs, tgt.ys)
+    return _first_shortfall(src, *points) is None
+
+
+def _points_at(boundary: TestingBoundary, ys: tuple[float, ...], vector: bool):
+    """The points (xs, ys) of `boundary` at the ordinates ys: tuples by
+    `alpha_at`, or numpy arrays by `alphas_at` when `vector`, so that
+    `_first_shortfall` compares them on the matching path and an array-backed
+    boundary never builds its tuples."""
+    if not vector:
+        return tuple(alpha_at(boundary, y) for y in ys), ys
+    import numpy as np
+
+    ya = np.array(ys)
+    return alphas_at(boundary, ya), ya
+
+
+def _first_shortfall(src: TestingBoundary, xs, ys) -> int | None:
+    """Index of the first point (xs[i], ys[i]) that the boundary `src` misses
+    by more than DOMINATION_SLACK, or None: the one comparison of both
+    decision methods. Tuples are walked with `alpha_at`, which stops at the
+    first shortfall; numpy arrays take one `alphas_at`."""
+    if isinstance(xs, tuple):
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            if alpha_at(src, y) < x - DOMINATION_SLACK:
+                return i
+        return None
+    short = alphas_at(src, ys) < xs - DOMINATION_SLACK
+    return int(short.argmax()) if short.any() else None

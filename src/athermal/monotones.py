@@ -9,14 +9,14 @@ below 1/2 decides convertibility.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .core import _NUMPY_MIN_DIM, AthermalityState, _check_beta
 from .majorization import (
-    DOMINATION_SLACK,
     TestingBoundary,
-    alpha_at,
-    alphas_at,
+    _first_shortfall,
+    _points_at,
     compute_elbows,
 )
 from .tempbounds import qubit_beta_bounds
@@ -54,27 +54,38 @@ def heating_monotone(state: AthermalityState, beta: float, E: float) -> float:
 def critical_energies(target: AthermalityState, beta: float) -> CriticalEnergySet:
     """Per-elbow critical gaps of a quasi-classical target state."""
     _check_beta(beta)
-    critical, perturbed = _checks(compute_elbows(target), beta)
+    checks = _checks(compute_elbows(target))
     return CriticalEnergySet(
-        tuple(check[:3] for check in critical),
-        tuple(check[0] for check in perturbed[::2]),
+        tuple(
+            (k, *_gap_of_ordinate(beta, y))
+            for ks, _, ys in checks[:2]
+            for k, y in zip(ks, ys)
+        ),
+        tuple(ks[0] for ks, _, _ in checks[2:]),
     )
 
 
-def _checks(boundary: TestingBoundary, beta: float):
-    """The decision's checks, as two lists of (k, E_k, kind, y), where y is
-    the ordinate compared at: the critical gap of each elbow k off ordinate
-    1/2, mapped back, and the two perturbed ordinates of each elbow at 1/2,
-    named by their own gaps (about 4e-9/beta)."""
-    critical, perturbed = [], []
-    for k, (_, y) in enumerate(boundary.interior(), start=1):
-        if abs(y - 0.5) <= DEGENERATE_ORDINATE_TOL:
-            for y_pert in (y - DEGENERATE_PERTURBATION, y + DEGENERATE_PERTURBATION):
-                perturbed.append((k, *_gap_of_ordinate(beta, y_pert), y_pert))
-        else:
-            E, kind = _gap_of_ordinate(beta, y)
-            critical.append((k, E, kind, _ordinate_of_gap(beta, E, kind)))
-    return critical, perturbed
+def _checks(boundary: TestingBoundary, vector: bool = False):
+    """The decision's checks, in order, as groups (ks, xs, ys) of points
+    (xs[i], ys[i]) of the target boundary at or beside elbow ks[i]: the
+    interior elbows below ordinate 1/2, those above it, then for each elbow
+    at 1/2, which has no finite critical gap, the points at
+    1/2 -+ DEGENERATE_PERTURBATION. Groups are numpy arrays when `vector`.
+    A check is named by the gap of its ordinate (`_gap_of_ordinate`)."""
+    xs, ys = boundary.arrays if vector else (boundary.xs, boundary.ys)
+    # ys is non-decreasing: the elbows at 1/2 (|y - 1/2| <= the tolerance)
+    # are the run [lo, hi), those below and above it lie on either side.
+    lo = bisect_left(ys, -DEGENERATE_ORDINATE_TOL, key=lambda y: y - 0.5)
+    hi = bisect_right(ys, DEGENERATE_ORDINATE_TOL, lo, key=lambda y: y - 0.5)
+    checks = [
+        (range(1, lo), xs[1:lo], ys[1:lo]),
+        (range(hi, len(ys) - 1), xs[hi:-1], ys[hi:-1]),
+    ]
+    for k in range(lo, hi):
+        y = float(ys[k])
+        half = (y - DEGENERATE_PERTURBATION, y + DEGENERATE_PERTURBATION)
+        checks.append(((k, k), *_points_at(boundary, half, vector)))
+    return checks
 
 
 def _gap_of_ordinate(beta: float, y: float) -> tuple[float, str]:
@@ -82,36 +93,6 @@ def _gap_of_ordinate(beta: float, y: float) -> tuple[float, str]:
     if y > 0.5:
         return math.log(y / (1.0 - y)) / beta, "cooling"
     return math.log((1.0 - y) / y) / beta, "heating"
-
-
-def _ordinate_of_gap(beta: float, E: float, kind: str) -> float:
-    w = math.exp(-beta * E)
-    return 1.0 / (1.0 + w) if kind == "cooling" else w / (1.0 + w)
-
-
-def _check_ordinates(boundary: TestingBoundary, beta: float):
-    """The ordinates of `_checks`, in its order, as one array, and the mask
-    of elbows at ordinate 1/2. Vector form of `_checks`; numpy's log and exp
-    may differ from libm's in the last bit, so a mapped ordinate may differ
-    from the scalar one by an ulp, which moves a verdict only when a
-    clearance lies within about 1e-16 of the slack."""
-    import numpy as np
-
-    y = boundary.arrays[1][1:-1]
-    degenerate = np.abs(y - 0.5) <= DEGENERATE_ORDINATE_TOL
-    yc = y[~degenerate]
-    cooling = yc > 0.5
-    # A subnormal ordinate's gap overflows to inf, as in floats; its ordinate is 0.
-    with np.errstate(over="ignore"):
-        E = np.log(np.where(cooling, yc / (1.0 - yc), (1.0 - yc) / yc)) / beta
-        w = np.exp(-beta * E)
-    yd = y[degenerate]
-    perturbed = (yd - DEGENERATE_PERTURBATION, yd + DEGENERATE_PERTURBATION)
-    ys = np.concatenate((
-        np.where(cooling, 1.0 / (1.0 + w), w / (1.0 + w)),
-        np.stack(perturbed, axis=1).ravel(),
-    ))
-    return ys, degenerate
 
 
 def _failed_check(
@@ -122,26 +103,10 @@ def _failed_check(
     _check_beta(beta)
     src = compute_elbows(source)
     tgt = compute_elbows(target)
-    if target.dim >= _NUMPY_MIN_DIM:
-        import numpy as np
-
-        ys, degenerate = _check_ordinates(tgt, beta)
-        failed = ~(alphas_at(src, ys) >= alphas_at(tgt, ys) - DOMINATION_SLACK)
-        if not failed.any():
-            return None
-        i = int(failed.argmax())
-        elbows = np.concatenate(
-            (np.flatnonzero(~degenerate), np.repeat(np.flatnonzero(degenerate), 2))
-        )
-        k = int(elbows[i]) + 1
-        y = float(tgt.arrays[1][k])
-        if abs(y - 0.5) <= DEGENERATE_ORDINATE_TOL:
-            y = float(ys[i])  # a perturbed check is named by its own gap
-        return (k, *_gap_of_ordinate(beta, y))
-    critical, perturbed = _checks(tgt, beta)
-    for k, E_k, kind, y in critical + perturbed:
-        if not alpha_at(src, y) >= alpha_at(tgt, y) - DOMINATION_SLACK:
-            return k, E_k, kind
+    for ks, xs, ys in _checks(tgt, target.dim >= _NUMPY_MIN_DIM):
+        i = _first_shortfall(src, xs, ys)
+        if i is not None:
+            return (ks[i], *_gap_of_ordinate(beta, float(ys[i])))
     return None
 
 
@@ -150,10 +115,11 @@ def convertible_via_monotones(
 ) -> bool:
     """Convertibility decision from the finite critical-energy checks.
 
-    The monotone inequality at gap E_k reduces to comparing the extremal
-    reachable occupancies, i.e. the two boundaries at the ordinate that E_k
-    maps back to; the comparison is done there to share the geometric slack.
-    Elbows at ordinate 1/2 (no finite gap) are perturbed both ways and both
-    perturbed checks must pass.
+    The monotone inequality at the critical gap E_k of elbow k reduces to
+    comparing the extremal reachable occupancies, i.e. the two boundaries at
+    the ordinate that E_k maps to, which is the elbow's own y_k; so each
+    check compares the source boundary with the target's elbow (x_k, y_k),
+    by the comparison of `relatively_majorizes`. Elbows at ordinate 1/2 (no
+    finite gap) are perturbed both ways and both perturbed checks must pass.
     """
     return _failed_check(source, target, beta) is None

@@ -117,8 +117,16 @@ def pinch(
 
 
 def to_quasiclassical(rho: DensityMatrix, gibbs: GibbsContext) -> AthermalityState:
-    """Pinch rho against the Gibbs state of `gibbs` and read off populations."""
+    """Pinch rho against the Gibbs state of `gibbs` and read off populations.
+
+    A diagonal entry is at least the smallest eigenvalue, so at least
+    -PSD_TOL: a negative one is read as 0, its mass taken from the largest
+    entry to keep the trace that `DensityMatrix` checked.
+    """
     g = gibbs_vector(gibbs.energies, gibbs.beta)
     pinched = pinch(rho, g)
     populations = np.diag(pinched.matrix).real
+    negative = np.minimum(populations, 0.0)
+    populations = populations - negative
+    populations[populations.argmax()] += negative.sum()
     return validate_state(list(populations), list(g.entries))

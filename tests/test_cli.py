@@ -87,6 +87,25 @@ class TestStateFiles:
         # coherences are pinched away; same verdict as the diagonal state
         assert json.loads(out)["beta_max"] == pytest.approx(math.log(9.0) / LN4)
 
+    def test_density_matrix_negative_within_psd_tol(self, capsys, tmp_path):
+        dm = tmp_path / "dm.json"
+        dm.write_text(
+            json.dumps(
+                {
+                    "energies": [0.0, LN4],
+                    "beta": 1.0,
+                    "density_matrix": [
+                        [[1.0 + 1e-11, 0.0], [0.0, 0.0]],
+                        [[0.0, 0.0], [-1e-11, 0.0]],
+                    ],
+                }
+            )
+        )
+        code, out, _ = _run(capsys, ["monotones", "-s", str(dm), "-E", "2.0"])
+        assert code == 0
+        # the pure ground state: past gap ln 4 its cooling bound is infinite
+        assert json.loads(out)["entries"][0]["cooling"] == "+inf"
+
     def test_free_state_when_no_populations(self, capsys, target_file):
         code, out, _ = _run(capsys, ["cool", "-s", target_file, "-t", target_file])
         assert code == 0
@@ -531,6 +550,59 @@ class TestOutputContracts:
         rows = csv.read_text().strip().splitlines()
         assert len(rows) == 100
         assert all(row.endswith(",0,1") for row in rows)
+
+
+# The side-file formats each subcommand writes, its default first.
+_SIDE_FORMATS = {
+    "cool": ("svg", "csv"),
+    "heat": ("svg", "csv"),
+    "overlap": ("svg", "csv"),
+    "convert": ("svg", "csv"),
+    "oracle": ("svg", "csv"),
+    "monotones": ("svg", "csv"),
+    "critical-energies": (),
+    "eset": ("csv", "svg"),
+    "gap-example": ("json", "csv", "svg"),
+    "curve": ("csv",),
+}
+
+
+def _side_argv(command, resource, target):
+    return {
+        "cool": ["cool", "-s", resource, "-t", target],
+        "heat": ["heat", "-s", resource, "-t", target],
+        "overlap": ["overlap", "-s", resource, "-t", target],
+        "convert": ["convert", "--from", resource, "--to", target],
+        "oracle": ["oracle", "--from", resource, "--to", target],
+        "monotones": ["monotones", "-s", resource, "-E", "1.0"],
+        "critical-energies": ["critical-energies", "-s", resource],
+        "eset": ["eset", "-s", resource, "--beta-tilde", "2.0", "--grid", "100"],
+        "gap-example": ["gap-example", "--a", "0.5"],
+        "curve": ["curve", "--a", "2.0", "--grid", "4"],
+    }[command]
+
+
+class TestSideFiles:
+    @pytest.mark.parametrize("fmt", [None, "json", "csv", "svg", "png"])
+    @pytest.mark.parametrize("command", list(_SIDE_FORMATS))
+    def test_out_writes_or_exits_2(
+        self, capsys, tmp_path, resource_file, target_file, command, fmt
+    ):
+        """--out writes a non-empty file in every format the subcommand
+        offers (the first when --format is absent); any other format, or
+        --out on a subcommand without side files, is a usage error."""
+        side = tmp_path / "side"
+        argv = _side_argv(command, resource_file, target_file) + ["--out", str(side)]
+        if fmt is not None:
+            argv += ["--format", fmt]
+        code, _, err = _run(capsys, argv)
+        formats = _SIDE_FORMATS[command]
+        if formats and (fmt is None or fmt in formats):
+            assert code == 0, err
+            assert side.stat().st_size > 0
+        else:
+            assert _input_error(code, err)["code"] == "UsageError"
+            assert not side.exists()
 
 
 def _reject_constant(token):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from athermal import (
+    compute_elbows,
     convertible_via_monotones,
     cooling_monotone,
     critical_energies,
@@ -23,6 +24,20 @@ def _random_state(rng, dim):
 
 def _free(g):
     return validate_state(g, g)
+
+
+def _small_mass_pair(rng, dim):
+    """A state whose levels but the last carry a total mass between 1e-15 and
+    1e-1, and a partial thermalisation of it, in either order."""
+    scale = 10.0 ** rng.uniform(-15.0, -1.0)
+    r = rng.dirichlet(np.ones(dim - 1)) * scale
+    g = rng.dirichlet(np.ones(dim - 1)) * scale * 10.0 ** rng.uniform(-0.5, 0.5)
+    r, g = np.append(r, 1.0 - r.sum()), np.append(g, 1.0 - g.sum())
+    lam = rng.uniform(0.0, 1.0)
+    pair = [validate_state(r, g), validate_state(lam * r + (1.0 - lam) * g, g)]
+    if rng.random() < 0.5:
+        pair.reverse()
+    return pair
 
 
 class TestMonotoneValues:
@@ -126,21 +141,32 @@ class TestConvertibleViaMonotones:
         assert crit.degenerate_flags == (2,)
         assert monotones._failed_check(_free(g), target, 1.0) == crit.entries[0]
         assert monotones._failed_check(target, target, 1.0) is None
+        # An elbow at 1/2 alone: its check below 1/2 comes before the one above.
+        half = validate_state((0.9, 0.1), (0.5, 0.5))
+        k, E, kind = monotones._failed_check(_free((0.5, 0.5)), half, 1.0)
+        assert (k, kind) == (1, "heating")
+        assert E == pytest.approx(4e-9, rel=1e-6)
 
     def test_agrees_with_relative_majorization(self):
-        rng = np.random.default_rng(17)
-        checked = 0
-        while checked < 300:
-            dim = int(rng.integers(2, 7))
-            src = _random_state(rng, dim)
-            tgt = _random_state(rng, int(rng.integers(2, 7)))
-            from athermal import compute_elbows
-
-            if any(
-                abs(y - 0.5) < 1e-6 for _, y in compute_elbows(tgt).interior()
-            ):
-                continue
-            assert convertible_via_monotones(src, tgt, 1.0) == relatively_majorizes(
-                src, tgt
-            )
-            checked += 1
+        """On a target with no elbow at ordinate 1/2 both methods compare the
+        source boundary with the target's elbows by one rule, so they agree
+        exactly: at every mass scale down to 1e-15, on both sides of the
+        numpy threshold, and on pairs that differ by less than the slack."""
+        for dims, count in (((2, 7), 600), ((100, 301), 60)):
+            rng = np.random.default_rng([17, *dims])
+            verdicts = []
+            while len(verdicts) < count:
+                if rng.random() < 0.5:
+                    src = _random_state(rng, int(rng.integers(*dims)))
+                    tgt = _random_state(rng, int(rng.integers(*dims)))
+                else:
+                    src, tgt = _small_mass_pair(rng, int(rng.integers(*dims)))
+                if any(
+                    abs(y - 0.5) <= monotones.DEGENERATE_ORDINATE_TOL
+                    for _, y in compute_elbows(tgt).interior()
+                ):
+                    continue
+                verdict = relatively_majorizes(src, tgt)
+                assert convertible_via_monotones(src, tgt, 1.0) is verdict
+                verdicts.append(verdict)
+            assert 0.2 < sum(verdicts) / count < 0.8

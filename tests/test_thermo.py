@@ -118,6 +118,25 @@ class TestToQuasiclassical:
         assert state.r.entries == pytest.approx((0.9, 0.1), abs=1e-15)
         assert state.g.entries == pytest.approx((0.8, 0.2), abs=1e-15)
 
+    def test_negative_diagonal_within_psd_tol_reads_zero(self):
+        # DensityMatrix accepts an eigenvalue down to -PSD_TOL; the pinched
+        # diagonal entry is at least that eigenvalue.
+        ctx = GibbsContext((0.0, math.log(4.0)), 1.0)
+        rho = DensityMatrix(np.diag([1.0 + 1e-11, -1e-11]).astype(complex))
+        state = to_quasiclassical(rho, ctx)
+        assert state.r.entries == (1.0, 0.0)
+
+    def test_negative_diagonal_at_both_tolerances(self):
+        # Trace 1 + 0.9e-9 and eleven entries of -0.9e-10: DensityMatrix
+        # accepts it, and reading the negative entries as 0 without taking
+        # their mass elsewhere would sum to 1 + 1.89e-9.
+        n = 12
+        diagonal = np.full(n, -0.9e-10)
+        diagonal[0] = 1.0 + 0.9e-9 + (n - 1) * 0.9e-10
+        ctx = GibbsContext(tuple(float(i) for i in range(n)), 1.0)
+        state = to_quasiclassical(DensityMatrix(np.diag(diagonal).astype(complex)), ctx)
+        assert state.r.entries == (1.0,) + (0.0,) * (n - 1)
+
     def test_coherences_dropped_in_nondegenerate_basis(self):
         ctx = GibbsContext((0.0, 1.0), 1.0)
         rho = DensityMatrix(np.array([[0.7, 0.3], [0.3, 0.3]], dtype=complex))
