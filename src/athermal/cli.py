@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 invalid input, 3 infeasible request, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -188,7 +189,9 @@ def _side_file(args, states, labels=None) -> None:
 def _cmd_temperature(args) -> int:
     resource, _ = load_state(args.state)
     target = load_target(args.target)
-    report = args.solve(resource, target)
+    # Looked up per call, so a rebinding of the module name is what runs.
+    solve = beta_max if args.key == "beta_max" else beta_min
+    report = solve(resource, target)
     _emit(
         {
             "beta": target.beta,
@@ -345,6 +348,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="athermal",
@@ -359,15 +363,15 @@ def _build_parser() -> argparse.ArgumentParser:
             help="side file format",
         )
 
-    for name, solve, key, extreme in (
-        ("cool", beta_max, "beta_max", "maximal"),
-        ("heat", beta_min, "beta_min", "minimal"),
+    for name, key, extreme in (
+        ("cool", "beta_max", "maximal"),
+        ("heat", "beta_min", "minimal"),
     ):
         p = sub.add_parser(name, help=f"{extreme} inverse temperature reachable")
         p.add_argument("--state", "-s", required=True)
         p.add_argument("--target", "-t", required=True)
         add_common(p, "svg", "csv")
-        p.set_defaults(func=_cmd_temperature, solve=solve, key=key)
+        p.set_defaults(func=_cmd_temperature, key=key)
 
     p = sub.add_parser("overlap", help="maximal ground-state overlap")
     p.add_argument("--state", "-s", required=True)

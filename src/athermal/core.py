@@ -24,12 +24,12 @@ from .errors import (
 NORMALIZATION_TOL = 1e-9
 
 # Vectors of at least this many entries take the numpy path through the
-# decision kernel: validation here, boundary building and both decision
-# methods in `majorization` and `monotones`. Smaller ones stay in pure
-# Python, where numpy's fixed cost per call loses. Time of one full query
-# (validate 4 vectors, build 2 boundaries, compare), pure Python / numpy,
-# median of interleaved runs, two runs averaged; plain ladders, 2-CPU x86-64
-# host, numpy 2.4:
+# decision kernel: validation here and boundary building in `majorization`,
+# whose decision methods follow the target boundary's form. Smaller ones
+# stay in pure Python, where numpy's fixed cost per call loses. Time of one
+# full query (validate 4 vectors, build 2 boundaries, compare), pure Python /
+# numpy, median of interleaved runs, two runs averaged; plain ladders, 2-CPU
+# x86-64 host, numpy 2.4:
 #   n                            32   64   96  128  256  2048  20000
 #   relatively_majorizes        0.5  0.8  1.0  1.3  1.6   3.3    4.6
 #   convertible_via_monotones   0.7  1.1  1.4  1.8  2.5   4.8    6.8

@@ -6,9 +6,10 @@ sums in non-increasing r_i/g_i order. Pointwise domination of these
 boundaries decides relative majorization; `_first_shortfall` is the one
 comparison, shared by both decision methods.
 
-Two paths build and compare boundaries, split at `core._NUMPY_MIN_DIM`
-(100) levels of the state (of the target, for a decision); both give
-identical elbows and verdicts (tests/test_numpy_path.py):
+Two paths build boundaries, split at `core._NUMPY_MIN_DIM` (100) levels of
+the state; both give identical elbows (tests/test_numpy_path.py). A boundary
+stores its elbows once, in the form its path built, and a decision compares
+on the path of the target's form, with identical verdicts:
 
 - Pure Python, below the threshold. Building a boundary is one sort,
   O(n log n), and one pass; evaluating it at an ordinate is a bisection
@@ -16,17 +17,17 @@ identical elbows and verdicts (tests/test_numpy_path.py):
   elbows is O(m log n). It has no fixed cost per call, so at n = 32 a full
   decision takes half the time it takes in numpy; it stays the path of
   every small input, including the qubit and dim <= 64 solver layers.
-- numpy, from the threshold up. The same sort, prefix sums and merge rule
-  in whole-array steps, and `np.interp` (`alphas_at`) at the compared
-  ordinates. A boundary keeps its arrays and builds its elbow tuples only
-  when they are read. A full decision at n = 2048 takes about 2 ms against
-  6-11 ms in pure Python; the remaining cost is mostly validation.
+- numpy, from the threshold up, unless a chain of near-tied ratios drifts
+  (`_elbows_by_numpy`). The same sort, prefix sums and merge rule in
+  whole-array steps, and `np.interp` (`alphas_at`) at the compared
+  ordinates. A full decision at n = 2048 takes about 2 ms against 6-11 ms
+  in pure Python; the remaining cost is mostly validation.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .core import _NUMPY_MIN_DIM, AthermalityState
@@ -47,57 +48,47 @@ COLLINEARITY_TOL = 1e-13
 _Y_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestingBoundary:
-    """Ordered elbow list from (0,0) to (1,1); canonical (collinear-merged).
-
-    `xs` and `ys` hold the elbow abscissae and ordinates, for lookups, and
-    `arrays` the same as numpy arrays, for `alphas_at`. A boundary built on
-    the numpy path holds only the arrays until one of the three tuples is
-    first read, so the vector decisions never build them.
+    """Elbows from (0,0) to (1,1), canonical (collinear-merged), stored once
+    as abscissae `xs` and ordinates `ys` in the form they were built: tuples
+    of floats, or read-only numpy arrays from the numpy path. The other
+    forms are views, each made on its first read and kept: `elbows` as
+    (x, y) pairs, `_tuples` for the bisection of `alpha_at`, and `arrays`
+    for the `np.interp` of `alphas_at`.
     """
 
-    elbows: tuple[tuple[float, float], ...]
-    xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    ys: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    xs: tuple[float, ...]  # or a read-only numpy array, as ys
+    ys: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.elbows) < 2:
-            raise ValueError("boundary needs at least the two endpoints")
-        if self.elbows[0] != (0.0, 0.0) or self.elbows[-1] != (1.0, 1.0):
+        xs, ys = self.xs, self.ys
+        if len(xs) < 2 or len(ys) != len(xs):
+            raise ValueError("boundary needs one ordinate per abscissa, at least two")
+        if (xs[0], ys[0]) != (0.0, 0.0) or (xs[-1], ys[-1]) != (1.0, 1.0):
             raise ValueError("boundary must run from (0,0) to (1,1)")
-        xs, ys = zip(*self.elbows)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-
-    @classmethod
-    def _from_arrays(cls, xa, ya) -> "TestingBoundary":
-        """Boundary through the elbows (xa[i], ya[i]), which run from (0,0)
-        to (1,1); its tuples are made on first read (`__getattr__`)."""
-        xa.flags.writeable = ya.flags.writeable = False
-        boundary = object.__new__(cls)
-        boundary.__dict__["arrays"] = (xa, ya)
-        return boundary
-
-    def __getattr__(self, name):
-        # Reached only for an attribute not set: on a `_from_arrays`
-        # boundary, the three tuples before their first read.
-        arrays = self.__dict__.get("arrays")
-        if arrays is None or name not in ("elbows", "xs", "ys"):
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        xs, ys = tuple(arrays[0].tolist()), tuple(arrays[1].tolist())
-        self.__dict__.update(elbows=tuple(zip(xs, ys)), xs=xs, ys=ys)
-        return self.__dict__[name]
 
     @property
     def is_diagonal(self) -> bool:
-        return len(self.elbows) == 2
+        return len(self.xs) == 2
+
+    @cached_property
+    def elbows(self) -> tuple[tuple[float, float], ...]:
+        """The elbows as (x, y) pairs."""
+        return tuple(zip(*self._tuples))
+
+    @cached_property
+    def _tuples(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(xs, ys) as tuples of floats."""
+        if isinstance(self.xs, tuple):
+            return self.xs, self.ys
+        return tuple(self.xs.tolist()), tuple(self.ys.tolist())
 
     @cached_property
     def arrays(self):
         """(xs, ys) as read-only numpy arrays."""
+        if not isinstance(self.xs, tuple):
+            return self.xs, self.ys
         import numpy as np
 
         xa, ya = np.array(self.xs, dtype=float), np.array(self.ys, dtype=float)
@@ -136,19 +127,21 @@ def compute_elbows(state: AthermalityState) -> TestingBoundary:
     ratio = [ri / gi for ri, gi in zip(r, g)]
     order = sorted(range(len(ratio)), key=ratio.__getitem__, reverse=True)
 
-    elbows = [(0.0, 0.0)]
+    xs, ys = [0.0], [0.0]
     x = y = 0.0
     floor = ratio[order[0]] * (1.0 - COLLINEARITY_TOL)
     for idx in order:
         if ratio[idx] < floor:  # slope changes: close the segment
             if y >= 1.0:  # the rest weighs under an ulp of 1: it ends at (1, 1)
                 break
-            elbows.append((x, y))
+            xs.append(x)
+            ys.append(y)
             floor = ratio[idx] * (1.0 - COLLINEARITY_TOL)
         x += r[idx]
         y += g[idx]
-    elbows.append((1.0, 1.0))  # prefix sums of renormalized entries, pin exactly
-    return TestingBoundary(tuple(elbows))
+    xs.append(1.0)  # prefix sums of renormalized entries, pin exactly
+    ys.append(1.0)
+    return TestingBoundary(tuple(xs), tuple(ys))
 
 
 def _elbows_by_numpy(state: AthermalityState) -> TestingBoundary | None:
@@ -178,10 +171,10 @@ def _elbows_by_numpy(state: AthermalityState) -> TestingBoundary | None:
     y = np.cumsum(g[order])
     ends = starts - 1  # an elbow closes each segment but the last
     ends = ends[y[ends] < 1.0]  # the rest weighs under an ulp of 1: it ends at (1, 1)
-    return TestingBoundary._from_arrays(
-        np.concatenate(([0.0], x[ends], [1.0])),
-        np.concatenate(([0.0], y[ends], [1.0])),
-    )
+    xa = np.concatenate(([0.0], x[ends], [1.0]))
+    ya = np.concatenate(([0.0], y[ends], [1.0]))
+    xa.flags.writeable = ya.flags.writeable = False
+    return TestingBoundary(xa, ya)
 
 
 def alpha_at(boundary: TestingBoundary, y: float) -> float:
@@ -193,7 +186,7 @@ def alpha_at(boundary: TestingBoundary, y: float) -> float:
             y = 1.0
         else:
             raise YOutOfRange(f"y={y!r} outside [0, 1]")
-    xs, ys = boundary.xs, boundary.ys
+    xs, ys = boundary._tuples
     k = bisect_right(ys, y) - 1
     if k >= len(ys) - 1:
         return xs[-1]
@@ -227,16 +220,14 @@ def relatively_majorizes(
     """
     src = compute_elbows(source)
     tgt = compute_elbows(target)
-    points = tgt.arrays if target.dim >= _NUMPY_MIN_DIM else (tgt.xs, tgt.ys)
-    return _first_shortfall(src, *points) is None
+    return _first_shortfall(src, tgt.xs, tgt.ys) is None
 
 
-def _points_at(boundary: TestingBoundary, ys: tuple[float, ...], vector: bool):
-    """The points (xs, ys) of `boundary` at the ordinates ys: tuples by
-    `alpha_at`, or numpy arrays by `alphas_at` when `vector`, so that
-    `_first_shortfall` compares them on the matching path and an array-backed
-    boundary never builds its tuples."""
-    if not vector:
+def _points_at(boundary: TestingBoundary, ys: tuple[float, ...]):
+    """The points (xs, ys) of `boundary` at the ordinates ys, in the
+    boundary's form: tuples by `alpha_at`, or numpy arrays by `alphas_at`,
+    so that `_first_shortfall` compares them on the boundary's own path."""
+    if isinstance(boundary.xs, tuple):
         return tuple(alpha_at(boundary, y) for y in ys), ys
     import numpy as np
 

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .core import _NUMPY_MIN_DIM, AthermalityState, _check_beta
+from .core import AthermalityState, _check_beta
 from .majorization import (
     TestingBoundary,
     _first_shortfall,
@@ -65,14 +65,15 @@ def critical_energies(target: AthermalityState, beta: float) -> CriticalEnergySe
     )
 
 
-def _checks(boundary: TestingBoundary, vector: bool = False):
+def _checks(boundary: TestingBoundary):
     """The decision's checks, in order, as groups (ks, xs, ys) of points
     (xs[i], ys[i]) of the target boundary at or beside elbow ks[i]: the
     interior elbows below ordinate 1/2, those above it, then for each elbow
     at 1/2, which has no finite critical gap, the points at
-    1/2 -+ DEGENERATE_PERTURBATION. Groups are numpy arrays when `vector`.
-    A check is named by the gap of its ordinate (`_gap_of_ordinate`)."""
-    xs, ys = boundary.arrays if vector else (boundary.xs, boundary.ys)
+    1/2 -+ DEGENERATE_PERTURBATION. Groups take the boundary's form: tuples,
+    or numpy arrays. A check is named by the gap of its ordinate
+    (`_gap_of_ordinate`)."""
+    xs, ys = boundary.xs, boundary.ys
     # ys is non-decreasing: the elbows at 1/2 (|y - 1/2| <= the tolerance)
     # are the run [lo, hi), those below and above it lie on either side.
     lo = bisect_left(ys, -DEGENERATE_ORDINATE_TOL, key=lambda y: y - 0.5)
@@ -84,12 +85,13 @@ def _checks(boundary: TestingBoundary, vector: bool = False):
     for k in range(lo, hi):
         y = float(ys[k])
         half = (y - DEGENERATE_PERTURBATION, y + DEGENERATE_PERTURBATION)
-        checks.append(((k, k), *_points_at(boundary, half, vector)))
+        checks.append(((k, k), *_points_at(boundary, half)))
     return checks
 
 
 def _gap_of_ordinate(beta: float, y: float) -> tuple[float, str]:
     """(E, kind): the qubit gap whose check maps to ordinate y != 1/2."""
+    y = float(y)  # not a numpy scalar: those are slow in scalar arithmetic
     if y > 0.5:
         return math.log(y / (1.0 - y)) / beta, "cooling"
     return math.log((1.0 - y) / y) / beta, "heating"
@@ -103,10 +105,10 @@ def _failed_check(
     _check_beta(beta)
     src = compute_elbows(source)
     tgt = compute_elbows(target)
-    for ks, xs, ys in _checks(tgt, target.dim >= _NUMPY_MIN_DIM):
+    for ks, xs, ys in _checks(tgt):
         i = _first_shortfall(src, xs, ys)
         if i is not None:
-            return (ks[i], *_gap_of_ordinate(beta, float(ys[i])))
+            return (ks[i], *_gap_of_ordinate(beta, ys[i]))
     return None
 
 

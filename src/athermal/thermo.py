@@ -79,15 +79,14 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def _degeneracy_blocks(
-    g: Sequence[float], degeneracy_tol: float
-) -> list[list[int]]:
-    """Group indices whose Gibbs entries are equal within relative tolerance."""
+def _degeneracy_blocks(g: Sequence[float]) -> list[list[int]]:
+    """Group indices whose Gibbs entries are equal within the relative
+    DEGENERACY_TOL."""
     blocks: list[list[int]] = []
     reps: list[float] = []
     for i, gi in enumerate(g):
         for b, rep in enumerate(reps):
-            if abs(gi - rep) <= degeneracy_tol * max(abs(gi), abs(rep)):
+            if abs(gi - rep) <= DEGENERACY_TOL * max(abs(gi), abs(rep)):
                 blocks[b].append(i)
                 break
         else:
@@ -96,11 +95,7 @@ def _degeneracy_blocks(
     return blocks
 
 
-def pinch(
-    rho: DensityMatrix,
-    g: ProbabilityVector,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> DensityMatrix:
+def pinch(rho: DensityMatrix, g: ProbabilityVector) -> DensityMatrix:
     """Zero all entries of rho outside the degeneracy blocks of g.
 
     g is the diagonal of the reference Gibbs state in the computational
@@ -108,24 +103,25 @@ def pinch(
     """
     if rho.dim != g.dim:
         raise DimensionMismatch(f"rho dim {rho.dim} != Gibbs dim {g.dim}")
-    blocks = _degeneracy_blocks(g.entries, degeneracy_tol)
     mask = np.zeros((g.dim, g.dim), dtype=bool)
-    for block in blocks:
+    for block in _degeneracy_blocks(g.entries):
         idx = np.asarray(block)
         mask[np.ix_(idx, idx)] = True
     return DensityMatrix(np.where(mask, rho.matrix, 0.0))
 
 
 def to_quasiclassical(rho: DensityMatrix, gibbs: GibbsContext) -> AthermalityState:
-    """Pinch rho against the Gibbs state of `gibbs` and read off populations.
+    """Populations of rho pinched against the Gibbs state of `gibbs`.
 
-    A diagonal entry is at least the smallest eigenvalue, so at least
+    Pinching changes no diagonal entry, so they are read off rho itself. A
+    diagonal entry is at least the smallest eigenvalue, so at least
     -PSD_TOL: a negative one is read as 0, its mass taken from the largest
     entry to keep the trace that `DensityMatrix` checked.
     """
     g = gibbs_vector(gibbs.energies, gibbs.beta)
-    pinched = pinch(rho, g)
-    populations = np.diag(pinched.matrix).real
+    if rho.dim != g.dim:
+        raise DimensionMismatch(f"rho dim {rho.dim} != Gibbs dim {g.dim}")
+    populations = np.diag(rho.matrix).real
     negative = np.minimum(populations, 0.0)
     populations = populations - negative
     populations[populations.argmax()] += negative.sum()

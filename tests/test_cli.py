@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from athermal import convertible_via_monotones, cooling_monotone, heating_monotone
-from athermal import monotones
+from athermal import cli, monotones, tempbounds
 from athermal.cli import load_state, run
 
 LN4 = math.log(4.0)
@@ -468,6 +468,37 @@ class TestOutputContracts:
         _, out1, _ = _run(capsys, ["cool", "-s", resource_file, "-t", target_file])
         _, out2, _ = _run(capsys, ["cool", "-s", resource_file, "-t", target_file])
         assert out1 == out2
+
+    def test_parser_built_once(self, capsys, resource_file, target_file):
+        cli._build_parser.cache_clear()
+        _run(capsys, ["cool", "-s", resource_file, "-t", target_file])
+        _run(capsys, ["critical-energies", "-s", resource_file])
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_cool_calls_module_beta_max(
+        self, capsys, monkeypatch, resource_file, target_file
+    ):
+        """The solver is looked up at call time, so a rebinding of
+        `cli.beta_max` (as a tracer does) is what `cool` calls."""
+        argv = ["cool", "-s", resource_file, "-t", target_file]
+        _, expected, _ = _run(capsys, argv)
+        calls = []
+
+        def spy(resource, target):
+            calls.append(target)
+            return tempbounds.beta_max(resource, target)
+
+        monkeypatch.setattr(cli, "beta_max", spy)
+        code, out, _ = _run(capsys, argv)
+        assert code == 0 and out == expected
+        assert len(calls) == 1
+
+    def test_usage_error_leaves_parser_usable(self, capsys, resource_file, target_file):
+        argv = ["cool", "-s", resource_file, "-t", target_file]
+        _, expected, _ = _run(capsys, argv)
+        code, out, err = _run(capsys, ["cool", "-s", resource_file, "--bogus"])
+        assert _input_error(code, err)["code"] == "UsageError" and out == ""
+        assert _run(capsys, argv) == (0, expected, "")
 
     def test_keys_sorted(self, capsys, resource_file, target_file):
         _, out, _ = _run(capsys, ["cool", "-s", resource_file, "-t", target_file])

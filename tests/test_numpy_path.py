@@ -36,7 +36,7 @@ SIZES = (_NUMPY_MIN_DIM - 1, _NUMPY_MIN_DIM, 257, 2048, 20_000)
 
 
 def _force(monkeypatch, threshold):
-    for module in (core, majorization, monotones):
+    for module in (core, majorization):
         monkeypatch.setattr(module, "_NUMPY_MIN_DIM", threshold)
 
 
@@ -45,7 +45,7 @@ def test_threshold_bound_only_where_forced():
         name for name, module in sys.modules.items()
         if name.startswith("athermal") and hasattr(module, "_NUMPY_MIN_DIM")
     )
-    assert holders == ["athermal.core", "athermal.majorization", "athermal.monotones"]
+    assert holders == ["athermal.core", "athermal.majorization"]
 
 
 # ------------------------------------------------------------------ inputs
@@ -199,7 +199,33 @@ def test_switch_at_threshold():
     for n, on_numpy in ((_NUMPY_MIN_DIM - 1, False), (_NUMPY_MIN_DIM, True)):
         state = validate_state(*_pairs("plain", n)[0][0])
         assert ("array" in vars(state.r)) is on_numpy
-        assert ("arrays" in vars(compute_elbows(state))) is on_numpy
+        boundary = compute_elbows(state)
+        assert isinstance(boundary.xs, tuple) is not on_numpy
+        assert isinstance(boundary.ys, tuple) is not on_numpy
+
+
+def test_array_boundary_builds_no_views(monkeypatch):
+    """A boundary built in numpy is compared in numpy: the checks and both
+    decisions leave its pairs and tuples unbuilt."""
+    built = []
+
+    def recording(state):
+        built.append(compute_elbows(state))
+        return built[-1]
+
+    for module in (majorization, monotones):
+        monkeypatch.setattr(module, "compute_elbows", recording)
+    for case in ("plain", "half"):
+        for src, tgt, beta in _pairs(case, 2048):
+            s, t = validate_state(*src), validate_state(*tgt)
+            monotones._checks(recording(t))
+            relatively_majorizes(s, t)
+            convertible_via_monotones(s, t, beta)
+            monotones.critical_energies(t, beta)
+    assert len(built) == 2 * 2 * 6  # cases * pairs * boundaries per pair
+    for boundary in built:
+        assert not isinstance(boundary.xs, tuple)
+        assert not {"elbows", "_tuples"} & vars(boundary).keys()
 
 
 # -------------------------------------------------------- validation parity

@@ -11,7 +11,7 @@ from athermal import (
     pinch,
     to_quasiclassical,
 )
-from athermal.core import ProbabilityVector
+from athermal.core import ProbabilityVector, validate_state
 from athermal.errors import DimensionMismatch, NonFiniteBeta
 
 
@@ -142,3 +142,23 @@ class TestToQuasiclassical:
         rho = DensityMatrix(np.array([[0.7, 0.3], [0.3, 0.3]], dtype=complex))
         state = to_quasiclassical(rho, ctx)
         assert state.r.entries == pytest.approx((0.7, 0.3), abs=1e-15)
+
+    def test_populations_are_pinched_diagonal(self):
+        """Pinching keeps the diagonal: the populations are exactly those of
+        the pinched matrix, coherences inside or across degenerate blocks."""
+        rng = np.random.default_rng(7)
+        ctx = GibbsContext((0.0, 0.5, 0.5, 1.0, 1.0, 1.0), 1.3)
+        g = gibbs_vector(ctx.energies, ctx.beta)
+        for _ in range(20):
+            a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            m = a @ a.conj().T
+            rho = DensityMatrix(m / np.trace(m).real)
+            pinched = pinch(rho, g).matrix
+            assert pinched[1, 2] != 0.0 and pinched[0, 1] == 0.0
+            expected = validate_state(list(np.diag(pinched).real), list(g.entries))
+            assert to_quasiclassical(rho, ctx) == expected
+
+    def test_dim_mismatch(self):
+        ctx = GibbsContext((0.0, 1.0), 1.0)
+        with pytest.raises(DimensionMismatch):
+            to_quasiclassical(DensityMatrix(np.eye(3) / 3.0), ctx)
