@@ -2,9 +2,9 @@
 
 The lower boundary of the testing region of a state (r, g) is the
 piecewise-linear concave curve through the "elbows" obtained from prefix
-sums in non-increasing r_i/g_i order. Pointwise domination of these
-boundaries decides relative majorization; `_first_shortfall` is the one
-comparison, shared by both decision methods.
+sums in non-increasing r_i/g_i order. Domination at the target's elbows, the
+one at ordinate 1/2 included, decides relative majorization; `_first_shortfall`
+is the one comparison, behind the verdict and `convert`'s witness alike.
 
 Two paths build boundaries, split at `core._NUMPY_MIN_DIM` (100) levels of
 the state; both give identical elbows (tests/test_numpy_path.py). A boundary
@@ -179,7 +179,7 @@ def _elbows_by_numpy(state: AthermalityState) -> TestingBoundary | None:
 
 def alpha_at(boundary: TestingBoundary, y: float) -> float:
     """Boundary abscissa at ordinate y, by linear interpolation."""
-    if y < 0.0 or y > 1.0:
+    if not 0.0 <= y <= 1.0:  # NaN too
         if -_Y_CLAMP <= y < 0.0:
             y = 0.0
         elif 1.0 < y <= 1.0 + _Y_CLAMP:
@@ -223,23 +223,11 @@ def relatively_majorizes(
     return _first_shortfall(src, tgt.xs, tgt.ys) is None
 
 
-def _points_at(boundary: TestingBoundary, ys: tuple[float, ...]):
-    """The points (xs, ys) of `boundary` at the ordinates ys, in the
-    boundary's form: tuples by `alpha_at`, or numpy arrays by `alphas_at`,
-    so that `_first_shortfall` compares them on the boundary's own path."""
-    if isinstance(boundary.xs, tuple):
-        return tuple(alpha_at(boundary, y) for y in ys), ys
-    import numpy as np
-
-    ya = np.array(ys)
-    return alphas_at(boundary, ya), ya
-
-
 def _first_shortfall(src: TestingBoundary, xs, ys) -> int | None:
     """Index of the first point (xs[i], ys[i]) that the boundary `src` misses
-    by more than DOMINATION_SLACK, or None: the one comparison of both
-    decision methods. Tuples are walked with `alpha_at`, which stops at the
-    first shortfall; numpy arrays take one `alphas_at`."""
+    by more than DOMINATION_SLACK, or None: the one comparison, behind the
+    verdict and `convert`'s witness. Tuples are walked with `alpha_at`, which
+    stops at the first shortfall; numpy arrays take one `alphas_at`."""
     if isinstance(xs, tuple):
         for i, (x, y) in enumerate(zip(xs, ys)):
             if alpha_at(src, y) < x - DOMINATION_SLACK:

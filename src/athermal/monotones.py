@@ -3,7 +3,8 @@ via the finite critical-energy reduction.
 
 For a quasi-classical target, checking the cooling monotone at the critical
 gaps of its elbows above occupancy 1/2 and the heating monotone at those
-below 1/2 decides convertibility.
+below 1/2 decides convertibility. An elbow at ordinate 1/2, the E -> 0 limit
+of both families, is checked itself; a failed one is named by a gap beside it.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from .core import AthermalityState, _check_beta
 from .majorization import (
     TestingBoundary,
     _first_shortfall,
-    _points_at,
+    alpha_at,
     compute_elbows,
+    relatively_majorizes,
 )
 from .tempbounds import qubit_beta_bounds
 
-# Elbow ordinates this close to 1/2 have no finite critical gap; the
-# convertibility check perturbs them instead.
+# Elbow ordinates this close to 1/2 have no finite critical gap; a failed one
+# is named by a gap beside it, at most DEGENERATE_PERTURBATION off in ordinate.
 DEGENERATE_ORDINATE_TOL = 1e-12
 DEGENERATE_PERTURBATION = 1e-9
 
@@ -61,32 +63,40 @@ def critical_energies(target: AthermalityState, beta: float) -> CriticalEnergySe
             for ks, _, ys in checks[:2]
             for k, y in zip(ks, ys)
         ),
-        tuple(ks[0] for ks, _, _ in checks[2:]),
+        tuple(checks[2][0]),
     )
 
 
 def _checks(boundary: TestingBoundary):
-    """The decision's checks, in order, as groups (ks, xs, ys) of points
-    (xs[i], ys[i]) of the target boundary at or beside elbow ks[i]: the
-    interior elbows below ordinate 1/2, those above it, then for each elbow
-    at 1/2, which has no finite critical gap, the points at
-    1/2 -+ DEGENERATE_PERTURBATION. Groups take the boundary's form: tuples,
-    or numpy arrays. A check is named by the gap of its ordinate
-    (`_gap_of_ordinate`)."""
+    """The decision's checks, in order, as groups (ks, xs, ys) of the target
+    boundary's interior elbows (xs[i], ys[i]) of index ks[i]: those below
+    ordinate 1/2, those above it, then those at 1/2, which have no finite
+    critical gap. Groups are slices in the boundary's form: tuples, or numpy
+    arrays. A check is named by the gap of its ordinate (`_gap_of_ordinate`),
+    one at 1/2 by that of an ordinate beside it (`_ordinate_beside`)."""
     xs, ys = boundary.xs, boundary.ys
     # ys is non-decreasing: the elbows at 1/2 (|y - 1/2| <= the tolerance)
     # are the run [lo, hi), those below and above it lie on either side.
     lo = bisect_left(ys, -DEGENERATE_ORDINATE_TOL, key=lambda y: y - 0.5)
     hi = bisect_right(ys, DEGENERATE_ORDINATE_TOL, lo, key=lambda y: y - 0.5)
-    checks = [
+    return [
         (range(1, lo), xs[1:lo], ys[1:lo]),
         (range(hi, len(ys) - 1), xs[hi:-1], ys[hi:-1]),
+        (range(lo, hi), xs[lo:hi], ys[lo:hi]),
     ]
-    for k in range(lo, hi):
-        y = float(ys[k])
-        half = (y - DEGENERATE_PERTURBATION, y + DEGENERATE_PERTURBATION)
-        checks.append(((k, k), *_points_at(boundary, half)))
-    return checks
+
+
+def _ordinate_beside(src: TestingBoundary, tgt: TestingBoundary, y: float) -> float:
+    """An ordinate y -+ t where `src` misses `tgt`, which it misses at the
+    elbow y ~ 1/2: t halves from DEGENERATE_PERTURBATION, y - t tried first.
+    Both boundaries are linear near the elbow, so the halving ends."""
+    t = DEGENERATE_PERTURBATION
+    while True:
+        ys = (y - t, y + t)
+        i = _first_shortfall(src, tuple(alpha_at(tgt, b) for b in ys), ys)
+        if i is not None:
+            return ys[i]
+        t /= 2.0
 
 
 def _gap_of_ordinate(beta: float, y: float) -> tuple[float, str]:
@@ -105,10 +115,11 @@ def _failed_check(
     _check_beta(beta)
     src = compute_elbows(source)
     tgt = compute_elbows(target)
-    for ks, xs, ys in _checks(tgt):
+    for group, (ks, xs, ys) in enumerate(_checks(tgt)):
         i = _first_shortfall(src, xs, ys)
         if i is not None:
-            return (ks[i], *_gap_of_ordinate(beta, ys[i]))
+            y = ys[i] if group < 2 else _ordinate_beside(src, tgt, float(ys[i]))
+            return (ks[i], *_gap_of_ordinate(beta, y))
     return None
 
 
@@ -120,8 +131,9 @@ def convertible_via_monotones(
     The monotone inequality at the critical gap E_k of elbow k reduces to
     comparing the extremal reachable occupancies, i.e. the two boundaries at
     the ordinate that E_k maps to, which is the elbow's own y_k; so each
-    check compares the source boundary with the target's elbow (x_k, y_k),
-    by the comparison of `relatively_majorizes`. Elbows at ordinate 1/2 (no
-    finite gap) are perturbed both ways and both perturbed checks must pass.
+    check compares the source boundary with the target's elbow (x_k, y_k). An
+    elbow at ordinate 1/2, the E -> 0 limit of both families, is compared
+    itself: the checks are those of `relatively_majorizes`.
     """
-    return _failed_check(source, target, beta) is None
+    _check_beta(beta)
+    return relatively_majorizes(source, target)

@@ -347,6 +347,29 @@ class TestSubcommands:
         assert witness["E"] == pytest.approx(4e-9, rel=1e-6)
         assert witness["lhs"] < witness["rhs"]
 
+    def test_convert_misses_elbow_at_half(self, capsys, tmp_path):
+        # The source's elbows at ordinates 1/2 -+ 1e-9 pass the target at
+        # 1/2 -+ 1e-9 but miss its elbow at 1/2 itself by 5e-10: not
+        # convertible, with a heating witness beside that elbow.
+        d = 1e-9
+        paths = {}
+        for name, g, pops in (
+            ("from", (0.5 - d, 2 * d, 0.5 - d), [0.75 - 1.5 * d, 2 * d, 0.25 - 0.5 * d]),
+            ("to", (0.5, 0.25, 0.25), [0.75, 0.125, 0.125]),
+        ):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps({
+                "energies": [-math.log(x) for x in g], "beta": 1.0, "populations": pops,
+            }))
+        code, out, _ = _run(
+            capsys, ["convert", "--from", str(paths["from"]), "--to", str(paths["to"])]
+        )
+        assert code == 3
+        witness = json.loads(out)["witness"]
+        assert (witness["k"], witness["kind"]) == (1, "heating")
+        assert witness["E"] == pytest.approx(2e-9, rel=1e-6)
+        assert witness["lhs"] < witness["rhs"]
+
     def test_convert_witness_is_failed_check(self, capsys, tmp_path):
         """Seeded pairs, dim 2-8, some targets on uniform g (elbows at
         ordinate 1/2), some masses down to 1e-15: every False verdict names
@@ -382,7 +405,7 @@ class TestSubcommands:
                 continue
             false_verdicts += 1
             k, E, kind = failed
-            perturbed += E < 1e-8  # an elbow at 1/2, checked perturbed
+            perturbed += E < 1e-8  # a gap beside an elbow at 1/2
             mono = cooling_monotone if kind == "cooling" else heating_monotone
             lhs, rhs = mono(source, beta, E), mono(target, beta, E)
             assert lhs < rhs

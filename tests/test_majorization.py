@@ -184,6 +184,11 @@ class TestAlphaAt:
         with pytest.raises(YOutOfRange):
             alpha_at(b, 1.5)
 
+    def test_rejects_nan(self):
+        b = compute_elbows(validate_state((0.9, 0.1), (0.5, 0.5)))
+        with pytest.raises(YOutOfRange):
+            alpha_at(b, float("nan"))
+
     @given(states(), st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=200, deadline=None)
     def test_majorizes_ordinate(self, state, y):

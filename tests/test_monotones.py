@@ -148,10 +148,10 @@ class TestConvertibleViaMonotones:
         assert E == pytest.approx(4e-9, rel=1e-6)
 
     def test_agrees_with_relative_majorization(self):
-        """On a target with no elbow at ordinate 1/2 both methods compare the
-        source boundary with the target's elbows by one rule, so they agree
-        exactly: at every mass scale down to 1e-15, on both sides of the
-        numpy threshold, and on pairs that differ by less than the slack."""
+        """Both methods compare the source boundary with the target's elbows
+        by one rule, so they agree exactly: at every mass scale down to 1e-15,
+        on both sides of the numpy threshold, and on pairs that differ by less
+        than the slack."""
         for dims, count in (((2, 7), 600), ((100, 301), 60)):
             rng = np.random.default_rng([17, *dims])
             verdicts = []
@@ -161,12 +161,67 @@ class TestConvertibleViaMonotones:
                     tgt = _random_state(rng, int(rng.integers(*dims)))
                 else:
                     src, tgt = _small_mass_pair(rng, int(rng.integers(*dims)))
-                if any(
-                    abs(y - 0.5) <= monotones.DEGENERATE_ORDINATE_TOL
-                    for _, y in compute_elbows(tgt).interior()
-                ):
-                    continue
                 verdict = relatively_majorizes(src, tgt)
                 assert convertible_via_monotones(src, tgt, 1.0) is verdict
                 verdicts.append(verdict)
             assert 0.2 < sum(verdicts) / count < 0.8
+
+    def test_elbow_at_half_itself(self):
+        """A source with elbows at 1/2 -+ d passes the target at 1/2 -+ 1e-9
+        but misses its elbow (0.75, 1/2) by 0.5 d = 500 times the slack: both
+        methods say no, and the witness is a heating gap beside the elbow."""
+        d = 1e-9
+        source = validate_state(
+            (0.75 - 1.5 * d, 2 * d, 0.25 - 0.5 * d), (0.5 - d, 2 * d, 0.5 - d)
+        )
+        target = validate_state((0.75, 0.125, 0.125), (0.5, 0.25, 0.25))
+        assert not relatively_majorizes(source, target)
+        assert not convertible_via_monotones(source, target, 1.0)
+        k, E, kind = monotones._failed_check(source, target, 1.0)
+        assert (k, kind) == (1, "heating")
+        assert E == pytest.approx(2e-9, rel=1e-6)
+        assert heating_monotone(source, 1.0, E) < heating_monotone(target, 1.0, E)
+
+    @pytest.mark.parametrize("levels", [(1, 4), (50, 100)])
+    def test_agrees_on_targets_split_at_half(self, levels):
+        """Targets with one elbow, at ordinate 1/2, against sources with
+        elbows at 1/2 -+ d for d from 1e-12 to 1e-6 that miss the target's
+        elbow by up to d or clear it by up to d: the two decisions and
+        `_failed_check` agree, below the numpy threshold and above it (each
+        block split into tied levels), and every witness gives lhs < rhs."""
+        rng = np.random.default_rng([29, *levels])
+
+        def state(blocks):  # (r, g) per block, each split into tied levels
+            r, g = [], []
+            for rb, gb in blocks:
+                w = rng.dirichlet(np.ones(int(rng.integers(*levels))))
+                r.extend(rb * w)
+                g.extend(gb * w)
+            return validate_state(r, g)
+
+        verdicts = []
+        for d in np.logspace(-12.0, -6.0, 100):
+            x_half = rng.uniform(0.6, 0.95)  # the target's elbow (x_half, 1/2)
+            spread = 2.0 * (2.0 * x_half - 1.0)  # its left slope minus its right
+            e = rng.uniform(0.0, spread)
+            tilt = rng.uniform(-0.45, 0.45) * spread
+            # Source elbows at ordinates 1/2 -+ d, d * (e -+ tilt) to the right
+            # of the target's two segments; by concavity of its boundary it
+            # misses the target's elbow by d * (spread / 2 - e).
+            x_lo = 2.0 * x_half * (0.5 - d) + (e + tilt) * d
+            x_hi = x_half + 2.0 * (1.0 - x_half) * d + (e - tilt) * d
+            source = state(
+                ((x_lo, 0.5 - d), (x_hi - x_lo, 2.0 * d), (1.0 - x_hi, 0.5 - d))
+            )
+            target = state(((x_half, 0.5), (1.0 - x_half, 0.5)))
+            assert compute_elbows(target).ys[1] == pytest.approx(0.5, abs=1e-15)
+            verdict = relatively_majorizes(source, target)
+            assert convertible_via_monotones(source, target, 1.0) is verdict
+            failed = monotones._failed_check(source, target, 1.0)
+            assert (failed is None) is verdict
+            if failed is not None:
+                k, E, kind = failed
+                mono = cooling_monotone if kind == "cooling" else heating_monotone
+                assert mono(source, 1.0, E) < mono(target, 1.0, E)
+            verdicts.append(verdict)
+        assert 0.2 < sum(verdicts) / len(verdicts) < 0.8

@@ -116,7 +116,7 @@ def _exact_ties(rng, n):
 
 def _half(rng, n):
     """Two ratio blocks of Gibbs weight 1/2 each: the elbow between them sits
-    at ordinate 1/2, which has no critical gap and is checked perturbed."""
+    at ordinate 1/2, which has no critical gap and is checked itself."""
     h = n // 2
     g = np.append(np.full(h, 0.5 / h), np.full(n - h, 0.5 / (n - h)))
     return np.append(np.full(h, 0.75 / h), np.full(n - h, 0.25 / (n - h))), g
