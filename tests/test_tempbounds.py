@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +21,12 @@ from athermal import (
 from athermal.errors import (
     DegenerateTarget,
     GapTooSmall,
+    NonFiniteBeta,
+    NonPositiveBeta,
     NonPositiveGap,
     WrongDegeneracy,
 )
+from athermal import tempbounds
 from athermal.tempbounds import _bottom_masses
 from athermal.thermo import gibbs_vector
 
@@ -156,7 +160,13 @@ class TestClosedForms:
         )
 
     @given(
-        st.integers(min_value=2, max_value=8).flatmap(
+        st.one_of(
+            st.integers(min_value=2, max_value=8),
+            st.integers(
+                min_value=tempbounds._VECTOR_MIN_LEVELS,
+                max_value=tempbounds._VECTOR_MIN_LEVELS + 16,
+            ),
+        ).flatmap(
             lambda n: st.tuples(
                 st.just(n),
                 st.integers(min_value=1, max_value=n - 1),
@@ -215,6 +225,31 @@ class TestFarLevels:
         assert heat.beta_min <= ExtendedBeta.finite(beta)
         for report in (cool, heat):
             assert len(report.per_condition) == len(energies) - 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [1e-3, 1e-2, 1.0])
+    def test_switch_sized_target(self, monkeypatch, beta):
+        # The vector path shifts each row's head and tail on their own, as
+        # the scalar path does; under one shift a tail sum underflows to 0
+        # and numpy warns where Python would raise ZeroDivisionError.
+        resource = validate_state((0.9, 0.1), (0.8, 0.2))
+        levels = tempbounds._VECTOR_MIN_LEVELS
+        target = GibbsContext(tuple(np.linspace(0.0, 5000.0, levels).tolist()), beta)
+        reports = []
+        for threshold in (levels, sys.maxsize):
+            monkeypatch.setattr(tempbounds, "_VECTOR_MIN_LEVELS", threshold)
+            reports.append((beta_max(resource, target), beta_min(resource, target)))
+        (cool, heat), scalar = reports
+        assert cool.beta_max >= ExtendedBeta.finite(beta)
+        assert heat.beta_min <= ExtendedBeta.finite(beta)
+        for report, reference in zip((cool, heat), scalar):
+            assert len(report.per_condition) == levels - 1
+            for (k, b, alpha), (k_ref, b_ref, alpha_ref) in zip(
+                report.per_condition, reference.per_condition
+            ):
+                assert (k, b.kind, alpha) == (k_ref, b_ref.kind, alpha_ref)
+                if b.is_finite:
+                    assert b.value == pytest.approx(b_ref.value, rel=1e-12, abs=1e-12)
 
     def test_two_level_matches_closed_form(self):
         resource = validate_state((0.9, 0.1), (0.8, 0.2))
@@ -337,3 +372,25 @@ class TestQubitEnergyChange:
     def test_vanishes_at_extreme_gaps(self):
         assert abs(qubit_energy_change(1e-8, 1.0, 2.0)) < 1e-8
         assert abs(qubit_energy_change(5000.0, 1.0, 2.0)) == 0.0
+
+    @pytest.mark.parametrize("E", [-1.0, 0.0, math.inf, math.nan])
+    def test_rejects_bad_gap(self, E):
+        with pytest.raises(NonPositiveGap):
+            qubit_energy_change(E, 1.0, 2.0)
+
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, math.inf, math.nan])
+    def test_rejects_bad_beta(self, beta):
+        with pytest.raises(NonPositiveBeta):
+            qubit_energy_change(1.0, beta, 2.0)
+
+    def test_rejects_nan_beta_tilde(self):
+        with pytest.raises(NonFiniteBeta):
+            qubit_energy_change(1.0, 1.0, math.nan)
+
+    def test_limits_of_cooling_and_inversion(self):
+        # The excited occupancy 1/(1 + exp(beta~ E)) is 0 at beta~ = +inf and
+        # 1 at -inf; a negative beta~ is an inverted qubit.
+        p = 1.0 / (1.0 + math.exp(1.0))
+        assert qubit_energy_change(1.0, 1.0, math.inf) == -p
+        assert qubit_energy_change(1.0, 1.0, -math.inf) == 1.0 - p
+        assert qubit_energy_change(1.0, 1.0, -1.0) == pytest.approx(1.0 - 2.0 * p)
