@@ -20,9 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AthermalityState, ExtendedBeta, GibbsContext, validate_state
+from .core import AthermalityState, GibbsContext, validate_state
 from .errors import AthermalError, BisectionError, DimensionMismatch, InvalidGrid
 from .esets import (
+    DEFAULT_N_GRID,
     MAX_GRID,
     _clearance,
     _feasible,
@@ -50,9 +51,11 @@ EXIT_NUMERIC = 4
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bytes that are not UTF-8, or text that is not JSON;
+    # RecursionError: JSON nested deeper than the parser's stack
+    except (OSError, ValueError, RecursionError) as exc:
         raise AthermalError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise AthermalError(f"{path}: expected a JSON object")
@@ -60,12 +63,12 @@ def _load_json(path: str) -> dict:
 
 
 def _number(path: str, key: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise AthermalError(
-            f"{path}: {key!r} must hold numbers, got {value!r}"
-        ) from exc
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise AthermalError(f"{path}: {key!r} must hold numbers, got {value!r}")
 
 
 def _numbers(path: str, key: str, value) -> list[float]:
@@ -105,9 +108,11 @@ def load_state(path: str) -> tuple[AthermalityState, GibbsContext]:
         return validate_state(populations, g.entries), ctx
     if has_dm:
         raw = doc["density_matrix"]
+        num = functools.partial(_number, path, "density_matrix")
         try:
             m = np.array(
-                [[complex(re, im) for re, im in row] for row in raw], dtype=complex
+                [[complex(num(re), num(im)) for re, im in row] for row in raw],
+                dtype=complex,
             )
         except (TypeError, ValueError) as exc:
             raise AthermalError(
@@ -124,9 +129,7 @@ def load_state(path: str) -> tuple[AthermalityState, GibbsContext]:
     return validate_state(g.entries, g.entries), ctx  # free Gibbs state
 
 
-def _eb_json(value: ExtendedBeta | float):
-    if isinstance(value, ExtendedBeta):
-        return value.to_json()
+def _eb_json(value: float):
     if value == math.inf:
         return "+inf"
     if value == -math.inf:
@@ -400,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", "-s", required=True)
     p.add_argument("--beta-tilde", type=float, required=True)
     p.add_argument("--e-max", type=float, default=None)
-    p.add_argument("--grid", type=int, default=10_000)
+    p.add_argument("--grid", type=int, default=DEFAULT_N_GRID)
     add_common(p, "csv", "svg")
     p.set_defaults(func=_cmd_eset)
 

@@ -205,64 +205,55 @@ def validate_state(r: Sequence[float], g: Sequence[float]) -> AthermalityState:
     )
 
 
-@dataclass(frozen=True)
-class ExtendedBeta:
-    """Inverse temperature extended with explicit +inf / -inf tags.
+class ExtendedBeta(float):
+    """Inverse temperature extended with the tags +inf and -inf.
 
-    The tags never enter arithmetic; consumers branch on :attr:`kind`.
-    Ordering is total: -inf < any finite value < +inf.
+    A float that is never NaN; the tags are the float infinities, so order
+    (-inf < any finite value < +inf), equality, min/max and arithmetic are
+    the float's.
     """
 
-    kind: str  # "finite", "+inf", or "-inf"
-    value: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("finite", "+inf", "-inf"):
-            raise ValueError(f"bad kind {self.kind!r}")
-        if self.kind == "finite" and not math.isfinite(self.value):
-            raise ValueError(f"finite tag with non-finite value {self.value!r}")
+    def __new__(cls, x: float) -> "ExtendedBeta":
+        self = super().__new__(cls, x)
+        if math.isnan(self):
+            raise ValueError("an extended beta is never NaN")
+        return self
 
     @classmethod
     def finite(cls, value: float) -> "ExtendedBeta":
-        return cls("finite", float(value))
+        if not math.isfinite(value):
+            raise ValueError(f"finite beta with non-finite value {value!r}")
+        return cls(value)
 
     @classmethod
     def pos_inf(cls) -> "ExtendedBeta":
-        return cls("+inf")
+        return cls(math.inf)
 
     @classmethod
     def neg_inf(cls) -> "ExtendedBeta":
-        return cls("-inf")
+        return cls(-math.inf)
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == "finite"
+        return math.isfinite(self)
 
-    def _key(self) -> tuple[int, float]:
-        if self.kind == "-inf":
-            return (-1, 0.0)
-        if self.kind == "+inf":
-            return (1, 0.0)
-        return (0, self.value)
+    @property
+    def kind(self) -> str:
+        """One of "finite", "+inf" and "-inf"."""
+        if math.isfinite(self):
+            return "finite"
+        return "+inf" if self > 0.0 else "-inf"
 
-    def __lt__(self, other: "ExtendedBeta") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "ExtendedBeta") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "ExtendedBeta") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "ExtendedBeta") -> bool:
-        return self._key() >= other._key()
+    @property
+    def value(self) -> float:
+        """The finite value as a plain float; 0.0 for a tag."""
+        return float(self) if math.isfinite(self) else 0.0
 
     def __neg__(self) -> "ExtendedBeta":
-        """Reflection through 0: swaps the tags, negates a finite value."""
-        if self.kind == "finite":
-            return ExtendedBeta.finite(-self.value)
-        return ExtendedBeta("-inf" if self.kind == "+inf" else "+inf")
+        return ExtendedBeta(-float(self))
 
     def to_json(self):
         """Finite values as numbers, tags as the strings "+inf" / "-inf"."""
-        return self.value if self.kind == "finite" else self.kind
+        return self.value if math.isfinite(self) else self.kind

@@ -40,17 +40,13 @@ class CriticalEnergySet:
 def cooling_monotone(state: AthermalityState, beta: float, E: float) -> float:
     """How far below the background temperature a gap-E qubit can be driven."""
     bmax, _ = qubit_beta_bounds(state, E, beta)
-    if not bmax.is_finite:
-        return math.inf
-    return bmax.value - beta
+    return bmax - beta
 
 
 def heating_monotone(state: AthermalityState, beta: float, E: float) -> float:
     """How far above the background temperature a gap-E qubit can be driven."""
     _, bmin = qubit_beta_bounds(state, E, beta)
-    if not bmin.is_finite:
-        return math.inf
-    return beta - bmin.value
+    return beta - bmin
 
 
 def critical_energies(target: AthermalityState, beta: float) -> CriticalEnergySet:

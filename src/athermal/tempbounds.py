@@ -221,25 +221,28 @@ def _conditions(
     if heating:
         h, beta, d = tuple(-x for x in reversed(h)), -beta, target.top_degeneracy()
     boundary = compute_elbows(resource)
-    per, open_ks, goals = [], [], []
+    per, open_ks, goals = [], [], []  # beta~_k: +inf, beta, or None until solved
     for k, y_k in enumerate(_bottom_masses(h, beta, range(1, len(h))), 1):
         alpha_k = alpha_at(boundary, y_k)
         if alpha_k >= (k / d if k < d else 1.0) - LIMIT_SLACK:
-            b = ExtendedBeta.pos_inf()
+            b = math.inf
         elif y_k >= alpha_k:
-            b = ExtendedBeta.finite(beta)
+            b = beta
         else:
             b = None
             open_ks.append(k)
             goals.append(math.log(alpha_k) - math.log1p(-alpha_k))
-        per.append([k, b, alpha_k])
+        per.append((k, b, alpha_k))
     if open_ks and len(h) >= _VECTOR_MIN_LEVELS:
         roots = _cooling_roots(h, beta, open_ks, goals)
     else:
         roots = [_cooling_root(h, beta, k, g) for k, g in zip(open_ks, goals)]
-    for k, root in zip(open_ks, roots):
-        per[k - 1][1] = ExtendedBeta.finite(root)
-    return tuple((k, -b if heating else b, alpha_k) for k, b, alpha_k in per)
+    roots, sign = iter(roots), (-1.0 if heating else 1.0)
+    return tuple(
+        (k, ExtendedBeta(sign * b) if b is not None
+            else ExtendedBeta.finite(sign * next(roots)), alpha_k)
+        for k, b, alpha_k in per
+    )
 
 
 def beta_max(resource: AthermalityState, target: GibbsContext) -> CoolingReport:

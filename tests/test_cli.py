@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from athermal import convertible_via_monotones, cooling_monotone, heating_monotone
-from athermal import cli, monotones, tempbounds
+from athermal import cli, esets, monotones, tempbounds
 from athermal.cli import load_state, run
 
 LN4 = math.log(4.0)
@@ -237,6 +237,44 @@ class TestInputErrors:
         code, _, err = _run(capsys, ["gap-example", "--a", a])
         assert code == 4
         assert json.loads(err)["error"]["code"] == "BisectionError"
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe\x00\x81", b"[" * 200_000, b'{"beta": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf8", "nested-too-deep", "int-too-long"],
+    )
+    def test_unreadable_state_file(self, capsys, tmp_path, target_file, content):
+        bad = tmp_path / "state.json"
+        bad.write_bytes(content)
+        code, out, err = _run(capsys, ["cool", "-s", str(bad), "-t", target_file])
+        error = _input_error(code, err)
+        assert error["code"] == "AthermalError"
+        assert error["message"].startswith(f"cannot read {bad}")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"energies": ["0", 1.0], "beta": 1.0},
+            {"energies": [0.0, 1.0], "beta": True},
+            {"energies": [0.0, 1.0], "beta": 1.0, "populations": ["0.9", 0.1]},
+            {"energies": [0.0, 1.0], "beta": 1.0, "populations": [False, True]},
+            {"energies": [0.0, 1.0], "beta": 1.0,
+             "density_matrix": [[["0.5", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+            {"energies": [0.0, 1.0], "beta": 1.0,
+             "density_matrix": [[[0.5, False], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+            {"energies": [0.0, 1.0], "beta": 1.0, "populations": [10**400, 0.0]},
+            {"energies": ["0", str(LN4)], "beta": True, "populations": ["0.9", 0.1]},
+        ],
+        ids=["string-energy", "bool-beta", "string-population", "bool-population",
+             "string-matrix-entry", "bool-matrix-entry", "int-beyond-float",
+             "strings-and-true"],
+    )
+    def test_non_numbers_rejected(self, capsys, tmp_path, target_file, doc):
+        bad = self._state(tmp_path, doc)
+        code, out, err = _run(capsys, ["cool", "-s", bad, "-t", target_file])
+        assert "must" in _input_error(code, err)["message"]
+        assert out == ""
 
     @pytest.mark.parametrize("tol", ["0", "nan"])
     def test_oracle_non_positive_tol(self, capsys, resource_file, tol):
@@ -522,6 +560,29 @@ class TestOutputContracts:
         code, out, err = _run(capsys, ["cool", "-s", resource_file, "--bogus"])
         assert _input_error(code, err)["code"] == "UsageError" and out == ""
         assert _run(capsys, argv) == (0, expected, "")
+
+    def test_infinite_tags_byte_for_byte(self, capsys, tmp_path):
+        resource = tmp_path / "resource.json"
+        resource.write_text(json.dumps(
+            {"energies": [0.0, math.log(9.0)], "beta": 1.0, "populations": [0.0, 1.0]}
+        ))
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"energies": [0.0, 1.0], "beta": 1.0}))
+        for argv, expected in (
+            (["cool"], '{"beta": 1.0, "beta_max": "+inf", "per_condition": '
+                       '[{"alpha": 1.0, "beta": "+inf", "k": 1}]}\n'),
+            (["heat"], '{"beta": 1.0, "beta_min": "-inf", "per_condition": '
+                       '[{"alpha": 1.0, "beta": "-inf", "k": 1}]}\n'),
+        ):
+            code, out, _ = _run(capsys, argv + ["-s", str(resource), "-t", str(target)])
+            assert (code, out) == (0, expected)
+        code, out, _ = _run(capsys, ["monotones", "-s", str(resource), "-E", "1"])
+        assert (code, out) == (0, '{"beta": 1.0, "entries": '
+                                  '[{"E": 1.0, "cooling": "+inf", "heating": "+inf"}]}\n')
+
+    def test_eset_grid_default_is_the_library_default(self):
+        args = cli._build_parser().parse_args(["eset", "-s", "x", "--beta-tilde", "1"])
+        assert args.grid == esets.DEFAULT_N_GRID
 
     def test_keys_sorted(self, capsys, resource_file, target_file):
         _, out, _ = _run(capsys, ["cool", "-s", resource_file, "-t", target_file])

@@ -1,6 +1,10 @@
+import copy
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from athermal import (
     AthermalityState,
@@ -75,6 +79,28 @@ class TestValidateState:
         assert not validate_state((0.8, 0.2), g).is_free
 
 
+# Extended betas drawn as (kind, value) pairs, compared by the key of the
+# former tagged representation, kept here as the reference order.
+_TAGGED = st.one_of(
+    st.tuples(st.just("finite"), st.floats(allow_nan=False, allow_infinity=False)),
+    st.sampled_from([("+inf", 0.0), ("-inf", 0.0)]),
+)
+
+
+def _from_tagged(kind, value):
+    if kind == "finite":
+        return ExtendedBeta.finite(value)
+    return ExtendedBeta.pos_inf() if kind == "+inf" else ExtendedBeta.neg_inf()
+
+
+def _tagged_key(kind, value):
+    return {"-inf": (-1, 0.0), "+inf": (1, 0.0)}.get(kind, (0, value))
+
+
+def _negated(kind, value):
+    return {"+inf": ("-inf", 0.0), "-inf": ("+inf", 0.0)}.get(kind, (kind, -value))
+
+
 class TestExtendedBeta:
     def test_ordering(self):
         assert ExtendedBeta.neg_inf() < ExtendedBeta.finite(-5.0)
@@ -94,3 +120,43 @@ class TestExtendedBeta:
         assert -ExtendedBeta.finite(1.5) == ExtendedBeta.finite(-1.5)
         assert -ExtendedBeta.pos_inf() == ExtendedBeta.neg_inf()
         assert -ExtendedBeta.neg_inf() == ExtendedBeta.pos_inf()
+
+    def test_negated_tag_is_extended_beta(self):
+        b = -ExtendedBeta.pos_inf()
+        assert isinstance(b, ExtendedBeta)
+        assert b.kind == "-inf"
+
+    def test_nan_and_non_finite_values_raise(self):
+        with pytest.raises(ValueError):
+            ExtendedBeta(math.nan)
+        with pytest.raises(ValueError):
+            ExtendedBeta.finite(math.inf)
+
+    @pytest.mark.parametrize("kind", ["finite", "+inf", "-inf"])
+    def test_pickle_and_deepcopy_round_trips(self, kind):
+        b = {"finite": ExtendedBeta.finite(-2.5), "+inf": ExtendedBeta.pos_inf(),
+             "-inf": ExtendedBeta.neg_inf()}[kind]
+        for c in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
+            assert type(c) is ExtendedBeta
+            assert (c.kind, c.value) == (b.kind, b.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_TAGGED, min_size=2, max_size=6))
+    def test_float_agrees_with_tagged_key(self, tagged):
+        """Order, equality, negation, min and max of the float agree with the
+        total order of (kind, value) pairs: -inf < finite values < +inf."""
+        betas = [_from_tagged(kind, value) for kind, value in tagged]
+        keys = [_tagged_key(kind, value) for kind, value in tagged]
+        for b, (kind, value) in zip(betas, tagged):
+            assert (b.kind, b.value) == (kind, value)
+            nb = -b
+            assert isinstance(nb, ExtendedBeta)
+            assert _tagged_key(nb.kind, nb.value) == _tagged_key(*_negated(kind, value))
+        a, b, ka, kb = betas[0], betas[1], keys[0], keys[1]
+        assert (a < b, a <= b, a == b, a >= b, a > b) == (
+            ka < kb, ka <= kb, ka == kb, ka >= kb, ka > kb
+        )
+        lo, hi = min(betas), max(betas)
+        assert isinstance(lo, ExtendedBeta) and isinstance(hi, ExtendedBeta)
+        assert _tagged_key(lo.kind, lo.value) == min(keys)
+        assert _tagged_key(hi.kind, hi.value) == max(keys)
