@@ -1,10 +1,12 @@
 """Independent LP feasibility oracle for relative majorization.
 
 Decides whether a column-stochastic matrix exists mapping p -> q and
-r -> s, by a self-contained dense phase-1 simplex. The pivot rule is
-Bland's (smallest improving column, ties in the ratio test to the smallest
-basic variable), so the vertex found is deterministic; each pivot is one
-masked pricing step, one masked ratio test and one outer-product update.
+r -> s, by a self-contained dense phase-1 simplex. Pricing takes the
+largest reduced cost (Dantzig's rule); after n_rows pivots in a row that
+make no progress it takes Bland's rule (smallest improving column) until
+one does, so the simplex cannot cycle. Ties in the ratio test go to the
+smallest basic variable, so the vertex found is deterministic; each pivot
+is one pricing step, one masked ratio test and one outer-product update.
 """
 
 from __future__ import annotations
@@ -46,24 +48,32 @@ def _phase_one(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     obj = t[-1, :-1]
     rhs = t[:-1, -1]
     basis = np.arange(n_cols, n_cols + n_rows)
+    stalled = 0  # pivots in a row that made no progress (theta <= tie)
 
     for _ in range(_MAX_PIVOTS):
-        improving = obj > _PIVOT_TOL
-        entering = improving.argmax()  # Bland: smallest improving index
-        if not improving[entering]:
+        if stalled < n_rows:
+            entering = obj.argmax()  # Dantzig: largest reduced cost
+        else:
+            entering = (obj > _PIVOT_TOL).argmax()  # Bland: smallest improving index
+        if not obj[entering] > _PIVOT_TOL:
             break
         col = t[:, entering]
-        rows = np.flatnonzero(col[:-1] > _PIVOT_TOL)
+        rows = (col[:-1] > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             raise BisectionError("phase-1 objective unbounded; malformed input")
         ratios = rhs[rows] / col[rows]
+        theta = ratios.min()
         # a difference, not min + tie: that sum rounds a 1.1e-15 gap to a tie
-        ties = rows[ratios - ratios.min() <= _RATIO_TIE]
+        ties = rows[ratios - theta <= _RATIO_TIE]
         leaving = ties[basis[ties].argmin()]
         row = t[leaving] / col[leaving]
-        t -= np.outer(col, row)  # also clobbers t[leaving], reset next
+        t -= col[:, None] * row  # also clobbers t[leaving], reset next
+        # tied rows stay basic at 0: rhs_i - col_i * theta is >= 0 exactly
+        # but can round below 0
+        rhs[ties] = 0.0
         t[leaving] = row
         basis[leaving] = entering
+        stalled = stalled + 1 if theta <= _RATIO_TIE else 0
     else:
         raise BisectionError("simplex pivot limit exceeded")
 

@@ -66,7 +66,7 @@ class DensityMatrix:
             raise InvalidDensityMatrix("matrix is not Hermitian within tolerance")
         tr = np.trace(m).real
         if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidDensityMatrix(f"trace {tr!r} not within {TRACE_TOL} of 1")
+            raise InvalidDensityMatrix(f"trace {float(tr)!r} not within {TRACE_TOL} of 1")
         if np.min(np.linalg.eigvalsh(m)) < -PSD_TOL:
             raise InvalidDensityMatrix(
                 "matrix is not positive semidefinite within tolerance"

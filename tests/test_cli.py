@@ -151,6 +151,24 @@ class TestInputErrors:
         code, _, err = _run(capsys, ["cool", "-s", bad, "-t", target_file])
         assert _input_error(code, err)["code"] == "InvalidDensityMatrix"
 
+    def test_density_matrix_trace_is_a_plain_float(self, capsys, tmp_path, target_file):
+        bad = self._state(
+            tmp_path,
+            {
+                "energies": [0.0, LN4],
+                "beta": 1.0,
+                "density_matrix": [
+                    [[1.0, 0.0], [0.0, 0.0]],
+                    [[0.0, 0.0], [0.5, 0.0]],
+                ],
+            },
+        )
+        code, _, err = _run(capsys, ["cool", "-s", bad, "-t", target_file])
+        error = _input_error(code, err)
+        assert error["code"] == "InvalidDensityMatrix"
+        assert "trace 1.5 " in error["message"]
+        assert "np.float64" not in err
+
     def test_density_matrix_of_wrong_size(self, capsys, tmp_path, target_file):
         bad = self._state(
             tmp_path,

@@ -46,6 +46,49 @@ def agreeing_instances(rng, count):
             yield validate_state(lam * p + (1 - lam) * r, r), src, False
 
 
+def check_vertex(src, tgt):
+    """The phase-1 vertex is >= 0 up to rounding, and lp_feasible reports its
+    residual against the reference A, b (feasible) or the phase-1 optimum."""
+    A, b = constraints(src.r, src.g, tgt.r, tgt.g)
+    optimum, x = oracle._phase_one(A, b)
+    out = lp_feasible(src.r, src.g, tgt.r, tgt.g)
+    # a degenerate basic variable may round to about -1e-17
+    assert x.min() >= -1e-15
+    if out.feasible:
+        assert optimum <= oracle.DEFAULT_TOL
+        assert out.max_violation == np.max(np.abs(A @ x - b))
+    else:
+        assert out.max_violation == optimum
+    return out
+
+
+def degenerate_instances(rng, count):
+    """Seeded pairs where half of the source and of the target populations
+    are zero, so many right-hand sides are 0 and many pivots make no
+    progress: a source through a channel that keeps its support off the
+    target's empty levels (feasible), or an unrelated target."""
+    for k in range(count):
+        n, m = (int(d) for d in rng.integers(2, 17, size=2))
+        p = np.zeros(n)
+        support = rng.permutation(n)[: n - n // 2]
+        p[support] = rng.dirichlet(np.ones(support.size))
+        r = rng.dirichlet(np.ones(n)) + 1e-3
+        src = validate_state(p, r / r.sum())
+        if k % 2 == 0:
+            E = rng.dirichlet(np.ones(m), size=n).T
+            empty = rng.permutation(m)[: m // 2]
+            E[np.ix_(empty, support)] = 0.0
+            E /= E.sum(axis=0)
+            tgt = validate_state(E @ p, E @ np.array(src.g.entries))
+        else:
+            q = np.zeros(m)
+            full = rng.permutation(m)[: m - m // 2]
+            q[full] = rng.dirichlet(np.ones(full.size))
+            s = rng.dirichlet(np.ones(m)) + 1e-3
+            tgt = validate_state(q, s / s.sum())
+        yield src, tgt, k % 2 == 0
+
+
 class TestLpFeasible:
     def test_identity_instance(self):
         p = _pv((0.7, 0.3))
@@ -138,16 +181,45 @@ class TestLpFeasible:
     def test_vertex_is_nonnegative_and_residual_is_reported(self):
         rng = np.random.default_rng(17)
         for src, tgt, _ in agreeing_instances(rng, 20):
-            A, b = constraints(src.r, src.g, tgt.r, tgt.g)
-            optimum, x = oracle._phase_one(A, b)
-            out = lp_feasible(src.r, src.g, tgt.r, tgt.g)
-            # a degenerate basic variable may round to about -1e-17
-            assert x.min() >= -1e-15
-            if out.feasible:
-                assert optimum <= oracle.DEFAULT_TOL
-                assert out.max_violation == np.max(np.abs(A @ x - b))
-            else:
-                assert out.max_violation == optimum
+            check_vertex(src, tgt)
+
+    def test_half_empty_levels_agree_with_geometry(self):
+        rng = np.random.default_rng(31)
+        for src, tgt, channel in degenerate_instances(rng, 200):
+            lp = lp_feasible(src.r, src.g, tgt.r, tgt.g).feasible
+            assert lp is relatively_majorizes(src, tgt)
+            if channel:
+                assert lp
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_large_instances(self, n):
+        rng = np.random.default_rng(n)
+        src = random_state(rng, n)
+        p, r = np.array(src.r.entries), np.array(src.g.entries)
+        E = rng.dirichlet(np.ones(n), size=n).T
+        lam = rng.uniform(0.2, 0.8)
+        thermalized = validate_state(lam * p + (1 - lam) * r, r)
+        for a, b, expected in [
+            (src, validate_state(E @ p, E @ r), True),
+            (thermalized, src, False),
+        ]:
+            assert check_vertex(a, b).feasible is expected
+            assert relatively_majorizes(a, b) is expected
+
+    def test_cycling_example_ends_by_blands_rule(self):
+        # Chvatal's example (Linear Programming, 1983, ch. 3), which cycles
+        # under the largest-coefficient rule: its three rows with b = (0, 0,
+        # 1), and a fourth row that makes the column sums, the phase-1
+        # prices, equal to its objective. Bland's rule takes over after four
+        # pivots in a row without progress and ends the cycle.
+        rows = np.array([[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]])
+        prices = np.array([10.0, -57.0, -9.0, -24.0])
+        A = np.vstack([rows, prices - rows.sum(axis=0)])
+        b = np.array([0.0, 0.0, 1.0, 1.0])
+        optimum, x = oracle._phase_one(A, b)
+        assert optimum == pytest.approx(1.5, abs=1e-12)  # HiGHS: 1.5
+        assert x.min() >= 0.0
+        assert np.sum(b - A @ x) == pytest.approx(optimum, abs=1e-12)
 
     def test_pivot_limit(self, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_PIVOTS", 1)
@@ -168,3 +240,14 @@ def test_agrees_with_highs():
         assert (highs.status == 0) is expected
         assert lp_feasible(src.r, src.g, tgt.r, tgt.g).feasible is expected
         assert relatively_majorizes(src, tgt) is expected
+
+
+def test_half_empty_levels_agree_with_highs():
+    """The degenerate instances above, against HiGHS as well."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(31)
+    for src, tgt, _ in degenerate_instances(rng, 200):
+        A, b = constraints(src.r, src.g, tgt.r, tgt.g)
+        highs = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b, method="highs")
+        assert highs.status in (0, 2), highs.message
+        assert (highs.status == 0) is lp_feasible(src.r, src.g, tgt.r, tgt.g).feasible
