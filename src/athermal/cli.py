@@ -20,13 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AthermalityState, GibbsContext, validate_state
+from .core import AthermalityState, ExtendedBeta, GibbsContext, validate_state
 from .errors import AthermalError, BisectionError, DimensionMismatch, InvalidGrid
 from .esets import (
     DEFAULT_N_GRID,
     MAX_GRID,
     _clearance,
-    _feasible,
     _scan_grid,
     construct_gap_example,
     fa_point,
@@ -129,14 +128,6 @@ def load_state(path: str) -> tuple[AthermalityState, GibbsContext]:
     return validate_state(g.entries, g.entries), ctx  # free Gibbs state
 
 
-def _eb_json(value: float):
-    if value == math.inf:
-        return "+inf"
-    if value == -math.inf:
-        return "-inf"
-    return value
-
-
 def render_boundary(
     states: Sequence[AthermalityState], fmt: str, labels: Sequence[str] | None = None
 ) -> bytes:
@@ -198,9 +189,9 @@ def _cmd_temperature(args) -> int:
     _emit(
         {
             "beta": target.beta,
-            args.key: _eb_json(getattr(report, args.key)),
+            args.key: getattr(report, args.key).to_json(),
             "per_condition": [
-                {"k": k, "beta": _eb_json(b), "alpha": a}
+                {"k": k, "beta": b.to_json(), "alpha": a}
                 for k, b, a in report.per_condition
             ],
         }
@@ -239,8 +230,8 @@ def _cmd_convert(args) -> int:
         mono = cooling_monotone if kind == "cooling" else heating_monotone
         doc["witness"] = {
             "E": E_k, "k": k, "kind": kind,
-            "lhs": _eb_json(mono(source, beta, E_k)),
-            "rhs": _eb_json(mono(target, beta, E_k)),
+            "lhs": ExtendedBeta(mono(source, beta, E_k)).to_json(),
+            "rhs": ExtendedBeta(mono(target, beta, E_k)).to_json(),
         }
     _emit(doc)
     _side_file(args, [source, target], ["from", "to"])
@@ -251,12 +242,10 @@ def _cmd_monotones(args) -> int:
     state, ctx = load_state(args.state)
     entries = []
     for E in args.gap:
+        cooling = ExtendedBeta(cooling_monotone(state, ctx.beta, E))
+        heating = ExtendedBeta(heating_monotone(state, ctx.beta, E))
         entries.append(
-            {
-                "E": E,
-                "cooling": _eb_json(cooling_monotone(state, ctx.beta, E)),
-                "heating": _eb_json(heating_monotone(state, ctx.beta, E)),
-            }
+            {"E": E, "cooling": cooling.to_json(), "heating": heating.to_json()}
         )
     _emit({"beta": ctx.beta, "entries": entries})
     _side_file(args, [state], ["state"])
@@ -292,11 +281,12 @@ def _cmd_eset(args) -> int:
     )
     if args.out and args.format == "csv":
         ws = _scan_grid(ctx.beta, args.e_max, args.grid)[2][::-1]  # ascending in E
-        clearance = np.zeros_like(ws)  # beta~ = beta: every gap is feasible
+        # beta~ = beta: every gap is feasible, at zero clearance
+        clearance, member = np.zeros_like(ws), np.ones(len(ws), dtype=bool)
         if args.beta_tilde != ctx.beta:
             a = args.beta_tilde / ctx.beta
-            clearance = _clearance(compute_elbows(state), a, ws)
-        rows = zip(-np.log(ws) / ctx.beta, clearance, _feasible(clearance))
+            clearance, member = _clearance(compute_elbows(state), a, ws)
+        rows = zip(-np.log(ws) / ctx.beta, clearance, member)
         csv = "".join(f"{E:.17g},{c:.17g},{int(m)}\n" for E, c, m in rows)
         _write_out(args.out, csv.encode())
     else:

@@ -27,8 +27,8 @@ from .errors import (
     WOutOfRange,
 )
 from .majorization import (
-    DOMINATION_SLACK,
     TestingBoundary,
+    _dominates,
     alpha_at,
     alphas_at,
     compute_elbows,
@@ -75,26 +75,27 @@ def fa_point(a: float, w: float) -> tuple[float, float]:
     return _curve_xy(a, w)
 
 
-def _feasible(clearance):
-    """The one membership rule, for scalars and arrays: a curve point counts
-    as inside the resource's testing region down to a clearance of
-    -DOMINATION_SLACK, so exact boundary contact is feasible."""
-    return clearance >= -DOMINATION_SLACK
-
-
-def _phi(boundary: TestingBoundary, a: float, w: float) -> float:
-    """Signed clearance of the curve point inside the resource boundary."""
+def _member(boundary: TestingBoundary, a: float, w: float) -> bool:
+    """True iff the curve point at w lies in the resource's testing region,
+    by the domination rule of every decision (`_dominates`)."""
     x, y = fa_point(a, w)
-    return alpha_at(boundary, y) - x
+    return _dominates(alpha_at(boundary, y), x)
 
 
-def _clearance(boundary: TestingBoundary, a: float, ws: np.ndarray) -> np.ndarray:
-    """`_phi` at every point of the array ws."""
+def _clearance(
+    boundary: TestingBoundary, a: float, ws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(clearance, member) at every point of the array ws: the signed
+    clearance alpha - x of the curve point inside the resource boundary, and
+    `_member` there."""
     clearance = np.empty_like(ws)
+    member = np.empty(len(ws), dtype=bool)
     for k in range(0, len(ws), _SCAN_BLOCK):
         xs, ys = _curve_xy(a, ws[k : k + _SCAN_BLOCK])
-        clearance[k : k + _SCAN_BLOCK] = alphas_at(boundary, ys) - xs
-    return clearance
+        alphas = alphas_at(boundary, ys)
+        clearance[k : k + _SCAN_BLOCK] = alphas - xs
+        member[k : k + _SCAN_BLOCK] = _dominates(alphas, xs)
+    return clearance, member
 
 
 def _scan_grid(
@@ -141,7 +142,7 @@ def gap_membership(
     if beta_tilde == beta:
         return True
     boundary = compute_elbows(resource)
-    return _feasible(_phi(boundary, beta_tilde / beta, math.exp(-beta * E)))
+    return _member(boundary, beta_tilde / beta, math.exp(-beta * E))
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ def gap_set(
     boundary = compute_elbows(resource)
 
     def inside(w: float) -> bool:
-        return _feasible(_phi(boundary, a, w))
+        return _member(boundary, a, w)
 
     def crossing(k: int) -> tuple[float, bool]:
         """(E, closed) of the membership change between ws[k-1] and ws[k]."""
@@ -200,7 +201,7 @@ def gap_set(
         return -math.log(w) / beta, inside(w)
 
     # runs [i, j) of feasible points; w increasing means E decreasing
-    member = _feasible(_clearance(boundary, a, ws))
+    _, member = _clearance(boundary, a, ws)
     edges = np.flatnonzero(np.diff(member, prepend=False, append=False)).tolist()
     intervals: list[GapInterval] = []
     for i, j in zip(edges[::2], edges[1::2]):
@@ -297,7 +298,8 @@ def eset_superset_check(
     for bt in beta_tilde_grid:
         if bt == beta:
             continue
-        in_target = _feasible(_clearance(tgt, bt / beta, ws))
-        if np.any(in_target & ~_feasible(_clearance(src, bt / beta, ws))):
+        _, in_target = _clearance(tgt, bt / beta, ws)
+        _, in_source = _clearance(src, bt / beta, ws)
+        if np.any(in_target & ~in_source):
             return False
     return True

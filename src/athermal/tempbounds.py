@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,12 +49,8 @@ from .errors import (
     NonFiniteBeta,
     WrongDegeneracy,
 )
-from .majorization import alpha_at, compute_elbows
+from .majorization import _dominates, alpha_at, compute_elbows
 from .thermo import shifted_weights
-
-# An unreachable condition (alpha at or above the analytic beta~ -> +-inf
-# limit) is tagged infinite rather than chased by the root search.
-LIMIT_SLACK = 1e-12
 
 _REL_WIDTH = 1e-13
 _MAX_ITERS = 200
@@ -214,24 +211,40 @@ def _conditions(
     """(k, beta~_k, alpha_k) of every condition; heating solves the mirror.
 
     As beta~ -> +inf the k-level mass tends to k/d below the ground
-    degeneracy d, else to 1."""
+    degeneracy d, else to 1; a condition whose alpha_k dominates that limit
+    is unreachable and tagged +inf rather than chased by the root search.
+
+    A k-level mass below the resource's first elbow ordinate y1 and the
+    smallest normal float (a far level: it underflows once beta*gap passes
+    about 708) is taken in logs, as `qubit_beta_bounds` does: ln y_k from
+    L_k(beta), whose head and tail have their own shifts, and
+    alpha_k = (x1/y1) y_k on the first segment."""
     if target.is_degenerate:
         raise DegenerateTarget("target energies are completely degenerate")
     h, beta, d = target.energies, target.beta, target.ground_degeneracy()
     if heating:
         h, beta, d = tuple(-x for x in reversed(h)), -beta, target.top_degeneracy()
     boundary = compute_elbows(resource)
+    x1, y1 = boundary.xs[1], boundary.ys[1]
     per, open_ks, goals = [], [], []  # beta~_k: +inf, beta, or None until solved
     for k, y_k in enumerate(_bottom_masses(h, beta, range(1, len(h))), 1):
         alpha_k = alpha_at(boundary, y_k)
-        if alpha_k >= (k / d if k < d else 1.0) - LIMIT_SLACK:
+        if _dominates(alpha_k, k / d if k < d else 1.0):
             b = math.inf
+        elif y_k < min(y1, sys.float_info.min):  # far level: in logs
+            odds, _ = _log_odds(h[:k], h[k:], beta)  # ln y_k = odds - ln(1 + e^odds)
+            log_alpha = math.log(x1 / y1) + odds - math.log1p(math.exp(odds))
+            alpha_k = math.exp(log_alpha)
+            b = beta if x1 <= y1 else None
+            goal = log_alpha - math.log1p(-alpha_k)
         elif y_k >= alpha_k:
             b = beta
         else:
             b = None
+            goal = math.log(alpha_k) - math.log1p(-alpha_k)
+        if b is None:
             open_ks.append(k)
-            goals.append(math.log(alpha_k) - math.log1p(-alpha_k))
+            goals.append(goal)
         per.append((k, b, alpha_k))
     if open_ks and len(h) >= _VECTOR_MIN_LEVELS:
         roots = _cooling_roots(h, beta, open_ks, goals)
@@ -271,7 +284,7 @@ def qubit_beta_bounds(
     g2 = w / (1.0 + w)
 
     alpha = alpha_at(boundary, g1)
-    if alpha >= 1.0 - LIMIT_SLACK:
+    if _dominates(alpha, 1.0):
         bmax = ExtendedBeta.pos_inf()
     else:
         bmax = _finite_beta(math.log(alpha / (1.0 - alpha)) / E, E)
@@ -282,7 +295,7 @@ def qubit_beta_bounds(
         alpha_t = math.exp(log_slope - beta * E - math.log1p(w))
     else:
         alpha_t = alpha_at(boundary, g2)
-    if alpha_t >= 1.0 - LIMIT_SLACK:
+    if _dominates(alpha_t, 1.0):
         bmin = ExtendedBeta.neg_inf()
     elif g2 < y1:
         # ln((1 - alpha_t)/alpha_t) = beta*E + excess, kept apart: g2

@@ -38,6 +38,13 @@ class TestProbabilityVector:
     def test_dim(self):
         assert ProbabilityVector((0.25, 0.25, 0.5)).dim == 3
 
+    def test_array_below_numpy_threshold(self):
+        p = ProbabilityVector((0.25, 0.25, 0.5))
+        a = p.array
+        assert a.tolist() == [0.25, 0.25, 0.5]
+        assert not a.flags.writeable
+        assert p.array is a  # converted once
+
 
 class TestGibbsContext:
     def test_sorts_energies_ascending(self):

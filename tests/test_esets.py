@@ -141,8 +141,13 @@ class TestGapSet:
         for a in (0.5, 2.0, -1.0):
             for grid in (ws, ws[::-1]):  # the eset CSV scans ascending in E
                 xs, ys = _curve_xy(a, grid)
-                whole = np.interp(ys, boundary.ys, boundary.xs) - xs
-                np.testing.assert_array_equal(_clearance(boundary, a, grid), whole)
+                alphas = np.interp(ys, boundary.ys, boundary.xs)
+                clearance, member = _clearance(boundary, a, grid)
+                np.testing.assert_array_equal(clearance, alphas - xs)
+                np.testing.assert_array_equal(
+                    member, alphas >= xs - DOMINATION_SLACK
+                )
+                assert member.any() and not member.all()
 
     def test_free_resource_empty(self):
         assert gap_set(_free((0.8, 0.2)), 1.0, 2.0, e_max=5.0).is_empty
@@ -229,6 +234,20 @@ class TestEsetSupersetCheck:
         state = validate_state((0.95, 0.05), (0.8, 0.2))
         with pytest.raises(NonFiniteBeta):
             eset_superset_check(state, state, 1.0, [math.nan], [1.0])
+
+    @pytest.mark.parametrize("grids", [([], [1.0]), ([2.0], [])])
+    def test_rejects_empty_grid(self, grids):
+        state = validate_state((0.95, 0.05), (0.8, 0.2))
+        with pytest.raises(InvalidGrid):
+            eset_superset_check(state, state, 1.0, *grids)
+
+    def test_background_temperature_is_skipped(self):
+        # at beta~ = beta every gap is feasible for both states
+        src = _free((0.8, 0.2))
+        tgt = validate_state((0.95, 0.05), (0.8, 0.2))
+        grid_e = [0.5, 1.0, 2.0]
+        assert eset_superset_check(src, tgt, 1.0, [1.0], grid_e)
+        assert not eset_superset_check(src, tgt, 1.0, [1.0, 2.0], grid_e)
 
 
 @st.composite

@@ -11,6 +11,7 @@ from athermal import (
     convertible_via_monotones,
     critical_energies,
     lp_feasible,
+    majorization,
     relatively_majorizes,
     validate_state,
 )
@@ -189,6 +190,13 @@ class TestAlphaAt:
         with pytest.raises(YOutOfRange):
             alpha_at(b, float("nan"))
 
+    def test_clamps_ordinate_within_tolerance_of_the_ends(self):
+        b = compute_elbows(validate_state((0.9, 0.1), (0.5, 0.5)))
+        assert alpha_at(b, -1e-13) == 0.0
+        assert alpha_at(b, 1.0 + 1e-13) == 1.0
+        with pytest.raises(YOutOfRange):
+            alpha_at(b, -1e-11)
+
     @given(states(), st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=200, deadline=None)
     def test_majorizes_ordinate(self, state, y):
@@ -251,6 +259,22 @@ class TestRelativelyMajorizes:
         # a tenth of the slack above it clears rounding in 64-term prefix sums
         assume(_reference_violation(source, target) > 1.1 * DOMINATION_SLACK)
         assert not relatively_majorizes(source, target)
+
+
+class TestTestingBoundary:
+    @pytest.mark.parametrize(
+        "xs, ys", [((0.0,), (0.0,)), ((0.0, 1.0), (0.0, 0.5, 1.0))]
+    )
+    def test_rejects_unpaired_or_short_coordinates(self, xs, ys):
+        with pytest.raises(ValueError, match="one ordinate per abscissa"):
+            majorization.TestingBoundary(xs, ys)
+
+    @pytest.mark.parametrize(
+        "xs, ys", [((0.1, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, 0.9))]
+    )
+    def test_rejects_unpinned_endpoints(self, xs, ys):
+        with pytest.raises(ValueError, match=r"from \(0,0\) to \(1,1\)"):
+            majorization.TestingBoundary(xs, ys)
 
 
 class TestBoundaryCsv:

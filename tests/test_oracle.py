@@ -122,6 +122,11 @@ class TestLpFeasible:
         with pytest.raises(DimensionMismatch):
             lp_feasible(_pv((0.5, 0.5)), _pv((0.4, 0.3, 0.3)), _pv((1.0,)), _pv((1.0,)))
 
+    def test_rejects_mismatched_image_dims(self):
+        p = _pv((0.5, 0.5))
+        with pytest.raises(DimensionMismatch, match="dim\\(q\\)"):
+            lp_feasible(p, p, _pv((1.0,)), _pv((0.5, 0.5)))
+
     def test_rejects_bad_tol(self):
         p = _pv((0.5, 0.5))
         with pytest.raises(ValueError):

@@ -211,6 +211,16 @@ class TestClosedForms:
                 assert b.value == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
+def _assert_matches_qubit_bounds(resource, E, beta):
+    """beta_max and beta_min of the target (0, E) equal the closed form."""
+    target = GibbsContext((0.0, E), beta)
+    bounds = qubit_beta_bounds(resource, E, beta)
+    cool, heat = beta_max(resource, target), beta_min(resource, target)
+    for b, expected in zip((cool.beta_max, heat.beta_min), bounds):
+        assert b.kind == expected.kind
+        assert b.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
+
+
 class TestFarLevels:
     # With beta~ E in the thousands, a sum of Gibbs weights under one common
     # shift underflows to 0; each condition must still resolve.
@@ -225,6 +235,35 @@ class TestFarLevels:
         assert heat.beta_min <= ExtendedBeta.finite(beta)
         for report in (cool, heat):
             assert len(report.per_condition) == len(energies) - 1
+        if len(energies) == 2:
+            _assert_matches_qubit_bounds(resource, energies[1], beta)
+
+    @pytest.mark.parametrize(
+        "E", [10.0, 700.0, 740.0, 750.0, 800.0, 2000.0, 5000.0, 1e5]
+    )
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 3.0])
+    def test_far_excited_level_heats_like_the_qubit(self, E, beta):
+        # Mirrored for heating, the excited level's mass at beta is subnormal
+        # from beta E ~ 708 and 0 from ~745; it is taken in logs there.
+        resource = validate_state((0.9, 0.1), (0.5, 0.5))
+        _assert_matches_qubit_bounds(resource, E, beta)
+
+    @pytest.mark.parametrize(
+        "energies",
+        [(0.0, 3.0, 800.0), tuple(np.linspace(0.0, 3.0, 29).tolist()) + (800.0,)],
+    )
+    def test_far_level_above_near_levels(self, monkeypatch, energies):
+        resource = validate_state((0.9, 0.1), (0.5, 0.5))
+        target = GibbsContext(energies, 1.0)
+        heat = beta_min(resource, target)
+        assert heat.beta_min < ExtendedBeta.finite(1.0)
+        monkeypatch.setattr(tempbounds, "_VECTOR_MIN_LEVELS", sys.maxsize)
+        scalar = beta_min(resource, target)
+        for (k, b, alpha), (k_ref, b_ref, alpha_ref) in zip(
+            heat.per_condition, scalar.per_condition
+        ):
+            assert (k, b.kind, alpha) == (k_ref, b_ref.kind, alpha_ref)
+            assert b.value == pytest.approx(b_ref.value, rel=1e-12, abs=0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("beta", [1e-3, 1e-2, 1.0])

@@ -44,6 +44,11 @@ class TestGibbsVector:
 
 
 class TestLogPartition:
+    @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(NonFiniteBeta):
+            log_partition((0.0, 1.0), beta)
+
     def test_two_level(self):
         assert log_partition((0.0, math.log(4.0)), 1.0) == pytest.approx(
             math.log(1.25), rel=1e-14
