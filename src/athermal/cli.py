@@ -280,7 +280,7 @@ def _cmd_eset(args) -> int:
         }
     )
     if args.out and args.format == "csv":
-        ws = _scan_grid(ctx.beta, args.e_max, args.grid)[2][::-1]  # ascending in E
+        ws = _scan_grid(ctx.beta, args.e_max, args.grid)[::-1]  # ascending in E
         # beta~ = beta: every gap is feasible, at zero clearance
         clearance, member = np.zeros_like(ws), np.ones(len(ws), dtype=bool)
         if args.beta_tilde != ctx.beta:

@@ -7,11 +7,19 @@ elbow traces a curve as E varies; a gap is feasible iff that elbow lies
 inside the resource's testing region. The sign pattern of the clearance
 along the curve can change more than once, so the set of feasible gaps can
 be a union of disjoint intervals.
+
+`gap_set` finds those changes as roots rather than on a grid. The curve is
+x = F_a(y) = sigma(a * logit y), with y in [1/2, 1) for a > 1 and in
+(0, 1/2] for a < 1, where F_a has one sign of curvature (`_curve_dxdy`).
+Between two elbow ordinates the resource boundary is a line, so there the
+clearance is a line minus F_a and changes sign at most twice, once on each
+side of its one extremum; `_root` brackets each change.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +35,7 @@ from .errors import (
     WOutOfRange,
 )
 from .majorization import (
+    DOMINATION_SLACK,
     TestingBoundary,
     _dominates,
     alpha_at,
@@ -35,12 +44,12 @@ from .majorization import (
 )
 
 DEFAULT_N_GRID = 10_000
-# Largest scan grid (eset, gap_set, curve): about 8 MB per float array.
+# Largest grid (eset, gap_set, curve): about 8 MB per float array.
 MAX_GRID = 1_000_000
-# Default scan depth: beyond w = 1e-10 the qubit Gibbs vector is numerically
-# pure and membership no longer changes.
+# Default depth: beyond w = 1e-10 the qubit Gibbs vector is numerically pure
+# and membership no longer changes.
 DEFAULT_W_MIN = 1e-10
-ENDPOINT_RESOLUTION = 1e-10  # bisection target on |delta E| for interval ends
+ENDPOINT_RESOLUTION = 1e-10  # bracket width in E of each interval end
 
 _TANGENT_EPS = 1e-9
 # Points per block of the vector clearance (64 KiB float arrays). Whole-grid
@@ -62,6 +71,25 @@ def _curve_xy(a: float, w):
     return wa / (1.0 + wa), y
 
 
+def _curve_dxdy(a: float, w):
+    """Slope F_a'(y) = a x(1 - x)/(y(1 - y)) of the curve at parameter w, a
+    float or an array, in a form finite for every w in (0, 1].
+
+    F_a has one sign of curvature on its branch. With L = logit y, F_a is
+    sigma(a L) and F_a'' = a x(1 - x)((2y - 1) - a(2x - 1))/(y(1 - y))^2.
+    Write t = L/2, so that 2y - 1 = tanh t and 2x - 1 = tanh(a t); the
+    bracket is phi(t) = tanh t - |a| tanh(|a| t), odd in t, and for t > 0
+    positive if |a| < 1 (|a| tanh(|a| t) < tanh(|a| t) < tanh t), negative
+    if |a| > 1 (the reverse) and zero if |a| = 1. So sign F_a'' is
+    sign(a) sign(t) sign(1 - |a|): negative (concave) for a > 1 on the
+    cooling branch (t > 0) and for 0 < a < 1 or a < -1 on the heating branch
+    (t < 0), positive (convex) for -1 < a < 0, and F_a is linear at a = -1
+    (x = 1 - y) and at a = 0 (x = 1/2).
+    """
+    wa = w ** abs(a)
+    return a * (wa / w) * ((1.0 + w) / (1.0 + wa)) ** 2
+
+
 def fa_point(a: float, w: float) -> tuple[float, float]:
     """Elbow (x, y) of the target qubit pair at curve parameter w.
 
@@ -75,19 +103,12 @@ def fa_point(a: float, w: float) -> tuple[float, float]:
     return _curve_xy(a, w)
 
 
-def _member(boundary: TestingBoundary, a: float, w: float) -> bool:
-    """True iff the curve point at w lies in the resource's testing region,
-    by the domination rule of every decision (`_dominates`)."""
-    x, y = fa_point(a, w)
-    return _dominates(alpha_at(boundary, y), x)
-
-
 def _clearance(
     boundary: TestingBoundary, a: float, ws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(clearance, member) at every point of the array ws: the signed
     clearance alpha - x of the curve point inside the resource boundary, and
-    `_member` there."""
+    `_dominates` there. The `eset` CSV and `eset_superset_check` sample it."""
     clearance = np.empty_like(ws)
     member = np.empty(len(ws), dtype=bool)
     for k in range(0, len(ws), _SCAN_BLOCK):
@@ -98,12 +119,13 @@ def _clearance(
     return clearance, member
 
 
-def _scan_grid(
+def _grid_span(
     beta: float, e_max: float | None, n_grid: int
-) -> tuple[float, float, np.ndarray]:
-    """(e_max, step, ws): n_grid points ws ascending from exp(-beta*e_max)
-    in steps of (1 - ws[0])/n_grid, so E = -ln(w)/beta descends to one
-    step short of 0. The default e_max puts ws[0] at DEFAULT_W_MIN."""
+) -> tuple[float, float, float]:
+    """(e_max, w_min, step) of the n_grid-point grid ascending in
+    w = exp(-beta*E) from w_min = exp(-beta*e_max) in steps of
+    (1 - w_min)/n_grid, so E descends to one step short of 0. The default
+    e_max puts w_min at DEFAULT_W_MIN."""
     _check_beta(beta)
     if e_max is None:
         e_max = -math.log(DEFAULT_W_MIN) / beta
@@ -114,22 +136,55 @@ def _scan_grid(
     w_min = math.exp(-beta * e_max)
     if w_min == 0.0:
         raise InvalidGrid(f"exp(-beta*e_max) underflows at e_max = {e_max!r}")
-    step = (1.0 - w_min) / n_grid
-    return e_max, step, w_min + step * np.arange(n_grid)
+    return e_max, w_min, (1.0 - w_min) / n_grid
 
 
-def _bisect(inside, lo: float, hi: float, fine) -> float:
-    """Halve [lo, hi] around the change of the boolean inside(x) until
-    fine(lo, hi) holds or no float lies strictly between; return the middle."""
-    at_lo = inside(lo)
-    while not fine(lo, hi):
-        mid = 0.5 * (lo + hi)
+def _scan_grid(beta: float, e_max: float | None, n_grid: int) -> np.ndarray:
+    """The grid of `_grid_span` as an array, ascending in w."""
+    _, w_min, step = _grid_span(beta, e_max, n_grid)
+    return w_min + step * np.arange(n_grid)
+
+
+def _root(f, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of a bracket lo < hi of the sign change of f (f >= 0 on one
+    side, f < 0 on the other) narrower than tol, or as narrow as floats
+    allow; or the end nearer zero if f has one sign at both ends: the change
+    then lies at that end, within rounding.
+
+    Illinois false-position steps narrow the bracket: an end kept twice in a
+    row has its value halved, and a step stays tol/2 inside the bracket, so
+    that an end the steps converge on is straddled. A midpoint step follows
+    any three steps that failed to halve the bracket.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    lo_side = f_lo >= 0.0
+    if (f_hi >= 0.0) == lo_side:
+        return lo if abs(f_lo) <= abs(f_hi) else hi
+    kept = 0  # the end the last step kept: -1 lo, +1 hi
+    ref, steps = hi - lo, 0  # width when last halved, steps since
+    while not hi - lo < tol:
+        x = mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if inside(mid) == at_lo:
-            lo = mid
+        if steps < 3:
+            x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+            x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+            if not lo < x < hi:
+                x = mid
+        f_x = f(x)
+        if (f_x >= 0.0) == lo_side:
+            lo, f_lo = x, f_x
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
         else:
-            hi = mid
+            hi, f_hi = x, f_x
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+        steps += 1
+        if hi - lo <= 0.5 * ref:
+            ref, steps = hi - lo, 0
     return 0.5 * (lo + hi)
 
 
@@ -141,8 +196,9 @@ def gap_membership(
     _check_beta(beta)
     if beta_tilde == beta:
         return True
-    boundary = compute_elbows(resource)
-    return _member(boundary, beta_tilde / beta, math.exp(-beta * E))
+    # w = exp(-beta*E) may underflow to 0, where the curve is still finite
+    x, y = _curve_xy(beta_tilde / beta, math.exp(-beta * E))
+    return _dominates(alpha_at(compute_elbows(resource), y), x)
 
 
 @dataclass(frozen=True)
@@ -158,11 +214,80 @@ class EnergyGapSet:
     """Disjoint, sorted intervals of feasible energy gaps."""
 
     intervals: tuple[GapInterval, ...]
-    resolution: float  # w-space scan step
+    # w step of the n_grid-point grid: the eset CSV's spacing; gaps below
+    # that of its last point, one step short of w = 1, are not examined
+    resolution: float
 
     @property
     def is_empty(self) -> bool:
         return not self.intervals
+
+
+def _pieces(boundary: TestingBoundary, a: float, w_lo: float, w_hi: float):
+    """(ws, alphas, slopes): the span [w_lo, w_hi] of the curve parameter cut
+    at every elbow ordinate of the boundary strictly inside it, ascending in
+    w; the boundary abscissa at each cut (an elbow's own x_k at an elbow),
+    and the slope d(alpha)/dy of the boundary segment under each piece. In
+    the boundary's own form: lists for tuples, arrays for arrays."""
+    cooling = a > 1.0  # y = 1/(1 + w) descends as w ascends
+    if cooling:
+        w_lo, w_hi = w_hi, w_lo  # ascending in y
+    y_lo, y_hi = _curve_xy(a, w_lo)[1], _curve_xy(a, w_hi)[1]
+    xs, ys = boundary.xs, boundary.ys
+    if isinstance(xs, tuple):
+        i = bisect_right(ys, y_lo)
+        j = max(bisect_left(ys, y_hi), i)
+        ws = [w_lo, *[(1.0 - y) / y if cooling else y / (1.0 - y)
+                      for y in ys[i:j]], w_hi]
+        alphas = [alpha_at(boundary, y_lo), *xs[i:j], alpha_at(boundary, y_hi)]
+        slopes = [(xs[k + 1] - xs[k]) / (ys[k + 1] - ys[k]) for k in range(i - 1, j)]
+    else:
+        i = int(np.searchsorted(ys, y_lo, "right"))
+        j = max(int(np.searchsorted(ys, y_hi)), i)
+        inner = ys[i:j]
+        ws = np.concatenate(
+            ([w_lo], (1.0 - inner) / inner if cooling else inner / (1.0 - inner), [w_hi])
+        )
+        alphas = np.concatenate(
+            ([alphas_at(boundary, y_lo)], xs[i:j], [alphas_at(boundary, y_hi)])
+        )
+        slopes = np.diff(xs[i - 1 : j + 1]) / np.diff(ys[i - 1 : j + 1])
+    if cooling:
+        return ws[::-1], alphas[::-1], slopes[::-1]
+    return ws, alphas, slopes
+
+
+def _knot_values(a: float, w, alpha):
+    """(h, y) at knots w with boundary abscissae alpha, floats or arrays: the
+    clearance alpha - x plus DOMINATION_SLACK, >= 0 exactly where
+    `_dominates`, and the curve ordinate."""
+    x, y = _curve_xy(a, w)
+    return alpha - (x - DOMINATION_SLACK), y
+
+
+def _turns(a: float, h_p, h_q, d_p, d_q, length):
+    """Whether the clearance can change sign twice on a piece, floats or
+    arrays, from its values h and slopes d in y at the ends p and q and the
+    signed length y_q - y_p of the piece.
+
+    On a piece the clearance is the boundary's line minus F_a, so it is
+    convex in y where F_a is concave and concave where F_a is convex. A
+    convex clearance that is >= 0 at both ends dips below 0 only if its end
+    tangents slope towards each other and meet below 0, since it lies above
+    both; the same holds for minus a concave one that is < 0 at both ends.
+    The tangents meet at height N/(d_p - d_q), N = d_p h_q - d_q h_p -
+    d_p d_q length; given the slopes' signs, d_p - d_q has the sign of
+    -s length, s = +1 for a convex clearance and -1 for a concave one, so
+    they meet on the far side of 0 iff N length > 0.
+    """
+    s = 1.0 if a > 0.0 or a < -1.0 else -1.0
+    return (
+        ((h_p >= 0.0) == (s > 0.0))
+        & ((h_q >= 0.0) == (s > 0.0))
+        & (s * d_p * length < 0.0)
+        & (s * d_q * length > 0.0)
+        & ((d_p * h_q - d_q * h_p - d_p * d_q * length) * length > 0.0)
+    )
 
 
 def gap_set(
@@ -172,15 +297,20 @@ def gap_set(
     e_max: float | None = None,
     n_grid: int = DEFAULT_N_GRID,
 ) -> EnergyGapSet:
-    """Scan the feasible-gap set over E in (0, e_max].
+    """The feasible-gap set over E in (0, e_max], from per-piece roots.
 
-    The clearance is evaluated on n_grid points uniform in w = exp(-beta*E)
-    from exp(-beta*e_max) up (e_max defaults to -ln(DEFAULT_W_MIN)/beta);
-    each run of feasible points is one interval. An end between two points
-    is bisected in w down to ENDPOINT_RESOLUTION in E and is closed iff
-    feasible there. Every step uses the membership rule of `gap_membership`.
+    The curve parameter w = exp(-beta*E) runs from w_min = exp(-beta*e_max)
+    (e_max defaults to -ln(DEFAULT_W_MIN)/beta) to w_top, the last point of
+    the n_grid-point grid of `_grid_span`, one step short of w = 1; the
+    membership at w_top holds on to E -> 0. That span is cut at the
+    resource's elbow ordinates. On each piece the membership changes at most
+    twice: once if it differs at the two ends, twice only if `_turns` and
+    the clearance's extremum, found by `_root` on its slope, has the other
+    membership. Each change is bracketed by `_root` to ENDPOINT_RESOLUTION
+    in E, and the end it gives is closed iff feasible there. Every step
+    decides by `_dominates`, the rule of `gap_membership`; no grid is built.
     """
-    e_max, step, ws = _scan_grid(beta, e_max, n_grid)
+    e_max, w_min, step = _grid_span(beta, e_max, n_grid)
     if beta_tilde == beta:
         return EnergyGapSet(
             (GapInterval(0.0, e_max, lo_closed=False, hi_closed=True),), step
@@ -188,27 +318,62 @@ def gap_set(
 
     a = beta_tilde / beta
     boundary = compute_elbows(resource)
+    tuples = isinstance(boundary.xs, tuple)
 
-    def inside(w: float) -> bool:
-        return _member(boundary, a, w)
+    def clearance(E: float) -> float:
+        """Clearance plus DOMINATION_SLACK at gap E: >= 0 iff `_dominates`."""
+        x, y = _curve_xy(a, math.exp(-beta * E))
+        alpha = alpha_at(boundary, y) if tuples else float(alphas_at(boundary, y))
+        return alpha - (x - DOMINATION_SLACK)
 
-    def crossing(k: int) -> tuple[float, bool]:
-        """(E, closed) of the membership change between ws[k-1] and ws[k]."""
-        w = _bisect(
-            inside, float(ws[k - 1]), float(ws[k]),
-            lambda lo, hi: math.log(hi / lo) / beta < ENDPOINT_RESOLUTION,
-        )
-        return -math.log(w) / beta, inside(w)
+    ws, alphas, slopes = _pieces(boundary, a, w_min, w_min + step * (n_grid - 1))
 
-    # runs [i, j) of feasible points; w increasing means E decreasing
-    _, member = _clearance(boundary, a, ws)
-    edges = np.flatnonzero(np.diff(member, prepend=False, append=False)).tolist()
+    def gap(k: int) -> float:
+        return -math.log(ws[k]) / beta
+
+    if tuples:
+        hs, ys = zip(*[_knot_values(a, w, x) for w, x in zip(ws, alphas)])
+        todo = range(len(slopes))
+    else:  # array boundary: solve only the pieces where a change may lie
+        # F_a' overflows to inf at a subnormal w_min where |a| < 1, as floats do
+        with np.errstate(all="ignore"):
+            hs, ys = _knot_values(a, ws, alphas)
+            inside, dxdy = hs >= 0.0, _curve_dxdy(a, ws)
+            turns = _turns(a, hs[:-1], hs[1:], slopes - dxdy[:-1],
+                           slopes - dxdy[1:], np.diff(ys))
+        todo = np.flatnonzero((inside[:-1] != inside[1:]) | turns).tolist()
+    convex = a > 0.0 or a < -1.0  # the clearance is convex in y on a piece
+    roots: list[float] = []  # gaps E where membership changes, descending
+    for k in todo:  # E descends from gap(k) to gap(k + 1) over the piece
+        h_p, h_q = hs[k], hs[k + 1]
+        if (h_p >= 0.0) != (h_q >= 0.0):
+            roots.append(_root(clearance, gap(k + 1), gap(k), ENDPOINT_RESOLUTION))
+            continue
+        if (h_p >= 0.0) != convex:  # convex and out at both ends, or concave and in
+            continue
+        w_p, w_q, slope = float(ws[k]), float(ws[k + 1]), float(slopes[k])
+        if _turns(a, h_p, h_q, slope - _curve_dxdy(a, w_p),
+                  slope - _curve_dxdy(a, w_q), ys[k + 1] - ys[k]):
+            # the clearance's extremum, where its slope in y is 0
+            E_e = _root(lambda E: slope - _curve_dxdy(a, math.exp(-beta * E)),
+                        gap(k + 1), gap(k), ENDPOINT_RESOLUTION)
+            if (clearance(E_e) >= 0.0) != (h_p >= 0.0):
+                roots.append(_root(clearance, E_e, gap(k), ENDPOINT_RESOLUTION))
+                roots.append(_root(clearance, gap(k + 1), E_e, ENDPOINT_RESOLUTION))
+
+    # w ascending means E descending: each change ends or starts an interval
     intervals: list[GapInterval] = []
-    for i, j in zip(edges[::2], edges[1::2]):
-        hi, hi_closed = (e_max, inside(float(ws[0]))) if i == 0 else crossing(i)
-        lo, lo_closed = (0.0, False) if j == len(ws) else crossing(j)  # E > 0
-        if hi > lo:
-            intervals.append(GapInterval(lo, hi, lo_closed, hi_closed))
+    top = (e_max, True) if hs[0] >= 0.0 else None
+    for E in roots:
+        end = (E, clearance(E) >= 0.0)
+        if top is None:
+            top = end
+            continue
+        if top[0] > end[0]:
+            intervals.append(GapInterval(end[0], top[0], end[1], top[1]))
+        top = None
+    if top is not None:  # feasible on to E -> 0, open there
+        intervals.append(GapInterval(0.0, top[0], False, top[1]))
     intervals.reverse()  # ascending in E
     return EnergyGapSet(tuple(intervals), step)
 
@@ -235,9 +400,9 @@ def _construct_heating_example(a: float) -> AthermalityState:
 
     def root(f, lo: float, hi: float) -> float:
         """Sign change of f on [lo, hi], to the last float."""
-        if (f(lo) > 0.0) == (f(hi) > 0.0):
+        if (f(lo) >= 0.0) == (f(hi) >= 0.0):
             raise BisectionError("no sign change on the given bracket")
-        return _bisect(lambda x: f(x) > 0.0, lo, hi, lambda lo, hi: False)
+        return _root(f, lo, hi, 0.0)
 
     # affine function through (1,1) tangent to the curve
     def tangency(x: float) -> float:

@@ -507,6 +507,24 @@ class TestSubcommands:
         doc = json.loads(out)
         assert len(doc["intervals"]) == 2
 
+    def test_eset_finds_a_gap_narrower_than_a_grid_cell(self, capsys, tmp_path):
+        state = tmp_path / "narrow.json"
+        state.write_text(
+            json.dumps(
+                {
+                    "energies": [0.0, 0.0],
+                    "beta": 1.0,
+                    "populations": [0.9961089494163424, 0.0038910505836575876],
+                }
+            )
+        )
+        code, out, _ = _run(capsys, ["eset", "-s", str(state), "--beta-tilde", "1.5"])
+        assert code == 0
+        (lo1, hi1), (lo2, hi2) = json.loads(out)["intervals"]
+        assert lo1 == 0.0 and hi1 == pytest.approx(9.7119822143, abs=1e-9)
+        assert lo2 == pytest.approx(22.7735055533, abs=1e-9)
+        assert hi2 == pytest.approx(-math.log(1e-10))
+
     def test_gap_example_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "constructed.json"
         code, out, _ = _run(

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from athermal import (
+    EnergyGapSet,
+    GapInterval,
     alpha_at,
     compute_elbows,
     construct_gap_example,
@@ -24,10 +26,13 @@ from athermal.errors import (
     WOutOfRange,
 )
 from athermal.esets import (
+    ENDPOINT_RESOLUTION,
     MAX_GRID,
     _SCAN_BLOCK,
     _clearance,
+    _curve_dxdy,
     _curve_xy,
+    _root,
     _scan_grid,
 )
 from athermal.majorization import DOMINATION_SLACK
@@ -35,6 +40,12 @@ from athermal.majorization import DOMINATION_SLACK
 
 def _free(g):
     return validate_state(g, g)
+
+
+# A membership gap narrower than one cell of a 10 000-point grid in w: at
+# beta~ = 1.5 the curve leaves this resource's region near E = 9.71 and
+# re-enters near E = 22.77.
+NARROW_GAP = validate_state((0.9961089494163424, 0.0038910505836575876), (0.5, 0.5))
 
 
 class TestFaPoint:
@@ -101,6 +112,14 @@ class TestGapMembership:
         with pytest.raises(NonFiniteBeta):
             gap_membership(_free((0.8, 0.2)), 1.0, beta_tilde, 1.0)
 
+    @pytest.mark.parametrize("beta_tilde, expected", [(1.5, True), (0.5, True), (-0.5, False)])
+    def test_underflowing_gap_takes_the_curve_limit(self, beta_tilde, expected):
+        # exp(-beta*E) is 0.0 at E = 800: the curve point is its w -> 0 limit,
+        # (1, 1) cooling, (0, 0) heating and (1, 0) for a population inversion
+        resource = validate_state((0.9, 0.1), (0.5, 0.5))
+        assert gap_membership(resource, 1.0, beta_tilde, 800.0) is expected
+        assert gap_membership(resource, 1.0, beta_tilde, 700.0) is expected
+
     def test_nonmonotone_pattern(self):
         # this resource admits beta~ = 1/2 at small and at moderate gaps,
         # but not in between
@@ -137,7 +156,7 @@ class TestGapSet:
 
     def test_blocked_clearance_matches_whole_grid(self):
         boundary = compute_elbows(construct_gap_example(0.5))
-        _, _, ws = _scan_grid(1.0, None, 3 * _SCAN_BLOCK + 5)
+        ws = _scan_grid(1.0, None, 3 * _SCAN_BLOCK + 5)
         for a in (0.5, 2.0, -1.0):
             for grid in (ws, ws[::-1]):  # the eset CSV scans ascending in E
                 xs, ys = _curve_xy(a, grid)
@@ -148,6 +167,24 @@ class TestGapSet:
                     member, alphas >= xs - DOMINATION_SLACK
                 )
                 assert member.any() and not member.all()
+
+    def test_narrow_membership_gap_is_found(self):
+        out = gap_set(NARROW_GAP, 1.0, 1.5)
+        assert [(iv.lo, iv.hi) for iv in out.intervals] == [
+            (0.0, pytest.approx(9.7119822143, abs=1e-9)),
+            (pytest.approx(22.7735055533, abs=1e-9), -math.log(1e-10)),
+        ]
+        assert not gap_membership(NARROW_GAP, 1.0, 1.5, 11.5)
+        assert not gap_membership(NARROW_GAP, 1.0, 1.5, 20.0)
+
+    def test_e_max_below_one_float_step(self):
+        # exp(-beta*e_max) rounds to 1: the grid step is 0 and the curve
+        # point (1/2, 1/2) lies on every boundary
+        resource = validate_state((0.9, 0.1), (0.5, 0.5))
+        for beta_tilde in (2.0, 0.5, -0.5):
+            assert gap_set(resource, 1.0, beta_tilde, e_max=1e-17) == EnergyGapSet(
+                (GapInterval(0.0, 1e-17, lo_closed=False, hi_closed=True),), 0.0
+            )
 
     def test_free_resource_empty(self):
         assert gap_set(_free((0.8, 0.2)), 1.0, 2.0, e_max=5.0).is_empty
@@ -250,9 +287,27 @@ class TestEsetSupersetCheck:
         assert not eset_superset_check(src, tgt, 1.0, [1.0, 2.0], grid_e)
 
 
+class TestRoot:
+    def test_brackets_to_tol_or_to_adjacent_floats(self):
+        def f(x):
+            return x * x - 2.0
+
+        assert abs(_root(f, 1.0, 2.0, 1e-10) - math.sqrt(2.0)) < 1e-10
+        assert abs(_root(f, 1.0, 2.0, 0.0) - math.sqrt(2.0)) <= 2.3e-16
+        # a steep convex function converges on one end; the other follows
+        assert _root(lambda x: math.exp(40.0 * x) - 2.0, 0.0, 1.0, 1e-12) == (
+            pytest.approx(math.log(2.0) / 40.0, abs=1e-12)
+        )
+
+    def test_one_sign_at_both_ends_gives_the_end_nearer_zero(self):
+        assert _root(lambda x: x + 1e-17, 0.0, 1.0, 1e-10) == 0.0
+        assert _root(lambda x: x - 1.0 - 1e-17, 0.0, 1.0, 1e-10) == 1.0
+
+
 @st.composite
 def _scan_cases(draw):
-    """A dim-2..4 resource on a random Gibbs vector, beta and beta~."""
+    """A dim-2..4 resource on a random Gibbs vector, beta and beta~, with
+    beta~/beta in [-3, 3] and not 1: cooling, heating and inverted targets."""
     dim = draw(st.integers(min_value=2, max_value=4))
     unit = st.floats(min_value=1e-3, max_value=1.0)
     r = np.array(draw(st.lists(unit, min_size=dim, max_size=dim)))
@@ -261,7 +316,7 @@ def _scan_cases(draw):
     )
     beta = draw(st.floats(0.2, 3.0))
     g = np.exp(-beta * energies)
-    ratio = draw(st.floats(0.3, 3.0).filter(lambda x: x != 1.0))
+    ratio = draw(st.floats(-3.0, 3.0).filter(lambda x: x != 1.0))
     return validate_state(r / r.sum(), g / g.sum()), beta, beta * ratio
 
 
@@ -269,35 +324,72 @@ def _scan_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_membership_agrees_with_scan(case):
     """gap_membership matches gap_set at the midpoint of every interval and
-    of every gap between them, unless the curve lies within the slack there.
-
-    A scan on a grid cannot see a feature narrower than one grid cell: the
-    membership can leave and re-enter between two grid points. Such a probe
-    is let through only if both ends of its cell agree with the scan.
-    """
+    of every gap between them, unless the curve lies within the slack there."""
     resource, beta, beta_tilde = case
     a = beta_tilde / beta
     boundary = compute_elbows(resource)
-
-    def clearance(w):
-        x, y = fa_point(a, w)
-        return alpha_at(boundary, y) - x
-
     out = gap_set(resource, beta, beta_tilde)
     e_max = -math.log(1e-10) / beta
-    w_min = math.exp(-beta * e_max)
-    step = (1.0 - w_min) / 10_000
     ends = [0.0] + [e for iv in out.intervals for e in (iv.lo, iv.hi)] + [e_max]
     for k, (lo, hi) in enumerate(zip(ends, ends[1:])):
         if hi <= lo:  # an interval that starts at 0 or ends at e_max
             continue
         E = 0.5 * (lo + hi)
-        w = math.exp(-beta * E)
-        if abs(clearance(w)) <= DOMINATION_SLACK:
+        x, y = fa_point(a, math.exp(-beta * E))
+        if abs(alpha_at(boundary, y) - x) <= DOMINATION_SLACK:
             continue
-        inside = k % 2 == 1
-        if gap_membership(resource, beta, beta_tilde, E) is not inside:
-            cell = w_min + step * math.floor((w - w_min) / step)
-            for end in (cell, min(cell + step, 1.0)):
-                assert (clearance(end) >= -DOMINATION_SLACK) is inside
+        assert gap_membership(resource, beta, beta_tilde, E) is (k % 2 == 1)
 
+
+@pytest.mark.parametrize("a", [-5.0, -2.0, -1.5, -1.0, -0.5, 0.3, 0.7, 1.5, 3.0, 10.0])
+def test_curve_has_one_curvature_sign_on_its_branch(a):
+    """F_a(y) = sigma(a logit y) on 2e5 points of its branch, from its own
+    formula: concave for a > 0 and a < -1, convex for -1 < a < 0, linear at
+    a = -1, as `_curve_dxdy` states; and `_curve_dxdy` is its slope, away
+    from the ends of the branch where the difference quotient is poor."""
+    ends = (0.5, 1.0) if a > 1.0 else (0.0, 0.5)
+    y = np.linspace(*ends, 200_001)[1:-1]
+    x = 1.0 / (1.0 + np.exp(-a * np.log(y / (1.0 - y))))
+    second = x[:-2] - 2.0 * x[1:-1] + x[2:]
+    noise = 1e-15
+    if a == -1.0:
+        assert np.abs(second).max() <= noise
+    else:
+        sign = 1.0 if -1.0 < a < 0.0 else -1.0
+        assert (sign * second).min() >= -noise
+        assert (sign * second > noise).any()
+    w = (1.0 - y) / y if a > 1.0 else y / (1.0 - y)
+    inner = slice(10_000, -10_000)
+    np.testing.assert_allclose(
+        _curve_dxdy(a, w[1:-1])[inner],
+        ((x[2:] - x[:-2]) / (y[2:] - y[:-2]))[inner],
+        rtol=1e-6, atol=1e-9,
+    )
+
+
+def test_ends_match_a_fine_scan():
+    """Every membership change of a 200 000-point scan lies within one cell
+    of an end of gap_set on the same span, on 200 seeded resources of 2-8
+    levels. gap_set may find more: changes narrower than a cell."""
+    rng = np.random.default_rng(17)
+    n_grid = 200_000
+    for _ in range(200):
+        dim = int(rng.integers(2, 9))
+        r = rng.uniform(1e-3, 1.0, dim)
+        beta = float(rng.uniform(0.2, 3.0))
+        g = np.exp(-beta * rng.uniform(0.0, 4.0, dim))
+        a = float(rng.uniform(-3.0, 3.0))
+        resource = validate_state(r / r.sum(), g / g.sum())
+        ws = _scan_grid(beta, None, n_grid)
+        _, member = _clearance(compute_elbows(resource), a, ws)
+        out = gap_set(resource, beta, beta * a, n_grid=n_grid)
+        e_max = -math.log(1e-10) / beta
+        ends = np.array(
+            [e for iv in out.intervals for e in (iv.lo, iv.hi) if 0.0 < e < e_max]
+        )
+        for k in np.flatnonzero(member[1:] != member[:-1]):
+            cell_hi, cell_lo = -np.log(ws[k : k + 2]) / beta  # E descends with w
+            near = (ends >= cell_lo - ENDPOINT_RESOLUTION) & (
+                ends <= cell_hi + ENDPOINT_RESOLUTION
+            )
+            assert near.any(), (resource, beta, a, cell_lo, cell_hi, out)

@@ -1,5 +1,5 @@
 """The size-switched numpy path of the decision kernel against the pure-Python
-path: validation, boundary building and both decision methods.
+path: validation, boundary building, both decision methods and gap_set.
 
 Each case runs the whole chain twice, once with every vector forced onto the
 pure-Python path and once with every vector forced onto the numpy path, and
@@ -9,6 +9,7 @@ the same first failed check.
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from athermal import (
     compute_elbows,
     convertible_via_monotones,
+    gap_set,
     relatively_majorizes,
     validate_state,
 )
@@ -169,6 +171,43 @@ def test_kernels_bit_identical(monkeypatch, case, n):
         assert all(type(v) is bool for v in verdicts_np)
         assert witness_np == witness
         assert (witness is None) is verdicts[1]
+
+
+@pytest.mark.parametrize("n", (_NUMPY_MIN_DIM - 1, _NUMPY_MIN_DIM, 2048))
+def test_gap_sets_identical(monkeypatch, n):
+    """gap_set walks every piece of a tuple boundary and prunes the pieces of
+    an array boundary in numpy first; both solve the rest with the same
+    scalar steps, and find cooling, heating and inverted gap sets alike."""
+    ratios = (-2.0, -0.5, 0.3, 1.5, 3.0)
+    changes = 0
+    for case in ("plain", "degenerate", "drift"):
+        src, _, beta = _pairs(case, n)[0]
+        results = []
+        for threshold in (PURE_PYTHON, NUMPY):
+            _force(monkeypatch, threshold)
+            state = validate_state(*src)
+            results.append([gap_set(state, beta, beta * a) for a in ratios])
+        assert results[0] == results[1]
+        e_max = -math.log(1e-10) / beta
+        for out in results[1]:
+            ends = [e for iv in out.intervals for e in (iv.lo, iv.hi)]
+            assert all(type(e) is float for e in ends)
+            changes += sum(0.0 < e < e_max for e in ends)
+    assert changes >= 10
+
+
+def test_gap_sets_identical_at_a_subnormal_w_min(monkeypatch):
+    """exp(-beta*e_max) is subnormal at e_max = 740: the curve slope
+    overflows at w_min for |a| < 1, silently in floats and in numpy alike."""
+    src, _, _ = _pairs("plain", 150)[0]
+    results = []
+    for threshold in (PURE_PYTHON, NUMPY):
+        _force(monkeypatch, threshold)
+        state = validate_state(*src)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results.append([gap_set(state, 1.0, a, e_max=740.0) for a in (0.01, -0.01)])
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("case", ["plain", "half"])
