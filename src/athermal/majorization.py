@@ -35,7 +35,7 @@ from .errors import YOutOfRange
 
 # Additive slack for boundary-domination comparisons. Comparisons happen at
 # exact elbow ordinates where both sides are short sums/products of inputs.
-# Applied by `_dominates` alone, and inline in `_first_shortfall`'s walk.
+# Applied by `_margin` alone, and inline in `_first_shortfall`'s walk.
 DOMINATION_SLACK = 1e-12
 
 # Consecutive levels whose ratios r/g agree to this relative tolerance are
@@ -211,12 +211,19 @@ def alphas_at(boundary: TestingBoundary, ys):
     return np.interp(ys, ya, xa)
 
 
+def _margin(alpha, x):
+    """Signed margin of the domination rule, for floats and numpy arrays
+    alike: >= 0 exactly where `_dominates`, since a >= b iff a - b >= 0 for
+    finite doubles. The root finding of the gap sets follows its sign."""
+    return alpha - (x - DOMINATION_SLACK)
+
+
 def _dominates(alpha, x):
     """The one domination rule, for floats and numpy arrays alike: a boundary
     abscissa alpha reaches the abscissa x of a point down to DOMINATION_SLACK,
     so exact contact counts. Behind every decision: relative majorization,
     gap membership and the unreachable tags of the temperature bounds."""
-    return alpha >= x - DOMINATION_SLACK
+    return _margin(alpha, x) >= 0.0
 
 
 def relatively_majorizes(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from athermal import convertible_via_monotones, cooling_monotone, heating_monotone
-from athermal import cli, esets, monotones, tempbounds
+from athermal import cli, core, esets, majorization, monotones, tempbounds
 from athermal.cli import load_state, run
 
 LN4 = math.log(4.0)
@@ -524,6 +524,30 @@ class TestSubcommands:
         assert lo1 == 0.0 and hi1 == pytest.approx(9.7119822143, abs=1e-9)
         assert lo2 == pytest.approx(22.7735055533, abs=1e-9)
         assert hi2 == pytest.approx(-math.log(1e-10))
+
+    @pytest.mark.parametrize("numpy_from", [core._NUMPY_MIN_DIM, 1])
+    def test_eset_elbows_sharing_an_ordinate(self, capsys, tmp_path, monkeypatch, numpy_from):
+        # levels 0 and 1 swapped, level 2 thermal at E = 50: its Gibbs mass is
+        # below an ulp of the prefix sum, so its elbow repeats the ordinate
+        # before it; from numpy_from = 1 levels up the boundary is arrays
+        for module in (core, majorization):
+            monkeypatch.setattr(module, "_NUMPY_MIN_DIM", numpy_from)
+        g = np.exp(-np.array([0.0, 1.0, 50.0]))
+        g /= g.sum()
+        state = tmp_path / "swapped.json"
+        state.write_text(
+            json.dumps(
+                {
+                    "energies": [0.0, 1.0, 50.0],
+                    "beta": 1.0,
+                    "populations": [g[1], g[0], g[2]],
+                }
+            )
+        )
+        code, out, _ = _run(capsys, ["eset", "-s", str(state), "--beta-tilde", "0.5"])
+        assert code == 0
+        ((lo, hi),) = json.loads(out)["intervals"]
+        assert lo == 0.0 and hi == pytest.approx(2.3557131812, abs=1e-9)
 
     def test_gap_example_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "constructed.json"

@@ -48,6 +48,15 @@ def _free(g):
 NARROW_GAP = validate_state((0.9961089494163424, 0.0038910505836575876), (0.5, 0.5))
 
 
+def _swapped_levels():
+    """Levels 0 and 1 of energies (0, 1, 50) swapped, level 2 thermal: its
+    Gibbs mass is below an ulp of the prefix sum and its ratio r/g lies
+    between the other two, so its elbow repeats the ordinate before it."""
+    g = np.exp(-np.array([0.0, 1.0, 50.0]))
+    g /= g.sum()
+    return validate_state((g[1], g[0], g[2]), g)
+
+
 class TestFaPoint:
     def test_rejects_trivial_ratio(self):
         with pytest.raises(TrivialRatio):
@@ -176,6 +185,21 @@ class TestGapSet:
         ]
         assert not gap_membership(NARROW_GAP, 1.0, 1.5, 11.5)
         assert not gap_membership(NARROW_GAP, 1.0, 1.5, 20.0)
+
+    @pytest.mark.parametrize(
+        "beta_tilde, end",
+        [(0.5, 2.3557131812), (-0.5, 1.1726763658), (-2.0, 0.5863381829),
+         (1.5, 2.1430509031), (3.0, 0.6434077720)],
+    )
+    def test_elbows_sharing_an_ordinate(self, beta_tilde, end):
+        # a segment of no length gives no piece; the ends are the grid scan's
+        resource = _swapped_levels()
+        ys = compute_elbows(resource).ys
+        assert ys[1] == ys[2]
+        (interval,) = gap_set(resource, 1.0, beta_tilde).intervals
+        assert interval.lo == 0.0 and interval.hi == pytest.approx(end, abs=1e-9)
+        assert gap_membership(resource, 1.0, beta_tilde, interval.hi - 1e-9)
+        assert not gap_membership(resource, 1.0, beta_tilde, interval.hi + 1e-9)
 
     def test_e_max_below_one_float_step(self):
         # exp(-beta*e_max) rounds to 1: the grid step is 0 and the curve

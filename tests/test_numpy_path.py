@@ -210,6 +210,25 @@ def test_gap_sets_identical_at_a_subnormal_w_min(monkeypatch):
     assert results[0] == results[1]
 
 
+def test_gap_sets_identical_with_elbows_sharing_an_ordinate(monkeypatch):
+    """Levels 0 and 1 of energies (0, 1, 50) swapped: the third level's Gibbs
+    mass is below an ulp of the prefix sum, so its elbow repeats the ordinate
+    before it. Both forms skip that segment of no length, without a warning."""
+    g = np.exp(-np.array([0.0, 1.0, 50.0]))
+    g /= g.sum()
+    results = []
+    for threshold in (PURE_PYTHON, NUMPY):
+        _force(monkeypatch, threshold)
+        state = validate_state((g[1], g[0], g[2]), g)
+        ys = compute_elbows(state).ys
+        assert isinstance(ys, np.ndarray) is (threshold == NUMPY) and ys[1] == ys[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results.append([gap_set(state, 1.0, a) for a in (0.5, -0.5, -2.0, 1.5, 3.0)])
+    assert results[0] == results[1]
+    assert all(len(out.intervals) == 1 for out in results[0])
+
+
 @pytest.mark.parametrize("case", ["plain", "half"])
 def test_forward_and_reverse_verdicts(case):
     (fwd, rev) = _pairs(case, 2048)
