@@ -27,15 +27,17 @@ NORMALIZATION_TOL = 1e-9
 # decision kernel: validation here and boundary building in `majorization`,
 # whose decision methods follow the target boundary's form. Smaller ones
 # stay in pure Python, where numpy's fixed cost per call loses. Time of one
-# full query (validate 4 vectors, build 2 boundaries, compare), pure Python /
-# numpy, median of interleaved runs, two runs averaged; plain ladders, 2-CPU
-# x86-64 host, numpy 2.4:
-#   n                            32   64   96  128  256  2048  20000
-#   relatively_majorizes        0.5  0.8  1.0  1.3  1.6   3.3    4.6
-#   convertible_via_monotones   0.7  1.1  1.4  1.8  2.5   4.8    6.8
-# The first method breaks even near 100 and the second near 60; 100 keeps
-# the n = 32 decide inputs and every dim <= 64 solver, scan and CLI input
-# on the pure-Python path.
+# full query from raw lists (validate 4 vectors, build 2 boundaries,
+# compare), pure Python / numpy, median of 9 interleaved rounds, two runs
+# averaged; plain ladders, 2-CPU x86-64 host, numpy 2.4:
+#   n                            32   64   80   96  128  256  2048  20000
+#   relatively_majorizes        0.5  0.9  1.0  1.2  1.4  2.3   4.6    5.7
+#   convertible_via_monotones   0.5  0.9  1.0  1.2  1.4  2.3   4.6    5.6
+# Both break even near 80. 100 keeps the n = 32 decide inputs and every
+# dim <= 64 solver, scan and CLI input on the pure-Python path; no benchmark
+# input lies between 64 and 100 levels, so lowering it to 80 would show no
+# measured gain, and to 64 or below would send `solve`'s 64-level resources
+# to numpy, where they lose.
 _NUMPY_MIN_DIM = 100
 
 
@@ -49,72 +51,97 @@ def _check_gap(E: float) -> None:
         raise NonPositiveGap(f"energy gap must be > 0, got {E!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ProbabilityVector:
-    """Probability vector, stored exactly renormalized."""
+    """Probability vector, stored exactly renormalized, once, in the form its
+    validation built: a tuple of floats below `_NUMPY_MIN_DIM` entries, a
+    read-only numpy array from there up (a tuple where a raw entry is not a
+    plain number, such as a string). The stored form seeds its own view,
+    `entries` for a tuple and `array` for an array; the other view is made
+    on its first read and kept. Seeding also skips the lock that cached_property takes on a first
+    read before Python 3.12, about 0.3 us a vector on a 10 us qubit decision.
 
-    entries: tuple[float, ...]
+    Takes any sequence of numbers, such as a list, tuple or numpy array;
+    each entry is read as a float.
+    """
 
-    def __post_init__(self):
-        if len(self.entries) < 1:
+    _stored: tuple[float, ...]  # or a read-only numpy array
+
+    def __init__(self, raw: Sequence[float]):
+        if len(raw) < 1:
             raise DimensionMismatch("probability vector must have dim >= 1")
-        if len(self.entries) >= _NUMPY_MIN_DIM and self._validated_by_numpy():
-            return
-        for x in self.entries:
+        if len(raw) >= _NUMPY_MIN_DIM:
+            a = _validated_array(raw)
+            if a is not None:
+                object.__setattr__(self, "_stored", a)
+                object.__setattr__(self, "array", a)
+                return
+        entries = tuple(map(float, raw))
+        for x in entries:
             if not math.isfinite(x):
                 raise NegativeEntry(f"non-finite entry {x!r}")
             if x < 0.0:
                 raise NegativeEntry(f"negative entry {x!r}")
-        total = math.fsum(self.entries)
+        total = math.fsum(entries)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NormalizationOutOfTolerance(
                 f"entries sum to {total!r}, off by more than {NORMALIZATION_TOL}"
             )
         if total != 1.0:
-            object.__setattr__(
-                self, "entries", tuple(x / total for x in self.entries)
-            )
+            entries = tuple(x / total for x in entries)
+        object.__setattr__(self, "_stored", entries)
+        object.__setattr__(self, "entries", entries)
 
-    def _validated_by_numpy(self) -> bool:
-        """The checks above as whole-array passes, for large vectors.
-
-        False when any check fails (or an entry does not convert to float):
-        the scalar loop then raises the same error, naming the same entry.
-        """
-        import numpy as np
-
-        try:
-            a = np.fromiter(self.entries, float, len(self.entries))
-        except (TypeError, ValueError, OverflowError):
-            return False
-        if not (np.isfinite(a).all() and a.min() >= 0.0):
-            return False
-        total = math.fsum(self.entries)
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            return False
-        if total != 1.0:
-            a /= total
-            object.__setattr__(self, "entries", tuple(a.tolist()))
-        a.flags.writeable = False
-        self.__dict__["array"] = a  # seeds the cached property below
-        return True
+    @cached_property
+    def entries(self) -> tuple[float, ...]:
+        """The entries as a tuple of floats."""
+        return tuple(self._stored.tolist())
 
     @cached_property
     def array(self):
-        """The entries as a read-only numpy array, converted once."""
+        """The entries as a read-only numpy array."""
         import numpy as np
 
-        a = np.array(self.entries, dtype=float)
+        a = np.array(self._stored, dtype=float)
         a.flags.writeable = False
         return a
 
-    @classmethod
-    def from_raw(cls, raw: Sequence[float]) -> "ProbabilityVector":
-        return cls(tuple(map(float, raw)))
-
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self._stored)
+
+    def __eq__(self, other):
+        if not isinstance(other, ProbabilityVector):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+
+def _validated_array(raw: Sequence[float]):
+    """The checks of `ProbabilityVector` in one whole-array pass, for large
+    vectors: the renormalized entries as a read-only array, or None when a
+    check fails or an entry is not a number that numpy and `fsum` both read
+    (a string, say). The scalar loop then decides: it raises the same error,
+    naming the same entry, or keeps a tuple. The sum is the `fsum` of the
+    raw entries, so the renormalization is the scalar loop's, bit for bit.
+    """
+    import numpy as np
+
+    try:
+        a = np.array(raw, dtype=float)
+        total = math.fsum(raw)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if a.ndim != 1 or not (np.isfinite(a).all() and a.min() >= 0.0):
+        return None
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        return None
+    if total != 1.0:
+        a /= total
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -200,9 +227,7 @@ def validate_state(r: Sequence[float], g: Sequence[float]) -> AthermalityState:
         raise DimensionMismatch("input lists must be non-empty")
     if len(r) != len(g):
         raise DimensionMismatch(f"lengths differ: {len(r)} vs {len(g)}")
-    return AthermalityState(
-        ProbabilityVector.from_raw(r), ProbabilityVector.from_raw(g)
-    )
+    return AthermalityState(ProbabilityVector(r), ProbabilityVector(g))
 
 
 class ExtendedBeta(float):

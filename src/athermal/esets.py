@@ -228,41 +228,33 @@ def _pieces(boundary: TestingBoundary, a: float, w_lo: float, w_hi: float):
     at every elbow ordinate of the boundary strictly inside it, ascending in
     w; the boundary abscissa at each cut, as `alpha_at` gives it; and the
     slope d(alpha)/dy of the boundary segment under each piece. In the
-    boundary's own form: lists for tuples, arrays for arrays.
-
-    Elbows that share an ordinate, where a level's Gibbs mass is below an ulp
-    of the prefix sum, make one cut at the last of them, the one `alpha_at`
-    takes; the segments between them have no length and give no piece.
+    boundary's own form: lists for tuples, arrays for arrays. The elbow
+    ordinates strictly increase (`compute_elbows`), so no segment is flat.
     """
     cooling = a > 1.0  # y = 1/(1 + w) descends as w ascends
     if cooling:
         w_lo, w_hi = w_hi, w_lo  # ascending in y
     y_lo, y_hi = _curve_xy(a, w_lo)[1], _curve_xy(a, w_hi)[1]
     xs, ys = boundary.xs, boundary.ys
-    # the segments i - 1 .. j - 1 lie under the span, the first one rising;
-    # each rising one after it starts at a cut
+    # the segments i - 1 .. j - 1 lie under the span; each after the first
+    # starts at a cut
     if isinstance(xs, tuple):
         i = bisect_right(ys, y_lo)
-        rising = [k for k in range(i - 1, max(bisect_left(ys, y_hi), i))
-                  if ys[k] < ys[k + 1]]
-        cuts = [ys[k] for k in rising[1:]]
+        j = max(bisect_left(ys, y_hi), i)
+        cuts = ys[i:j]
         ws = [w_lo, *[(1.0 - y) / y if cooling else y / (1.0 - y) for y in cuts], w_hi]
-        alphas = [alpha_at(boundary, y_lo), *[xs[k] for k in rising[1:]],
-                  alpha_at(boundary, y_hi)]
-        slopes = [(xs[k + 1] - xs[k]) / (ys[k + 1] - ys[k]) for k in rising]
+        alphas = [alpha_at(boundary, y_lo), *xs[i:j], alpha_at(boundary, y_hi)]
+        slopes = [(xs[k + 1] - xs[k]) / (ys[k + 1] - ys[k]) for k in range(i - 1, j)]
     else:
         i = int(np.searchsorted(ys, y_lo, "right"))
         j = max(int(np.searchsorted(ys, y_hi)), i)
         rise, run = np.diff(ys[i - 1 : j + 1]), np.diff(xs[i - 1 : j + 1])
-        cuts, cut_xs = ys[i:j], xs[i:j]
-        up = rise > 0.0
-        if not up.all():  # masks cost 0.3 ms at 20 000 elbows (2-CPU x86-64)
-            rise, run, cuts, cut_xs = rise[up], run[up], cuts[up[1:]], cut_xs[up[1:]]
+        cuts = ys[i:j]
         ws = np.concatenate(
             ([w_lo], (1.0 - cuts) / cuts if cooling else cuts / (1.0 - cuts), [w_hi])
         )
         alpha_lo, alpha_hi = alphas_at(boundary, [y_lo, y_hi])
-        alphas = np.concatenate(([alpha_lo], cut_xs, [alpha_hi]))
+        alphas = np.concatenate(([alpha_lo], xs[i:j], [alpha_hi]))
         slopes = run / rise
     if cooling:
         return ws[::-1], alphas[::-1], slopes[::-1]

@@ -41,7 +41,7 @@ def gibbs_vector(energies: Sequence[float], beta: float) -> ProbabilityVector:
         raise NonFiniteBeta(f"beta must be finite, got {beta!r}")
     _, weights = shifted_weights(energies, beta)
     total = math.fsum(weights)
-    return ProbabilityVector(tuple(w / total for w in weights))
+    return ProbabilityVector([w / total for w in weights])
 
 
 def log_partition(energies: Sequence[float], beta: float) -> float:

@@ -528,7 +528,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("numpy_from", [core._NUMPY_MIN_DIM, 1])
     def test_eset_elbows_sharing_an_ordinate(self, capsys, tmp_path, monkeypatch, numpy_from):
         # levels 0 and 1 swapped, level 2 thermal at E = 50: its Gibbs mass is
-        # below an ulp of the prefix sum, so its elbow repeats the ordinate
+        # below an ulp of the prefix sum, so its elbow would repeat the ordinate
         # before it; from numpy_from = 1 levels up the boundary is arrays
         for module in (core, majorization):
             monkeypatch.setattr(module, "_NUMPY_MIN_DIM", numpy_from)

@@ -24,7 +24,6 @@ from athermal import (
 from athermal import core, majorization, monotones
 from athermal.core import _NUMPY_MIN_DIM
 from athermal.errors import (
-    AthermalError,
     DimensionMismatch,
     NegativeEntry,
     NormalizationOutOfTolerance,
@@ -124,6 +123,17 @@ def _half(rng, n):
     return np.append(np.full(h, 0.75 / h), np.full(n - h, 0.25 / (n - h))), g
 
 
+def _infinite_ratios(rng, n):
+    """An eighth of the Gibbs entries subnormal under normal populations, so
+    their ratios r/g overflow to +inf, and a quarter of the populations zero:
+    both ends of the ratio order are runs of exact ties."""
+    r, g = _plain(rng, n)
+    k, z = n // 8, n // 4
+    g[:k] = rng.integers(1, 2**20, k) * 2.0**-1074
+    r[k : k + z] = 0.0
+    return r / r.sum(), g / g.sum()
+
+
 CASES = {
     "plain": _plain,
     "degenerate": _degenerate,
@@ -132,18 +142,20 @@ CASES = {
     "drift": _drift,
     "exact_ties": _exact_ties,
     "half": _half,
+    "infinite_ratios": _infinite_ratios,
 }
 
 
 def _pairs(case, n):
-    """Forward and reversed partial thermalisations of one seeded input."""
+    """Forward and reversed partial thermalisations of one seeded input, with
+    the raw vectors given as a list (r), a tuple (t) and a numpy array (g)."""
     rng = np.random.default_rng([n, list(CASES).index(case)])
     r, g = CASES[case](rng, n)
     lam = rng.uniform(0.2, 0.8)
     t = lam * r + (1.0 - lam) * g
     beta = float(rng.uniform(0.5, 2.0))
-    g = g.tolist()
-    return [((r.tolist(), g), (t.tolist(), g), beta), ((t.tolist(), g), (r.tolist(), g), beta)]
+    r, t = r.tolist(), tuple(t.tolist())
+    return [((r, g), (t, g), beta), ((t, g), (r, g), beta)]
 
 
 def _chain(src, tgt, beta):
@@ -212,8 +224,9 @@ def test_gap_sets_identical_at_a_subnormal_w_min(monkeypatch):
 
 def test_gap_sets_identical_with_elbows_sharing_an_ordinate(monkeypatch):
     """Levels 0 and 1 of energies (0, 1, 50) swapped: the third level's Gibbs
-    mass is below an ulp of the prefix sum, so its elbow repeats the ordinate
-    before it. Both forms skip that segment of no length, without a warning."""
+    mass is below an ulp of the prefix sum, so its elbow would repeat the
+    ordinate before it. Both builders keep one elbow there, and its single
+    critical gap; gap sets come without a warning."""
     g = np.exp(-np.array([0.0, 1.0, 50.0]))
     g /= g.sum()
     results = []
@@ -221,7 +234,8 @@ def test_gap_sets_identical_with_elbows_sharing_an_ordinate(monkeypatch):
         _force(monkeypatch, threshold)
         state = validate_state((g[1], g[0], g[2]), g)
         ys = compute_elbows(state).ys
-        assert isinstance(ys, np.ndarray) is (threshold == NUMPY) and ys[1] == ys[2]
+        assert isinstance(ys, np.ndarray) is (threshold == NUMPY) and len(ys) == 3
+        assert monotones.critical_energies(state, 1.0).entries == ((1, 1.0, "heating"),)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             results.append([gap_set(state, 1.0, a) for a in (0.5, -0.5, -2.0, 1.5, 3.0)])
@@ -256,7 +270,7 @@ def test_drifting_chain_takes_the_sequential_pass(monkeypatch):
 def test_switch_at_threshold():
     for n, on_numpy in ((_NUMPY_MIN_DIM - 1, False), (_NUMPY_MIN_DIM, True)):
         state = validate_state(*_pairs("plain", n)[0][0])
-        assert ("array" in vars(state.r)) is on_numpy
+        assert isinstance(state.r._stored, tuple) is not on_numpy
         boundary = compute_elbows(state)
         assert isinstance(boundary.xs, tuple) is not on_numpy
         assert isinstance(boundary.ys, tuple) is not on_numpy
@@ -273,6 +287,7 @@ def test_array_boundary_builds_no_views(monkeypatch):
 
     for module in (majorization, monotones):
         monkeypatch.setattr(module, "compute_elbows", recording)
+    vectors = []
     for case in ("plain", "half"):
         for src, tgt, beta in _pairs(case, 2048):
             s, t = validate_state(*src), validate_state(*tgt)
@@ -280,10 +295,13 @@ def test_array_boundary_builds_no_views(monkeypatch):
             relatively_majorizes(s, t)
             convertible_via_monotones(s, t, beta)
             monotones.critical_energies(t, beta)
+            vectors += [s.r, s.g, t.r, t.g]
     assert len(built) == 2 * 2 * 6  # cases * pairs * boundaries per pair
     for boundary in built:
         assert not isinstance(boundary.xs, tuple)
         assert not {"elbows", "_tuples"} & vars(boundary).keys()
+    for vector in vectors:  # nor the vectors their tuples
+        assert "entries" not in vars(vector)
 
 
 # -------------------------------------------------------- validation parity
@@ -297,7 +315,8 @@ def _with(values, changes):
 
 
 def _bad_inputs(n):
-    """(r, g) pairs, each with one defect (two where the first must be named)."""
+    """(r, g) pairs, each with one defect (two where the first must be named),
+    and one valid pair with an entry given as a string."""
     flat = [1.0 / n] * n
     nan, inf = float("nan"), float("inf")
     return {
@@ -308,13 +327,26 @@ def _bad_inputs(n):
         "sum": ([1.5 / n] * n, flat),
         "zero_gibbs": (flat, _with(flat, {0: 0.0, 1: 2.0 / n})),
         "length": (flat, flat[:-1]),
+        "string": (_with([0.5 / (n - 1)] * n, {n - 1: "0.5"}), flat),
+        "not_a_number": (_with(flat, {1: "x"}), flat),
+        "none": (flat, _with(flat, {1: None})),
+        "nested": (_with(flat, {1: [0.5 / n, 0.5 / n]}), flat),
     }
 
 
-def _error(monkeypatch, threshold, r, g):
+def _outcome(monkeypatch, threshold, r, g):
+    """The validated entries, or the type and message of the error raised."""
     _force(monkeypatch, threshold)
-    with pytest.raises(AthermalError) as info:
-        validate_state(r, g)
+    try:
+        state = validate_state(r, g)
+    except (TypeError, ValueError) as exc:  # AthermalError is a ValueError
+        return type(exc), str(exc)
+    return state.r.entries, state.g.entries
+
+
+def _float_error(x):
+    with pytest.raises((TypeError, ValueError)) as info:
+        float(x)
     return type(info.value), str(info.value)
 
 
@@ -328,11 +360,19 @@ def test_validation_errors_match(monkeypatch, n):
         "sum": (NormalizationOutOfTolerance, None),
         "zero_gibbs": (RankDeficientGibbs, "Gibbs vector must be strictly positive"),
         "length": (DimensionMismatch, f"lengths differ: {n} vs {n - 1}"),
+        "string": None,  # valid
+        # float()'s own error, whose wording varies with the Python version
+        "not_a_number": _float_error("x"),
+        "none": _float_error(None),
+        "nested": _float_error([]),
     }
     for name, (r, g) in _bad_inputs(n).items():
-        scalar = _error(monkeypatch, PURE_PYTHON, r, g)
-        vector = _error(monkeypatch, NUMPY, r, g)
+        scalar = _outcome(monkeypatch, PURE_PYTHON, r, g)
+        vector = _outcome(monkeypatch, NUMPY, r, g)
         assert vector == scalar, name
+        if expected[name] is None:
+            assert all(type(entries) is tuple for entries in scalar), name
+            continue
         kind, message = expected[name]
         assert scalar[0] is kind, name
         if message is not None:
