@@ -8,25 +8,36 @@ the log-odds
 
     L_k(beta~) = ln sum_{i<k} exp(-beta~ h_i) - ln sum_{i>=k} exp(-beta~ h_i),
 
-which rises with slope <h>_{i>=k} - <h>_{i<k} > 0, by Newton steps toward
-logit(alpha_k) inside a bracket found by doubling the offset from beta; a
-step that leaves the bracket is replaced by a bisection step. Each sum is
-shifted by its own largest exponent, so neither underflows.
+which rises with slope <h>_{i>=k} - <h>_{i<k} > 0. Each sum is shifted by its
+own largest exponent, so neither underflows.
 
 A condition is settled without a search when alpha_k reaches the limit of
 the k-level mass as beta~ -> +inf (tagged +inf), or when that mass already
-reaches alpha_k at beta (beta itself). Only the search for the other roots
-forks, on the target's level count:
-- below `_VECTOR_MIN_LEVELS`, one condition at a time in pure Python
-  (`_cooling_root`), each step O(d) for d levels;
-- from there up, every open condition at once in numpy (`_cooling_roots`):
-  the doubling shares its probe points across conditions, and each Newton
-  step evaluates L_k and its slope for all open rows in one masked (K x d)
-  array. A call costs O(d^2 * steps) either way; in numpy that work is a
-  few array operations a step instead of d^2 interpreted ones, which wins
-  once d passes about 16 (see the constant for the measured ladder).
-Both take the same steps and stop by the same rules, so their roots agree
-to rounding in the sums (tests/test_tempbounds_paths.py).
+reaches alpha_k at beta (beta itself). The other conditions are the rows of
+one root search toward goal_k = logit(alpha_k), in three steps:
+- Brackets. One sweep per probe x = beta + 2^j gives L_k(x) for every k at
+  once in O(d) for d levels, from prefix and suffix sums of exp(-x h_i)
+  (`_sweep`: running sums in Python; `_sweep_array`:
+  `np.logaddexp.accumulate`). A row's bracket ends at the first probe where
+  its L_k reaches goal_k and starts at the probe before it, or at beta,
+  where L_k = logit(y_k) is known. The doubling runs to the end of the
+  float range: it stops, naming the first unbracketed row, once
+  x (h_max - h_min) overflows.
+- Secant start. Each row is evaluated exactly (`_log_odds`: value and
+  slope) at the secant point of its bracket, from the sweep's L_k at both
+  ends; the midpoint if that point is not strictly inside.
+- Safeguarded Newton from there, inside the shrinking bracket: a step that
+  leaves it is replaced by a bisection step, and the search stops once the
+  step or the bracket is narrower than `_REL_WIDTH` relative.
+A probe costs O(d) for all rows together and a Newton step O(K d) for K
+open rows. The exact evaluations fork on the target's level count:
+- below `_VECTOR_MIN_LEVELS`, one row at a time in pure Python
+  (`_cooling_root`), O(d) interpreted operations each;
+- from there up, every open row at once in numpy (`_cooling_roots`), one
+  masked (K x d) array a step, which wins once d passes about 16 (see the
+  constant for the measured ladder).
+Both forms take the same steps and stop by the same rules, so their roots
+agree to rounding in the sums (tests/test_tempbounds_paths.py).
 
 Heating is cooling mirrored: exp(-beta~ h) = exp(-(-beta~)(-h)), so it
 solves the energies -h (reversed) at -beta and negates the result, which
@@ -54,19 +65,22 @@ from .thermo import shifted_weights
 
 _REL_WIDTH = 1e-13
 _MAX_ITERS = 200
-_MAX_DOUBLINGS = 120
+_MAX_DOUBLINGS = 1024  # offsets 2^0 .. 2^1023, the largest power of two a float holds
 
-# Targets with at least this many levels solve their open conditions
-# together in numpy (`_cooling_roots`), smaller ones one at a time
-# (`_cooling_root`). Time of one beta_max or beta_min call in ms against a
-# 64-level resource, pure Python / numpy, medians of interleaved runs over
-# four targets per size; 2-CPU x86-64 host, numpy 2.4, BLAS at one thread:
-#   d         2     8    16    20    24    32    48    64   128   400
-#   Python  0.05  0.22  0.80  1.09  1.52  2.32  4.28  6.58  23.1   185
-#   numpy   0.19  0.38  0.75  0.82  1.01  0.95  1.41  1.07   2.7    28
-# numpy breaks even near 16 levels; from 24 it wins by half. This is not
+# Targets with at least this many levels take the Newton steps of their
+# open conditions together in numpy (`_cooling_roots`), smaller ones one at
+# a time (`_cooling_root`); both bracket them from the same sweeps. Time of
+# one beta_max or beta_min call in ms against a 64-level resource, pure
+# Python / numpy, medians of 11 interleaved rounds over four targets per
+# size; 2-CPU x86-64 host, numpy 2.4, BLAS at one thread:
+#   d         2     4     8    16    24    32    64   128   400
+#   Python  0.07  0.14  0.27  0.51  1.02  1.50  4.02  13.1    95
+#   numpy   0.20  0.44  0.51  0.60  0.73  0.83  1.26   2.5    19
+# The forms break even near 16 levels (15 rounds at 16 and 20: 0.58 / 0.58
+# and 0.76 / 0.65); from 24 numpy wins by a quarter or more. This is not
 # `core._NUMPY_MIN_DIM`, which counts the levels of a state and breaks even
-# near 100: here numpy replaces O(d^2) interpreted steps per Newton step.
+# near 100: here numpy replaces O(K d) interpreted operations per Newton
+# step for K open conditions.
 _VECTOR_MIN_LEVELS = 24
 
 
@@ -90,9 +104,15 @@ class HeatingReport:
 
 
 def _log_odds(head, tail, bt: float) -> tuple[float, float]:
-    """L_k at bt and its slope dL_k/dbt > 0, for head = h[:k], tail = h[k:]."""
-    shift_h, wh = shifted_weights(head, bt)
-    shift_t, wt = shifted_weights(tail, bt)
+    """L_k at bt and its slope dL_k/dbt > 0, for head = h[:k], tail = h[k:].
+
+    Each weight sum is shifted by its largest exponent, -bt times its lowest
+    energy for bt >= 0 and its highest below, as `shifted_weights` does; the
+    energies are sorted, so those are the ends of the head and the tail."""
+    neg, end = -bt, (0 if bt >= 0.0 else -1)
+    shift_h, shift_t = neg * head[end], neg * tail[end]
+    wh = [math.exp(neg * e - shift_h) for e in head]
+    wt = [math.exp(neg * e - shift_t) for e in tail]
     zh, zt = sum(wh), sum(wt)
     value = shift_h - shift_t + math.log(zh / zt)
     mean_h = sum(map(operator.mul, wh, head)) / zh
@@ -100,24 +120,105 @@ def _log_odds(head, tail, bt: float) -> tuple[float, float]:
     return value, mean_t - mean_h
 
 
-def _cooling_root(
-    energies: Sequence[float], beta: float, k: int, goal: float
-) -> float:
-    """The beta~ > beta at which L_k reaches goal = logit(alpha_k)."""
-    head, tail = energies[:k], energies[k:]
-    lo, offset = beta, 1.0
+def _sweep(h: Sequence[float], x: float) -> list[float]:
+    """L_1 .. L_{d-1} at x in one O(d) pass of running sums.
+
+    The head sum of levels i < k and the tail sum of levels i >= k are each
+    taken relative to their largest weight, as in `_log_odds`, so neither
+    is below 1; q_i = exp(-|x| (h_{i+1} - h_i)) <= 1. For x >= 0 that
+    weight is the lowest level's: W_k = sum_{i<k} exp(-x (h_i - h_0)) runs
+    up from h_0, T_k = sum_{i>=k} exp(-x (h_i - h_k)) = 1 + q_k T_{k+1}
+    down from the top, and L_k = x (h_k - h_0) + ln(W_k / T_k). For x < 0
+    it is the highest level's, and the roles swap:
+    U_k = sum_{i<k} exp(x (h_{k-1} - h_i)) = 1 + q_{k-2} U_{k-1},
+    V_k = sum_{i>=k} exp(x (h_{d-1} - h_i)), and
+    L_k = x (h_{d-1} - h_{k-1}) + ln(U_k / V_k)."""
+    if len(h) == 2:  # each sum is one weight, and L_1 is linear
+        return [x * (h[1] - h[0])]
+    q = [math.exp(abs(x) * (a - b)) for a, b in zip(h, h[1:])]
+    out: list[float] = []
+    if x >= 0.0:
+        t, tails = 1.0, [1.0]  # T_{d-1}, T_{d-2}, ..., T_1
+        for qk in q[:0:-1]:
+            t = 1.0 + qk * t
+            tails.append(t)
+        h0, w, head = h[0], 1.0, 0.0
+        for hk, qk, t in zip(h[1:], q, reversed(tails)):
+            head += w
+            out.append(x * (hk - h0) + math.log(head / t))
+            w *= qk
+    else:
+        w, tail, tails = 1.0, 1.0, [1.0]  # V_{d-1}, V_{d-2}, ..., V_1
+        for qk in q[:0:-1]:
+            w *= qk
+            tail += w
+            tails.append(tail)
+        top, u = h[-1], 0.0
+        for hk, qk, t in zip(h, (0.0, *q), reversed(tails)):
+            u = 1.0 + qk * u
+            out.append(x * (top - hk) + math.log(u / t))
+    return out
+
+
+def _sweep_array(up, x: float) -> list[float]:
+    """_sweep in numpy, from prefix and suffix log-sum-exp of -x up, for
+    up = h - h_0 (L_k does not change when every energy is shifted)."""
+    import numpy as np
+
+    e = up * -x
+    head = np.logaddexp.accumulate(e)
+    tail = np.logaddexp.accumulate(e[::-1])[::-1]
+    return (head[:-1] - tail[1:]).tolist()
+
+
+def _brackets(
+    sweep, h, beta: float, ks: Sequence[int], goals: Sequence[float],
+    starts: Sequence[float],
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """lo, hi, L_k(lo) and L_k(hi) per row, from L_k(beta) = starts and the
+    sweeps: hi is the first probe beta + 2^j at which L_k reaches the goal,
+    lo the probe before it, or beta. The doubling runs to the end of the
+    float range, where x (h_max - h_min) overflows and no sweep is finite."""
+    span, n = float(h[-1] - h[0]), len(ks)
+    lo, hi, at_lo, at_hi = [beta] * n, [beta] * n, list(starts), list(starts)
+    rows, offset = list(zip(range(n), ks, goals)), 1.0
     for _ in range(_MAX_DOUBLINGS):
         x = beta + offset
-        value, slope = _log_odds(head, tail, x)
-        if value >= goal:
+        if not math.isfinite(x * span):
             break
-        lo = x
-        offset *= 2.0
+        at_x, rest = sweep(h, x), []
+        for row in rows:
+            r, k, goal = row
+            v = at_x[k - 1]
+            if v >= goal:
+                hi[r], at_hi[r] = x, v
+            else:
+                lo[r], at_lo[r] = x, v
+                rest.append(row)
+        if not rest:
+            return lo, hi, at_lo, at_hi
+        rows, offset = rest, 2.0 * offset
+    raise BisectionError(f"no bracket for condition k={rows[0][1]}")
+
+
+def _cooling_root(
+    h: Sequence[float], k: int, goal: float, lo: float, hi: float,
+    at_lo: float, at_hi: float,
+) -> float:
+    """The beta~ in (lo, hi] at which L_k reaches goal = logit(alpha_k),
+    from the secant point of the bracket and the sweep's L_k at its ends."""
+    head, tail = h[:k], h[k:]
+    t = (goal - at_lo) / (at_hi - at_lo) if at_lo < goal else 0.5
+    x = lo + (hi - lo) * t
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    value, slope = _log_odds(head, tail, x)
+    if value >= goal:
+        hi = x
     else:
-        raise BisectionError(f"no bracket for condition k={k}")
+        lo = x
 
     # Safeguarded Newton: L(lo) < goal <= L(hi) holds throughout.
-    hi = x
     for _ in range(_MAX_ITERS):
         mid = 0.5 * (lo + hi)
         width = _REL_WIDTH * max(1.0, abs(mid))
@@ -152,36 +253,33 @@ def _log_odds_rows(h, k, x):
 
 
 def _cooling_roots(
-    energies: Sequence[float], beta: float, ks: Sequence[int], goals: Sequence[float]
+    energies: Sequence[float], beta: float, ks: Sequence[int], goals: Sequence[float],
+    starts: Sequence[float],
 ) -> list[float]:
-    """_cooling_root for every k at once: the same doubling and safeguarded
-    Newton steps, each row on its own bracket, one array operation a step."""
+    """_cooling_root for every k at once: the same brackets, secant start
+    and safeguarded Newton steps, each row on its own bracket, one array
+    operation a step."""
     import numpy as np
 
     h, k, goal = np.array(energies), np.array(ks), np.array(goals)
-    lo, hi = np.full(len(k), beta), np.empty(len(k))
-    value, slope = np.empty(len(k)), np.empty(len(k))
-    # x * h may overflow far out in the doubling; the NaN it leaves fails
-    # every comparison, as on the scalar path, which warns of nothing.
+    brackets = _brackets(_sweep_array, h - h[0], beta, ks, goals, starts)
+    lo, hi, at_lo, at_hi = map(np.array, brackets)
+    # x * h may still overflow inside a bracket when the energies lie far
+    # from 0; the NaN it leaves fails every comparison, as on the scalar
+    # path, which warns of nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        # One probe point per doubling, shared by the rows still unbracketed.
-        rows, offset = np.arange(len(k)), 1.0
-        for _ in range(_MAX_DOUBLINGS):
-            x = beta + offset
-            v, s = _log_odds_rows(h, k[rows], np.full(len(rows), x))
-            hit = v >= goal[rows]
-            hi[rows[hit]], value[rows[hit]], slope[rows[hit]] = x, v[hit], s[hit]
-            rows = rows[~hit]
-            lo[rows] = x
-            if not len(rows):
-                break
-            offset *= 2.0
-        else:
-            raise BisectionError(f"no bracket for condition k={ks[rows[0]]}")
+        t = np.divide(
+            goal - at_lo, at_hi - at_lo, out=np.full(len(k), 0.5), where=at_lo < goal
+        )
+        x = lo + (hi - lo) * t
+        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        value, slope = _log_odds_rows(h, k, x)
+        rise = value >= goal
+        lo, hi = np.where(rise, lo, x), np.where(rise, x, hi)
 
         # Safeguarded Newton: L(lo) < goal <= L(hi) holds on every row, and
         # the arrays keep only the rows still open.
-        root, rows, x = np.empty(len(k)), np.arange(len(k)), hi
+        root, rows = np.empty(len(k)), np.arange(len(k))
         for _ in range(_MAX_ITERS):
             mid = 0.5 * (lo + hi)
             width = _REL_WIDTH * np.maximum(1.0, np.abs(mid))
@@ -226,7 +324,8 @@ def _conditions(
         h, beta, d = tuple(-x for x in reversed(h)), -beta, target.top_degeneracy()
     boundary = compute_elbows(resource)
     x1, y1 = boundary.xs[1], boundary.ys[1]
-    per, open_ks, goals = [], [], []  # beta~_k: +inf, beta, or None until solved
+    per = []  # beta~_k: +inf, beta, or None until solved
+    open_ks, goals, starts = [], [], []
     for k, y_k in enumerate(_bottom_masses(h, beta, range(1, len(h))), 1):
         alpha_k = alpha_at(boundary, y_k)
         if _dominates(alpha_k, k / d if k < d else 1.0):
@@ -236,20 +335,25 @@ def _conditions(
             log_alpha = math.log(x1 / y1) + odds - math.log1p(math.exp(odds))
             alpha_k = math.exp(log_alpha)
             b = beta if x1 <= y1 else None
-            goal = log_alpha - math.log1p(-alpha_k)
+            goal, start = log_alpha - math.log1p(-alpha_k), odds
         elif y_k >= alpha_k:
             b = beta
         else:
             b = None
             goal = math.log(alpha_k) - math.log1p(-alpha_k)
+            start = math.log(y_k) - math.log1p(-y_k)  # L_k(beta)
         if b is None:
             open_ks.append(k)
             goals.append(goal)
+            starts.append(start)
         per.append((k, b, alpha_k))
     if open_ks and len(h) >= _VECTOR_MIN_LEVELS:
-        roots = _cooling_roots(h, beta, open_ks, goals)
+        roots = _cooling_roots(h, beta, open_ks, goals, starts)
+    elif open_ks:
+        brackets = _brackets(_sweep, h, beta, open_ks, goals, starts)
+        roots = [_cooling_root(h, *row) for row in zip(open_ks, goals, *brackets)]
     else:
-        roots = [_cooling_root(h, beta, k, g) for k, g in zip(open_ks, goals)]
+        roots = []
     roots, sign = iter(roots), (-1.0 if heating else 1.0)
     return tuple(
         (k, ExtendedBeta(sign * b) if b is not None

@@ -1,6 +1,7 @@
 """The size-switched root search of `beta_max`/`beta_min`: one condition at a
 time below `tempbounds._VECTOR_MIN_LEVELS` target levels, all open conditions
-in one numpy pass from there up.
+in one numpy pass from there up, both from the brackets of one shared sweep
+per probe.
 
 Each case solves the same resource and target twice, once with the switch
 forced onto each path. Both paths share the settled conditions and every
@@ -9,6 +10,7 @@ from the same steps on differently summed log-odds, so finite beta~ must
 agree to 1e-12 relative (1e-12 absolute below |beta~| = 1).
 """
 
+import functools
 import math
 import sys
 
@@ -21,9 +23,10 @@ from athermal import (
     beta_max,
     beta_min,
     compute_elbows,
+    gibbs_vector,
     validate_state,
 )
-from athermal import tempbounds
+from athermal import qubit_beta_bounds, tempbounds
 from athermal.errors import BisectionError
 from athermal.tempbounds import _VECTOR_MIN_LEVELS
 
@@ -91,7 +94,7 @@ def test_paths_agree(monkeypatch, levels, ground, top, n):
 def test_switch_at_threshold(monkeypatch):
     calls = []
 
-    def roots(energies, beta, ks, goals):
+    def roots(energies, beta, ks, goals, starts):
         calls.append(len(energies))
         return [beta + 1.0] * len(ks)
 
@@ -139,22 +142,49 @@ def test_newton_cap_returns_same_iterate(monkeypatch, iters):
         _assert_same(report, report_vec)
 
 
-def test_no_newton_step_returns_upper_probe(monkeypatch):
-    # With no step allowed, each root is the doubling's upper probe
-    # beta + 2^j, which both paths pick by the same comparison.
+def _mirror(target, heating):
+    """Energies and beta of the cooling problem a report solves."""
+    h, beta = target.energies, target.beta
+    return (tuple(-e for e in reversed(h)), -beta) if heating else (h, beta)
+
+
+def _exact_bracket(h, beta, k, goal):
+    """The doubling bracket (lo, hi) of L_k = goal and the exact L_k at
+    both ends, from `_log_odds` at beta and at every probe beta + 2^j."""
+    lo, offset = beta, 1.0
+    at_lo, _ = tempbounds._log_odds(h[:k], h[k:], beta)
+    while True:
+        x = beta + offset
+        at_x, _ = tempbounds._log_odds(h[:k], h[k:], x)
+        if at_x >= goal:
+            return lo, x, at_lo, at_x
+        lo, at_lo, offset = x, at_x, 2.0 * offset
+
+
+def test_no_newton_step_returns_secant_point(monkeypatch):
+    # With no Newton step allowed, each root is the one exact evaluation's
+    # point: the secant point of its doubling bracket, strictly inside it,
+    # from L_k at both ends. The sweeps that pick the bracket differ from
+    # the exact L_k by rounding only, so both paths land on it to 1e-12.
     monkeypatch.setattr(tempbounds, "_MAX_ITERS", 0)
     resource, target = _resource(64), _target(64, 2, 3)
     reports = _solve(monkeypatch, ONE_BY_ONE, resource, target)
     reports_vec = _solve(monkeypatch, VECTOR, resource, target)
-    for report, report_vec in zip(reports, reports_vec):
-        assert report_vec.per_condition == report.per_condition
-        offsets = [
-            math.log2(abs(b.value - target.beta))
-            for _, b, _ in report.per_condition
-            if b.is_finite and b.value != target.beta
-        ]
-        assert offsets
-        assert offsets == pytest.approx([round(x) for x in offsets], abs=1e-9)
+    for heating, report, report_vec in zip((False, True), reports, reports_vec):
+        _assert_same(report, report_vec)
+        h, beta = _mirror(target, heating)
+        sign = -1.0 if heating else 1.0
+        searched = 0
+        for k, b, alpha in report.per_condition:
+            if not b.is_finite or b.value == target.beta:
+                continue
+            goal = math.log(alpha) - math.log1p(-alpha)
+            lo, hi, at_lo, at_hi = _exact_bracket(h, beta, k, goal)
+            secant = lo + (hi - lo) * (goal - at_lo) / (at_hi - at_lo)
+            assert lo < sign * b.value < hi
+            assert sign * b.value == pytest.approx(secant, rel=1e-12)
+            searched += 1
+        assert searched
 
 
 @pytest.mark.filterwarnings("error")
@@ -169,3 +199,132 @@ def test_overflowing_probe_fails_alike(monkeypatch):
         _force(monkeypatch, threshold)
         with pytest.raises(BisectionError, match="condition k=1$"):
             beta_max(resource, target)
+
+
+@pytest.mark.parametrize("E", [1e-36, 1e-50, 1e-300])
+def test_roots_past_old_doubling_cap(monkeypatch, E):
+    # The root 0.847/E lies far past beta + 2^119, where the doubling used to
+    # stop; it now runs to the end of the float range.
+    resource = validate_state((0.7, 0.3), (0.5, 0.5))
+    bmax, bmin = qubit_beta_bounds(resource, E, 1.0)
+    assert bmax.value > 2.0**119
+    for threshold in (ONE_BY_ONE, VECTOR):
+        target = GibbsContext((0.0, E), 1.0)
+        cool, heat = _solve(monkeypatch, threshold, resource, target)
+        assert cool.beta_max.value == pytest.approx(bmax.value, rel=1e-12)
+        assert heat.beta_min.value == pytest.approx(bmin.value, rel=1e-12)
+
+
+# ------------------------------------------------------- the sweep's brackets
+#
+# Both the exact L_k (`_log_odds`) and a sweep's L_k sum at most d weights,
+# each of whose exponents -x h_i is rounded to within eps |x| max|h_i|, and
+# each of the at most d additions of a running sum (or of a log-sum-exp
+# accumulation, whose partial values are at most |x| max|h_i| + ln d in
+# size) adds one rounding of eps relative. Each value is therefore within
+# eps d (1 + |x| (|h_0| + |h_{d-1}|)) of L_k; the sweep and the exact value
+# differ by at most twice that. On this ladder the largest difference seen
+# is 0.15 of one such unit.
+
+
+def _bound(h, x):
+    scale = 1.0 + abs(x) * (abs(h[0]) + abs(h[-1]))
+    return 2.0 * sys.float_info.epsilon * len(h) * scale
+
+
+def _open_rows(monkeypatch, resource, target, heating):
+    """(h, beta, ks, goals, starts) of the open conditions, as the scalar
+    path hands them to `_brackets`."""
+    seen = []
+    real = tempbounds._brackets
+
+    def spy(sweep, h, beta, ks, goals, starts):
+        seen.append((h, beta, list(ks), list(goals), list(starts)))
+        return real(sweep, h, beta, ks, goals, starts)
+
+    _force(monkeypatch, ONE_BY_ONE)
+    monkeypatch.setattr(tempbounds, "_brackets", spy)
+    (beta_min if heating else beta_max)(resource, target)
+    monkeypatch.setattr(tempbounds, "_brackets", real)
+    return seen[0] if seen else None
+
+
+def _near_limit_rows(h, beta):
+    """Rows just below the degenerate limit ln(k / (g - k)) of L_k, k < g for
+    g ground levels, whose roots sit where L_k has all but flattened."""
+    g = h.count(h[0])
+    rows = []
+    for k in range(1, g):
+        for delta in (1e-6, 1e-10):
+            goal = math.log(k / (g - k)) - delta
+            start, _ = tempbounds._log_odds(h[:k], h[k:], beta)
+            if start < goal:
+                rows.append((k, goal, start))
+    return rows
+
+
+def _check_brackets(h, beta, ks, goals, starts):
+    """Both sweeps' brackets against the exact doubling, row by row."""
+    h_array = np.array(h)
+    forms = (
+        (tempbounds._sweep, h),
+        (tempbounds._sweep_array, h_array - h_array[0]),
+    )
+    brackets = [
+        list(zip(*tempbounds._brackets(sweep, hs, beta, ks, goals, starts)))
+        for sweep, hs in forms
+    ]
+    for (sweep, hs), found in zip(forms, brackets):
+        swept_at = functools.lru_cache(maxsize=None)(lambda x: sweep(hs, x))
+        for r, (k, goal) in enumerate(zip(ks, goals)):
+            exact = _exact_bracket(h, beta, k, goal)
+            lo, hi, at_lo, at_hi = found[r]
+            assert at_lo == (starts[r] if lo == beta else swept_at(lo)[k - 1])
+            assert at_hi == swept_at(hi)[k - 1] >= goal
+            x, offset = beta, 1.0
+            while x < max(hi, exact[1]):  # every probe either bracket passed
+                x = beta + offset
+                swept = swept_at(x)[k - 1]
+                value, _ = tempbounds._log_odds(h[:k], h[k:], x)
+                assert abs(swept - value) <= _bound(h, x)
+                if (swept >= goal) != (value >= goal):  # the brackets may differ
+                    assert abs(value - goal) <= _bound(h, x)
+                offset *= 2.0
+    return brackets
+
+
+@pytest.mark.parametrize("heating", [False, True], ids=["cool", "heat"])
+@pytest.mark.parametrize("n", RESOURCE_LEVELS)
+@pytest.mark.parametrize("ground, top", DEGENERACIES)
+@pytest.mark.parametrize("levels", LEVELS)
+def test_sweep_brackets_match_exact(monkeypatch, levels, ground, top, n, heating):
+    target = _target(levels, ground, top)
+    rows = _open_rows(monkeypatch, _resource(n), target, heating)
+    h, beta = _mirror(target, heating)
+    ks, goals, starts = ([], [], []) if rows is None else rows[2:]
+    for k, goal, start in _near_limit_rows(h, beta):
+        ks, goals, starts = ks + [k], goals + [goal], starts + [start]
+    if ks:
+        _check_brackets(h, beta, ks, goals, starts)
+
+
+def test_sweep_brackets_at_the_degenerate_limit(monkeypatch):
+    # ROADMAP item 11's pair: alpha_1 sits 1e-10 below the limit 1/2 of a
+    # doubly degenerate ground, so L_1 nears ln(1) where its root lies.
+    target, delta = GibbsContext((0.0, 0.0, 1.0), 1.0), 1e-10
+    g = gibbs_vector(target.energies, 1.0).entries
+    resource = validate_state((0.5 - delta, 0.4, 0.1 + delta), g)
+    h, beta, ks, goals, starts = _open_rows(monkeypatch, resource, target, False)
+    assert 1 in ks
+    _check_brackets(h, beta, ks, goals, starts)
+
+
+def test_heating_probes_cross_zero(monkeypatch):
+    # Heating solves the mirror from -beta: with beta = 2.5 the probes
+    # -1.5, -0.5 are negative and 1.5, 5.5, ... positive, and some rows are
+    # bracketed across x = 0, where the scalar sweep switches its sums.
+    base = _target(64, 2, 3)
+    target = GibbsContext(base.energies, 2.5)
+    h, beta, ks, goals, starts = _open_rows(monkeypatch, _resource(64), target, True)
+    for found in _check_brackets(h, beta, ks, goals, starts):
+        assert any(lo < 0.0 < hi for lo, hi, _, _ in found)
