@@ -241,8 +241,8 @@ class ExtendedBeta(float):
     __slots__ = ()
 
     def __new__(cls, x: float) -> "ExtendedBeta":
-        self = super().__new__(cls, x)
-        if math.isnan(self):
+        self = float.__new__(cls, x)
+        if self != self:  # NaN
             raise ValueError("an extended beta is never NaN")
         return self
 

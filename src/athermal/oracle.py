@@ -11,6 +11,7 @@ is one pricing step, one masked ratio test and one outer-product update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,8 @@ def lp_feasible(
         raise DimensionMismatch(f"dim(p)={p.dim} != dim(r)={r.dim}")
     if q.dim != s.dim:
         raise DimensionMismatch(f"dim(q)={q.dim} != dim(s)={s.dim}")
-    if not tol > 0.0:
-        raise NonPositiveTolerance(f"tol must be > 0, got {tol!r}")
+    if not 0.0 < tol < math.inf:  # NaN too; an infinite tol accepts any optimum
+        raise NonPositiveTolerance(f"tol must be finite and > 0, got {tol!r}")
     n = p.dim
     m = q.dim
 

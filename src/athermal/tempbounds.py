@@ -11,16 +11,22 @@ the log-odds
 which rises with slope <h>_{i>=k} - <h>_{i<k} > 0. Each sum is shifted by its
 own largest exponent, so neither underflows.
 
-A condition is settled without a search when alpha_k reaches the limit of
-the k-level mass as beta~ -> +inf (tagged +inf), or when that mass already
-reaches alpha_k at beta (beta itself). The other conditions are the rows of
-one root search toward goal_k = logit(alpha_k), in three steps:
+One rule (`_condition`) settles each condition of `beta_max`, `beta_min`
+and `qubit_beta_bounds` from L = L_k(beta) and the mass sigma(L) at beta,
+with L_1 = beta E for a qubit and every other L_k(beta) from one Python
+`_sweep` (so the two forms below share their alphas bit for bit). It is
+tagged +inf when alpha_k reaches the limit of the k-level mass as
+beta~ -> +inf; it keeps beta when that mass already reaches alpha_k at beta,
+always so for a free resource (a Gibbs state cools nothing); else L_k must
+rise by excess = logit(alpha_k) - L. A qubit's root is beta + excess / E;
+the other conditions are the rows of one root search toward
+goal_k = L + excess, in three steps:
 - Brackets. One sweep per probe x = beta + 2^j gives L_k(x) for every k at
   once in O(d) for d levels, from prefix and suffix sums of exp(-x h_i)
   (`_sweep`: running sums in Python; `_sweep_array`:
   `np.logaddexp.accumulate`). A row's bracket ends at the first probe where
   its L_k reaches goal_k and starts at the probe before it, or at beta,
-  where L_k = logit(y_k) is known. The doubling runs to the end of the
+  where L_k is the rule's start. The doubling runs to the end of the
   float range: it stops, naming the first unbracketed row, once
   x (h_max - h_min) overflows.
 - Secant start. Each row is evaluated exactly (`_log_odds`: value and
@@ -60,8 +66,7 @@ from .errors import (
     NonFiniteBeta,
     WrongDegeneracy,
 )
-from .majorization import _dominates, alpha_at, compute_elbows
-from .thermo import shifted_weights
+from .majorization import TestingBoundary, _dominates, alpha_at, compute_elbows
 
 _REL_WIDTH = 1e-13
 _MAX_ITERS = 200
@@ -82,13 +87,6 @@ _MAX_DOUBLINGS = 1024  # offsets 2^0 .. 2^1023, the largest power of two a float
 # near 100: here numpy replaces O(K d) interpreted operations per Newton
 # step for K open conditions.
 _VECTOR_MIN_LEVELS = 24
-
-
-def _bottom_masses(energies: Sequence[float], beta: float, ks) -> list[float]:
-    """Mass of the k lowest-energy levels of the Gibbs vector at beta, per k."""
-    _, w = shifted_weights(energies, beta)
-    total = math.fsum(w)
-    return [math.fsum(w[:k]) / total for k in ks]
 
 
 @dataclass(frozen=True)
@@ -303,50 +301,58 @@ def _cooling_roots(
     return root.tolist()
 
 
+def _mass(L: float) -> float:
+    """The k-level Gibbs mass sigma(L) = 1 / (1 + e^-L), from its log-odds L."""
+    if L >= 0.0:
+        return 1.0 / (1.0 + math.exp(-L))
+    e = math.exp(L)
+    return e / (1.0 + e)
+
+
+def _condition(
+    boundary: TestingBoundary, L: float, y: float, limit: float
+) -> tuple[float, float]:
+    """(alpha_k, excess) for the k-level mass y = sigma(L) at beta, whose
+    limit as beta~ -> +inf is `limit`: L_k reaches logit(alpha_k) at
+    L + excess. excess is +inf for the tag and <= 0 where the condition is
+    met at beta. A far level, a mass below the first elbow ordinate y1 and
+    the smallest normal float (it underflows once beta*gap passes about 708),
+    is taken in logs: alpha_k = (x1/y1) y on the first segment and
+    ln y = L + ln(1 - y), so ln(alpha_k) - L = ln(x1/y1) + ln(1 - y)."""
+    if len(boundary.xs) == 2:  # `is_diagonal`, read inline: a free resource
+        return y, 0.0
+    if y < sys.float_info.min and y < boundary.ys[1]:  # far level: in logs
+        log_ratio = math.log(boundary.xs[1] / boundary.ys[1]) + math.log1p(-y)
+        alpha = math.exp(log_ratio + L)
+    else:
+        alpha = alpha_at(boundary, y)
+        log_ratio = math.log(alpha) - L
+    if _dominates(alpha, limit):
+        return alpha, math.inf
+    return alpha, log_ratio - math.log1p(-alpha)
+
+
 def _conditions(
     resource: AthermalityState, target: GibbsContext, heating: bool
 ) -> tuple[tuple[int, ExtendedBeta, float], ...]:
     """(k, beta~_k, alpha_k) of every condition; heating solves the mirror.
 
     As beta~ -> +inf the k-level mass tends to k/d below the ground
-    degeneracy d, else to 1; a condition whose alpha_k dominates that limit
-    is unreachable and tagged +inf rather than chased by the root search.
-
-    A k-level mass below the resource's first elbow ordinate y1 and the
-    smallest normal float (a far level: it underflows once beta*gap passes
-    about 708) is taken in logs, as `qubit_beta_bounds` does: ln y_k from
-    L_k(beta), whose head and tail have their own shifts, and
-    alpha_k = (x1/y1) y_k on the first segment."""
+    degeneracy d, else to 1: the limit `_condition` tags against."""
     if target.is_degenerate:
         raise DegenerateTarget("target energies are completely degenerate")
     h, beta, d = target.energies, target.beta, target.ground_degeneracy()
     if heating:
         h, beta, d = tuple(-x for x in reversed(h)), -beta, target.top_degeneracy()
     boundary = compute_elbows(resource)
-    x1, y1 = boundary.xs[1], boundary.ys[1]
-    per = []  # beta~_k: +inf, beta, or None until solved
-    open_ks, goals, starts = [], [], []
-    for k, y_k in enumerate(_bottom_masses(h, beta, range(1, len(h))), 1):
-        alpha_k = alpha_at(boundary, y_k)
-        if _dominates(alpha_k, k / d if k < d else 1.0):
-            b = math.inf
-        elif y_k < min(y1, sys.float_info.min):  # far level: in logs
-            odds, _ = _log_odds(h[:k], h[k:], beta)  # ln y_k = odds - ln(1 + e^odds)
-            log_alpha = math.log(x1 / y1) + odds - math.log1p(math.exp(odds))
-            alpha_k = math.exp(log_alpha)
-            b = beta if x1 <= y1 else None
-            goal, start = log_alpha - math.log1p(-alpha_k), odds
-        elif y_k >= alpha_k:
-            b = beta
-        else:
-            b = None
-            goal = math.log(alpha_k) - math.log1p(-alpha_k)
-            start = math.log(y_k) - math.log1p(-y_k)  # L_k(beta)
-        if b is None:
+    per, open_ks, goals, starts = [], [], [], []
+    for k, L in enumerate(_sweep(h, beta), 1):
+        alpha_k, excess = _condition(boundary, L, _mass(L), k / d if k < d else 1.0)
+        if 0.0 < excess < math.inf:
             open_ks.append(k)
-            goals.append(goal)
-            starts.append(start)
-        per.append((k, b, alpha_k))
+            goals.append(L + excess)
+            starts.append(L)
+        per.append((k, excess, alpha_k))
     if open_ks and len(h) >= _VECTOR_MIN_LEVELS:
         roots = _cooling_roots(h, beta, open_ks, goals, starts)
     elif open_ks:
@@ -356,9 +362,10 @@ def _conditions(
         roots = []
     roots, sign = iter(roots), (-1.0 if heating else 1.0)
     return tuple(
-        (k, ExtendedBeta(sign * b) if b is not None
-            else ExtendedBeta.finite(sign * next(roots)), alpha_k)
-        for k, b, alpha_k in per
+        (k, ExtendedBeta(sign * math.inf) if excess == math.inf
+            else ExtendedBeta.finite(sign * (beta if excess <= 0.0 else next(roots))),
+         alpha_k)
+        for k, excess, alpha_k in per
     )
 
 
@@ -377,45 +384,33 @@ def beta_min(resource: AthermalityState, target: GibbsContext) -> HeatingReport:
 def qubit_beta_bounds(
     resource: AthermalityState, E: float, beta: float
 ) -> tuple[ExtendedBeta, ExtendedBeta]:
-    """Closed-form (beta~_max, beta~_min) for a qubit target with gap E."""
+    """Closed-form (beta~_max, beta~_min) for a qubit target with gap E.
+
+    The one condition of each side has the linear L_1 = beta~ E (-beta~ E on
+    the heating mirror), so its root is beta +- excess / E. beta E is kept
+    apart from the excess: it may overflow where a far level's excess, in
+    which it cancels, does not."""
     _check_gap(E)
     _check_beta(beta)
     boundary = compute_elbows(resource)
-    if boundary.is_diagonal:
-        return ExtendedBeta.finite(beta), ExtendedBeta.finite(beta)
-    w = math.exp(-beta * E)
-    g1 = 1.0 / (1.0 + w)
-    g2 = w / (1.0 + w)
-
-    alpha = alpha_at(boundary, g1)
-    if _dominates(alpha, 1.0):
-        bmax = ExtendedBeta.pos_inf()
-    else:
-        bmax = _finite_beta(math.log(alpha / (1.0 - alpha)) / E, E)
-
-    x1, y1 = boundary.xs[1], boundary.ys[1]
-    if g2 < y1:  # first segment: alpha_t = (x1/y1) g2
-        log_slope = math.log(x1 / y1)
-        alpha_t = math.exp(log_slope - beta * E - math.log1p(w))
-    else:
-        alpha_t = alpha_at(boundary, g2)
-    if _dominates(alpha_t, 1.0):
-        bmin = ExtendedBeta.neg_inf()
-    elif g2 < y1:
-        # ln((1 - alpha_t)/alpha_t) = beta*E + excess, kept apart: g2
-        # underflows to 0 once beta*E exceeds ~745, and beta*E may overflow
-        excess = math.log1p(-alpha_t) - log_slope + math.log1p(w)
-        bmin = _finite_beta(beta + excess / E, E)
-    else:
-        bmin = _finite_beta(math.log((1.0 - alpha_t) / alpha_t) / E, E)
-    return bmax, bmin
+    L = beta * E
+    w = math.exp(-L)
+    z = 1.0 + w  # _mass(L) is 1 / z, _mass(-L) is w / z
+    _, up = _condition(boundary, L, 1.0 / z, 1.0)
+    _, down = _condition(boundary, -L, w / z, 1.0)
+    return _qubit_root(beta, up, E, 1.0), _qubit_root(beta, down, E, -1.0)
 
 
-def _finite_beta(value: float, E: float) -> ExtendedBeta:
+def _qubit_root(beta: float, excess: float, E: float, sign: float) -> ExtendedBeta:
+    """beta + sign * excess / E, which is the tag sign * inf for an infinite
+    excess, or beta where the condition is met there (excess <= 0)."""
+    if excess <= 0.0:
+        return ExtendedBeta(beta)
+    value = beta + sign * excess / E
     # a log-odds of order 1 over a gap near the subnormal range overflows
-    if not math.isfinite(value):
+    if not math.isfinite(value) and excess != math.inf:
         raise GapTooSmall(f"energy gap {E!r} too small: beta~ overflows a float")
-    return ExtendedBeta.finite(value)
+    return ExtendedBeta(value)
 
 
 def max_ground_overlap(
@@ -427,9 +422,9 @@ def max_ground_overlap(
             f"ground degeneracy {ground_degeneracy} inconsistent with energies "
             f"(multiplicity {target.ground_degeneracy()})"
         )
-    boundary = compute_elbows(resource)
-    (y,) = _bottom_masses(target.energies, target.beta, (ground_degeneracy,))
-    return alpha_at(boundary, y)
+    h, k = target.energies, ground_degeneracy
+    y = _mass(_sweep(h, target.beta)[k - 1]) if k < len(h) else 1.0
+    return alpha_at(compute_elbows(resource), y)
 
 
 def _excited_occupancy(beta: float, E: float) -> float:

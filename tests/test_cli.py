@@ -294,7 +294,7 @@ class TestInputErrors:
         assert "must" in _input_error(code, err)["message"]
         assert out == ""
 
-    @pytest.mark.parametrize("tol", ["0", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
     def test_oracle_non_positive_tol(self, capsys, resource_file, tol):
         code, _, err = _run(
             capsys,

@@ -26,8 +26,7 @@ from athermal.errors import (
     NonPositiveGap,
     WrongDegeneracy,
 )
-from athermal import tempbounds
-from athermal.tempbounds import _bottom_masses
+from athermal import compute_elbows, tempbounds
 from athermal.thermo import gibbs_vector
 
 LN4 = math.log(4.0)
@@ -38,11 +37,28 @@ def _free(g):
     return validate_state(g, g)
 
 
+# A free resource: the qubit of gap ln 4, then targets whose ground mass at
+# beta is within 1e-12 of 1 (qubits of gap 28, 40 and 800, and (0, 30, 31)).
+# A Gibbs state cools nothing, so every condition keeps beta rather than
+# taking the unreachable tag.
+_FREE_PAIRS = (
+    (_free((0.8, 0.2)), QUBIT),
+    (_free((0.5, 0.5)), GibbsContext((0.0, 28.0), 1.0)),
+    (_free((0.5, 0.5)), GibbsContext((0.0, 40.0), 1.0)),
+    (_free((0.5, 0.5)), GibbsContext((0.0, 800.0), 1.0)),
+    (_free(gibbs_vector((0.0, 1.0, 2.0), 1.0).entries), GibbsContext((0.0, 30.0, 31.0), 1.0)),
+)
+
+
 class TestBetaMax:
     def test_free_resource_is_fixed_point(self):
-        report = beta_max(_free((0.8, 0.2)), QUBIT)
-        assert report.beta_max == ExtendedBeta.finite(1.0)
-        assert report.beta_max.value == 1.0  # exact, not merely close
+        for resource, target in _FREE_PAIRS:
+            report = beta_max(resource, target)
+            assert report.beta_max == ExtendedBeta.finite(1.0)
+            assert report.beta_max.value == 1.0  # exact, not merely close
+            assert all(b == report.beta_max for _, b, _ in report.per_condition)
+            if len(target.energies) == 2:
+                _assert_matches_qubit_bounds(resource, target.energies[1], target.beta)
 
     def test_qubit_hand_value(self):
         resource = validate_state((0.9, 0.1), (0.8, 0.2))
@@ -77,8 +93,10 @@ class TestBetaMax:
 
 class TestBetaMin:
     def test_free_resource_is_fixed_point(self):
-        report = beta_min(_free((0.8, 0.2)), QUBIT)
-        assert report.beta_min.value == 1.0
+        for resource, target in _FREE_PAIRS:
+            report = beta_min(resource, target)
+            assert report.beta_min.value == 1.0
+            assert all(b == report.beta_min for _, b, _ in report.per_condition)
 
     def test_qubit_hand_value(self):
         resource = validate_state((0.9, 0.1), (0.8, 0.2))
@@ -117,6 +135,15 @@ class TestBetaMin:
                 gibbs_vector(target.energies, target.beta).entries,
             )
             assert relatively_majorizes(resource, pair) is expect
+
+
+def _fsum_masses(h, beta):
+    """Reference Gibbs mass of the k lowest levels at beta, k = 1 .. d - 1:
+    weights shifted by the largest exponent, exact sums (`math.fsum`)."""
+    top = max(-beta * e for e in h)
+    w = [math.exp(-beta * e - top) for e in h]
+    total = math.fsum(w)
+    return [math.fsum(w[:k]) / total for k in range(1, len(h))]
 
 
 def _two_valued_t(n, d, k, alpha):
@@ -185,18 +212,20 @@ class TestClosedForms:
         )
         target = GibbsContext((0.0,) * d + (E,) * (n - d), beta)
         mirror = tuple(-x for x in reversed(target.energies))
-        # A condition whose bottom-k mass at beta already reaches alpha_k
-        # keeps beta exactly. The closed form through alpha_k is no reference
-        # there: alpha_k carries the rounding of that mass, which moves the
-        # root by |d beta~/d alpha_k| ulp, about 3e-10 at beta E = 15 for a
-        # free resource, whose answer is beta itself. Elsewhere the closed
-        # form is taken in exact rationals: alpha_k (n - d) - (k - d) cancels.
-        y_cool = _bottom_masses(target.energies, beta, range(1, n))
-        y_heat = _bottom_masses(mirror, -beta, range(1, n))
+        # A free resource, or a condition whose bottom-k mass at beta already
+        # reaches alpha_k, keeps beta exactly. The closed form through
+        # alpha_k is no reference there: alpha_k carries the rounding of that
+        # mass, which moves the root by |d beta~/d alpha_k| ulp, about 3e-10
+        # at beta E = 15 for a free resource, whose answer is beta itself.
+        # Elsewhere the closed form is taken in exact rationals:
+        # alpha_k (n - d) - (k - d) cancels.
+        free = compute_elbows(resource).is_diagonal
+        y_cool = _fsum_masses(target.energies, beta)
+        y_heat = _fsum_masses(mirror, -beta)
         # Below |beta~| = 1 the solver's stopping width is absolute, 1e-13.
         for k, b, alpha in beta_max(resource, target).per_condition:
             if b.is_finite:
-                if y_cool[k - 1] >= alpha:
+                if free or y_cool[k - 1] >= alpha:
                     expected = beta
                 else:
                     expected = -math.log(_two_valued_t(n, d, k, Fraction(alpha))) / E
@@ -204,7 +233,7 @@ class TestClosedForms:
         # Heating mirrors the target: n - d levels at 0, d at E, at -beta~.
         for k, b, alpha in beta_min(resource, target).per_condition:
             if b.is_finite:
-                if y_heat[k - 1] >= alpha:
+                if free or y_heat[k - 1] >= alpha:
                     expected = beta
                 else:
                     expected = math.log(_two_valued_t(n, n - d, k, Fraction(alpha))) / E
@@ -392,6 +421,9 @@ class TestMaxGroundOverlap:
         target = GibbsContext((0.0, 0.0, 1.0), 1.0)
         resource = validate_state((1.0, 0.0, 0.0), (0.4, 0.4, 0.2))
         assert max_ground_overlap(resource, target, 2) == 1.0
+        # A fully degenerate target's ground space holds the whole mass.
+        resource = validate_state((0.5, 0.3, 0.2), (1 / 3, 1 / 3, 1 / 3))
+        assert max_ground_overlap(resource, GibbsContext((0.0,) * 3, 1.0), 3) == 1.0
 
     def test_rejects_wrong_degeneracy(self):
         with pytest.raises(WrongDegeneracy):
