@@ -18,8 +18,6 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .core import AthermalityState, ExtendedBeta, GibbsContext, validate_state
 from .errors import AthermalError, BisectionError, DimensionMismatch, InvalidGrid
 from .esets import (
@@ -106,6 +104,8 @@ def load_state(path: str) -> tuple[AthermalityState, GibbsContext]:
         )
         return validate_state(populations, g.entries), ctx
     if has_dm:
+        import numpy as np
+
         raw = doc["density_matrix"]
         num = functools.partial(_number, path, "density_matrix")
         try:
@@ -280,6 +280,8 @@ def _cmd_eset(args) -> int:
         }
     )
     if args.out and args.format == "csv":
+        import numpy as np
+
         ws = _scan_grid(ctx.beta, args.e_max, args.grid)[::-1]  # ascending in E
         # beta~ = beta: every gap is feasible, at zero clearance
         clearance, member = np.zeros_like(ws), np.ones(len(ws), dtype=bool)

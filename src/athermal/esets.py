@@ -14,6 +14,8 @@ x = F_a(y) = sigma(a * logit y), with y in [1/2, 1) for a > 1 and in
 Between two elbow ordinates the resource boundary is a line, so there the
 clearance is a line minus F_a and changes sign at most twice, once on each
 side of its one extremum; `_root` brackets each change.
+
+numpy is imported only where arrays are built: a qubit's gap set loads none.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import AthermalityState, _check_beta, _check_gap, validate_state
 from .errors import (
@@ -42,6 +42,9 @@ from .majorization import (
     alphas_at,
     compute_elbows,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_N_GRID = 10_000
 # Largest grid (eset, gap_set, curve): about 8 MB per float array.
@@ -109,6 +112,8 @@ def _clearance(
     """(clearance, member) at every point of the array ws: the signed
     clearance alpha - x of the curve point inside the resource boundary, and
     `_dominates` there. The `eset` CSV and `eset_superset_check` sample it."""
+    import numpy as np
+
     clearance = np.empty_like(ws)
     member = np.empty(len(ws), dtype=bool)
     for k in range(0, len(ws), _SCAN_BLOCK):
@@ -141,6 +146,8 @@ def _grid_span(
 
 def _scan_grid(beta: float, e_max: float | None, n_grid: int) -> np.ndarray:
     """The grid of `_grid_span` as an array, ascending in w."""
+    import numpy as np
+
     _, w_min, step = _grid_span(beta, e_max, n_grid)
     return w_min + step * np.arange(n_grid)
 
@@ -246,6 +253,8 @@ def _pieces(boundary: TestingBoundary, a: float, w_lo: float, w_hi: float):
         alphas = [alpha_at(boundary, y_lo), *xs[i:j], alpha_at(boundary, y_hi)]
         slopes = [(xs[k + 1] - xs[k]) / (ys[k + 1] - ys[k]) for k in range(i - 1, j)]
     else:
+        import numpy as np
+
         i = int(np.searchsorted(ys, y_lo, "right"))
         j = max(int(np.searchsorted(ys, y_hi)), i)
         rise, run = np.diff(ys[i - 1 : j + 1]), np.diff(xs[i - 1 : j + 1])
@@ -342,6 +351,8 @@ def gap_set(
                 ys[k + 1] - ys[k])
         ]
     else:  # the pieces where a change may lie, in whole-array steps
+        import numpy as np
+
         # F_a' overflows to inf at a subnormal w_min where |a| < 1, as floats do
         with np.errstate(all="ignore"):
             hs, ys, dxdy = _knots(a, ws, alphas)
@@ -460,6 +471,8 @@ def eset_superset_check(
     if len(beta_tilde_grid) == 0 or len(e_grid) == 0:
         raise InvalidGrid("grids must be non-empty")
     _check_beta(beta)
+    import numpy as np
+
     src = compute_elbows(source)
     tgt = compute_elbows(target)
     ws = np.exp(-beta * np.asarray(e_grid, dtype=float))

@@ -21,7 +21,7 @@ from .majorization import (
     compute_elbows,
     relatively_majorizes,
 )
-from .tempbounds import qubit_beta_bounds
+from .tempbounds import _qubit_side
 
 # Elbow ordinates this close to 1/2 have no finite critical gap; a failed one
 # is named by a gap beside it, at most DEGENERATE_PERTURBATION off in ordinate.
@@ -39,14 +39,12 @@ class CriticalEnergySet:
 
 def cooling_monotone(state: AthermalityState, beta: float, E: float) -> float:
     """How far below the background temperature a gap-E qubit can be driven."""
-    bmax, _ = qubit_beta_bounds(state, E, beta)
-    return bmax - beta
+    return _qubit_side(state, E, beta, 1.0) - beta
 
 
 def heating_monotone(state: AthermalityState, beta: float, E: float) -> float:
     """How far above the background temperature a gap-E qubit can be driven."""
-    _, bmin = qubit_beta_bounds(state, E, beta)
-    return beta - bmin
+    return beta - _qubit_side(state, E, beta, -1.0)
 
 
 def critical_energies(target: AthermalityState, beta: float) -> CriticalEnergySet:

@@ -7,17 +7,20 @@ make no progress it takes Bland's rule (smallest improving column) until
 one does, so the simplex cannot cycle. Ties in the ratio test go to the
 smallest basic variable, so the vertex found is deterministic; each pivot
 is one pricing step, one masked ratio test and one outer-product update.
+numpy is imported inside the two functions that build the tableau.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import ProbabilityVector
 from .errors import BisectionError, DimensionMismatch, NonPositiveTolerance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-7
 
@@ -37,6 +40,8 @@ def _phase_one(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
 
     Returns (optimum, x at optimum restricted to the original columns).
     """
+    import numpy as np
+
     n_rows, n_cols = A.shape
     # constraints [A | I | b], then the phase-1 objective with the
     # artificials priced out, so one pivot updates both
@@ -98,6 +103,8 @@ def lp_feasible(
         raise DimensionMismatch(f"dim(q)={q.dim} != dim(s)={s.dim}")
     if not 0.0 < tol < math.inf:  # NaN too; an infinite tol accepts any optimum
         raise NonPositiveTolerance(f"tol must be finite and > 0, got {tol!r}")
+    import numpy as np
+
     n = p.dim
     m = q.dim
 

@@ -387,30 +387,41 @@ def qubit_beta_bounds(
     """Closed-form (beta~_max, beta~_min) for a qubit target with gap E.
 
     The one condition of each side has the linear L_1 = beta~ E (-beta~ E on
-    the heating mirror), so its root is beta +- excess / E. beta E is kept
-    apart from the excess: it may overflow where a far level's excess, in
-    which it cancels, does not."""
+    the heating mirror), so its root is beta +- excess / E (`_qubit_root`)."""
     _check_gap(E)
     _check_beta(beta)
     boundary = compute_elbows(resource)
-    L = beta * E
-    w = math.exp(-L)
-    z = 1.0 + w  # _mass(L) is 1 / z, _mass(-L) is w / z
-    _, up = _condition(boundary, L, 1.0 / z, 1.0)
-    _, down = _condition(boundary, -L, w / z, 1.0)
-    return _qubit_root(beta, up, E, 1.0), _qubit_root(beta, down, E, -1.0)
+    return (ExtendedBeta(_qubit_root(boundary, beta, E, 1.0)),
+            ExtendedBeta(_qubit_root(boundary, beta, E, -1.0)))
 
 
-def _qubit_root(beta: float, excess: float, E: float, sign: float) -> ExtendedBeta:
-    """beta + sign * excess / E, which is the tag sign * inf for an infinite
-    excess, or beta where the condition is met there (excess <= 0)."""
+def _qubit_side(
+    resource: AthermalityState, E: float, beta: float, sign: float
+) -> float:
+    """One side of `qubit_beta_bounds` as a plain float: beta~_max for
+    sign = +1, beta~_min for sign = -1; the other side is not settled."""
+    _check_gap(E)
+    _check_beta(beta)
+    return _qubit_root(compute_elbows(resource), beta, E, sign)
+
+
+def _qubit_root(boundary: TestingBoundary, beta: float, E: float, sign: float) -> float:
+    """beta~ of the gap-E qubit's condition on the side of sign: with
+    w = exp(-beta E), the mass at beta is 1 / (1 + w) cooling and w / (1 + w)
+    heating (`_mass` of L = +-beta E), and the root is beta + sign * excess / E,
+    the tag sign * inf for an infinite excess, or beta where the condition is
+    met there (excess <= 0). beta E is kept apart from the excess: it may
+    overflow where a far level's excess, in which it cancels, does not."""
+    L, w = sign * (beta * E), math.exp(-beta * E)
+    z = 1.0 + w
+    _, excess = _condition(boundary, L, (1.0 if sign > 0.0 else w) / z, 1.0)
     if excess <= 0.0:
-        return ExtendedBeta(beta)
+        return beta
     value = beta + sign * excess / E
     # a log-odds of order 1 over a gap near the subnormal range overflows
     if not math.isfinite(value) and excess != math.inf:
         raise GapTooSmall(f"energy gap {E!r} too small: beta~ overflows a float")
-    return ExtendedBeta(value)
+    return value
 
 
 def max_ground_overlap(

@@ -1,15 +1,19 @@
-"""Gibbs vectors, partition functions, and the pinching reduction."""
+"""Gibbs vectors, partition functions, and the pinching reduction.
+
+numpy is imported only by the density-matrix code that builds arrays.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import AthermalityState, GibbsContext, ProbabilityVector, validate_state
 from .errors import DimensionMismatch, InvalidDensityMatrix, NonFiniteBeta
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-9
@@ -59,6 +63,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
@@ -103,6 +109,8 @@ def pinch(rho: DensityMatrix, g: ProbabilityVector) -> DensityMatrix:
     """
     if rho.dim != g.dim:
         raise DimensionMismatch(f"rho dim {rho.dim} != Gibbs dim {g.dim}")
+    import numpy as np
+
     mask = np.zeros((g.dim, g.dim), dtype=bool)
     for block in _degeneracy_blocks(g.entries):
         idx = np.asarray(block)
@@ -121,8 +129,10 @@ def to_quasiclassical(rho: DensityMatrix, gibbs: GibbsContext) -> AthermalitySta
     g = gibbs_vector(gibbs.energies, gibbs.beta)
     if rho.dim != g.dim:
         raise DimensionMismatch(f"rho dim {rho.dim} != Gibbs dim {g.dim}")
+    import numpy as np
+
     populations = np.diag(rho.matrix).real
     negative = np.minimum(populations, 0.0)
     populations = populations - negative
     populations[populations.argmax()] += negative.sum()
-    return validate_state(list(populations), list(g.entries))
+    return validate_state(populations.tolist(), g.entries)
