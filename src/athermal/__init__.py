@@ -17,7 +17,6 @@ from .esets import (
     EnergyGapSet,
     GapInterval,
     construct_gap_example,
-    eset_superset_check,
     fa_point,
     gap_membership,
     gap_set,
@@ -76,7 +75,6 @@ __all__ = [
     "convertible_via_monotones",
     "cooling_monotone",
     "critical_energies",
-    "eset_superset_check",
     "fa_point",
     "gap_membership",
     "gap_set",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .core import AthermalityState, _check_beta, _check_gap, validate_state
 from .errors import (
@@ -111,7 +111,7 @@ def _clearance(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(clearance, member) at every point of the array ws: the signed
     clearance alpha - x of the curve point inside the resource boundary, and
-    `_dominates` there. The `eset` CSV and `eset_superset_check` sample it."""
+    `_dominates` there, sampled by the `eset` CSV."""
     import numpy as np
 
     clearance = np.empty_like(ws)
@@ -459,28 +459,3 @@ def construct_gap_example(a: float) -> AthermalityState:
     x1, y1 = state.r.entries[0], state.g.entries[0]
     return validate_state((1.0 - y1, y1), (1.0 - x1, x1))
 
-
-def eset_superset_check(
-    source: AthermalityState,
-    target: AthermalityState,
-    beta: float,
-    beta_tilde_grid: Sequence[float],
-    e_grid: Sequence[float],
-) -> bool:
-    """Sampled check that the source's feasible-gap sets contain the target's."""
-    if len(beta_tilde_grid) == 0 or len(e_grid) == 0:
-        raise InvalidGrid("grids must be non-empty")
-    _check_beta(beta)
-    import numpy as np
-
-    src = compute_elbows(source)
-    tgt = compute_elbows(target)
-    ws = np.exp(-beta * np.asarray(e_grid, dtype=float))
-    for bt in beta_tilde_grid:
-        if bt == beta:
-            continue
-        _, in_target = _clearance(tgt, bt / beta, ws)
-        _, in_source = _clearance(src, bt / beta, ws)
-        if np.any(in_target & ~in_source):
-            return False
-    return True

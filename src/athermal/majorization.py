@@ -71,10 +71,6 @@ class TestingBoundary:
         if (xs[0], ys[0]) != (0.0, 0.0) or (xs[-1], ys[-1]) != (1.0, 1.0):
             raise ValueError("boundary must run from (0,0) to (1,1)")
 
-    @property
-    def is_diagonal(self) -> bool:
-        return len(self.xs) == 2
-
     @cached_property
     def elbows(self) -> tuple[tuple[float, float], ...]:
         """The elbows as (x, y) pairs."""
@@ -102,12 +98,23 @@ class TestingBoundary:
         """Elbows excluding the fixed endpoints (0,0) and (1,1)."""
         return self.elbows[1:-1]
 
-    def to_csv(self) -> str:
-        """One `x,y` row per elbow, 17 significant digits, LF endings."""
-        return "".join(f"{x:.17g},{y:.17g}\n" for x, y in self.elbows)
-
 
 def compute_elbows(state: AthermalityState) -> TestingBoundary:
+    """The boundary of `state`, built on the first call (`_build_elbows`) and
+    kept with the state, so every later monotone, bound, gap query or
+    decision on it reads the same one. It is kept in the frozen state's
+    `__dict__`, as `cached_property` keeps a value: no field, so `==`, `hash`
+    and `repr` ignore it and `dataclasses.replace` starts without it. (A
+    `cached_property` on the state would cost every state an import of this
+    module on its first read, and a lock before Python 3.12.)"""
+    kept = state.__dict__
+    boundary = kept.get("_boundary")
+    if boundary is None:
+        boundary = kept["_boundary"] = _build_elbows(state)
+    return boundary
+
+
+def _build_elbows(state: AthermalityState) -> TestingBoundary:
     """Elbows of (r, g): prefix sums in non-increasing r_i/g_i order.
 
     One stable sort on the ratio r_i/g_i, then one pass of prefix sums that
@@ -154,7 +161,7 @@ def compute_elbows(state: AthermalityState) -> TestingBoundary:
 
 
 def _elbows_by_numpy(state: AthermalityState) -> TestingBoundary | None:
-    """`compute_elbows` in whole-array steps, with bit-identical output.
+    """`_build_elbows` in whole-array steps, with bit-identical output.
 
     The order is the stable reverse sort's. numpy's default argsort of
     -ratio may leave the indices of equal keys in any order; with the runs

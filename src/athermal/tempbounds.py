@@ -319,7 +319,7 @@ def _condition(
     the smallest normal float (it underflows once beta*gap passes about 708),
     is taken in logs: alpha_k = (x1/y1) y on the first segment and
     ln y = L + ln(1 - y), so ln(alpha_k) - L = ln(x1/y1) + ln(1 - y)."""
-    if len(boundary.xs) == 2:  # `is_diagonal`, read inline: a free resource
+    if len(boundary.xs) == 2:  # a diagonal boundary: a free resource
         return y, 0.0
     if y < sys.float_info.min and y < boundary.ys[1]:  # far level: in logs
         log_ratio = math.log(boundary.xs[1] / boundary.ys[1]) + math.log1p(-y)

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .core import AthermalityState, GibbsContext, ProbabilityVector, validate_state
+from .core import AthermalityState, GibbsContext, ProbabilityVector
 from .errors import DimensionMismatch, InvalidDensityMatrix, NonFiniteBeta
 
 if TYPE_CHECKING:
@@ -135,4 +135,4 @@ def to_quasiclassical(rho: DensityMatrix, gibbs: GibbsContext) -> AthermalitySta
     negative = np.minimum(populations, 0.0)
     populations = populations - negative
     populations[populations.argmax()] += negative.sum()
-    return validate_state(populations.tolist(), g.entries)
+    return AthermalityState(ProbabilityVector(populations.tolist()), g)

@@ -11,7 +11,6 @@ from athermal import (
     alpha_at,
     compute_elbows,
     construct_gap_example,
-    eset_superset_check,
     fa_point,
     gap_membership,
     gap_set,
@@ -138,6 +137,23 @@ class TestGapMembership:
             gap_membership(resource, 1.0, 0.5, E) for E in (0.5, 2.0, 3.0)
         ]
         assert members == [True, False, True]
+
+    def test_majorizing_source_contains_target_sets(self):
+        # a source that majorizes the target reaches every (beta~, E) that
+        # the target reaches; the reverse pair misses one of them
+        src = validate_state((0.95, 0.05), (0.8, 0.2))
+        tgt = validate_state((0.85, 0.15), (0.8, 0.2))
+        grid = [(bt, E) for bt in (0.5, 1.5, 2.0) for E in np.linspace(0.05, 6.0, 40)]
+
+        def missed(a, b):
+            return [
+                (bt, E) for bt, E in grid
+                if gap_membership(b, 1.0, bt, E) and not gap_membership(a, 1.0, bt, E)
+            ]
+
+        assert sum(gap_membership(tgt, 1.0, bt, E) for bt, E in grid) > 0
+        assert missed(src, tgt) == []
+        assert missed(tgt, src) != []
 
 
 class TestGapSet:
@@ -280,35 +296,6 @@ class TestConstructGapExample:
         state = construct_gap_example(0.5)
         assert state.dim == 2
         assert all(g > 0.0 for g in state.g.entries)
-
-
-class TestEsetSupersetCheck:
-    def test_majorizing_source_contains_target_sets(self):
-        src = validate_state((0.95, 0.05), (0.8, 0.2))
-        tgt = validate_state((0.85, 0.15), (0.8, 0.2))
-        grid_bt = [0.5, 1.5, 2.0]
-        grid_e = list(np.linspace(0.05, 6.0, 40))
-        assert eset_superset_check(src, tgt, 1.0, grid_bt, grid_e)
-        assert not eset_superset_check(tgt, src, 1.0, grid_bt, grid_e)
-
-    def test_rejects_non_finite_target(self):
-        state = validate_state((0.95, 0.05), (0.8, 0.2))
-        with pytest.raises(NonFiniteBeta):
-            eset_superset_check(state, state, 1.0, [math.nan], [1.0])
-
-    @pytest.mark.parametrize("grids", [([], [1.0]), ([2.0], [])])
-    def test_rejects_empty_grid(self, grids):
-        state = validate_state((0.95, 0.05), (0.8, 0.2))
-        with pytest.raises(InvalidGrid):
-            eset_superset_check(state, state, 1.0, *grids)
-
-    def test_background_temperature_is_skipped(self):
-        # at beta~ = beta every gap is feasible for both states
-        src = _free((0.8, 0.2))
-        tgt = validate_state((0.95, 0.05), (0.8, 0.2))
-        grid_e = [0.5, 1.0, 2.0]
-        assert eset_superset_check(src, tgt, 1.0, [1.0], grid_e)
-        assert not eset_superset_check(src, tgt, 1.0, [1.0, 2.0], grid_e)
 
 
 class TestRoot:

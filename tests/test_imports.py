@@ -70,7 +70,7 @@ def test_import_loads_no_numpy(module):
 
 
 def test_public_names_resolve():
-    names = ["gap_set", "lp_feasible", "DensityMatrix", "eset_superset_check"]
+    names = ["gap_set", "lp_feasible", "DensityMatrix"]
     result = _child(
         f"from athermal import {', '.join(names)}\n"
         f"result = {{'callable': all(map(callable, ({', '.join(names)},)))}}"

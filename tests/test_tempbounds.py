@@ -219,7 +219,7 @@ class TestClosedForms:
         # at beta E = 15 for a free resource, whose answer is beta itself.
         # Elsewhere the closed form is taken in exact rationals:
         # alpha_k (n - d) - (k - d) cancels.
-        free = compute_elbows(resource).is_diagonal
+        free = len(compute_elbows(resource).xs) == 2
         y_cool = _fsum_masses(target.energies, beta)
         y_heat = _fsum_masses(mirror, -beta)
         # Below |beta~| = 1 the solver's stopping width is absolute, 1e-13.
