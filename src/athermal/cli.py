@@ -407,7 +407,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="LP feasibility of the conversion")
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOL,
+        help="absolute bound on the phase-1 optimum (the sum of the artificials) "
+        "and on the returned vertex's largest residual; feasible needs both "
+        "(default %(default)s)",
+    )
     add_common(p, "svg", "csv")
     p.set_defaults(func=_cmd_oracle)
 

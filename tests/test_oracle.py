@@ -47,16 +47,18 @@ def agreeing_instances(rng, count):
 
 
 def check_vertex(src, tgt):
-    """The phase-1 vertex is >= 0 up to rounding, and lp_feasible reports its
-    residual against the reference A, b (feasible) or the phase-1 optimum."""
+    """The phase-1 vertex from lp_feasible's start is >= 0 up to rounding, and
+    lp_feasible reports its residual against the reference A, b (feasible) or
+    the phase-1 optimum."""
     A, b = constraints(src.r, src.g, tgt.r, tgt.g)
-    optimum, x = oracle._phase_one(A, b)
+    optimum, x = oracle._phase_one(*oracle._start(src.r, src.g, tgt.r, tgt.g))
     out = lp_feasible(src.r, src.g, tgt.r, tgt.g)
     # a degenerate basic variable may round to about -1e-17
     assert x.min() >= -1e-15
+    x = x[: A.shape[1]]  # E; the artificials come last
     if out.feasible:
         assert optimum <= oracle.DEFAULT_TOL
-        assert out.max_violation == np.max(np.abs(A @ x - b))
+        assert out.max_violation == abs(A @ x - b).max()
     else:
         assert out.max_violation == optimum
     return out
@@ -87,6 +89,45 @@ def degenerate_instances(rng, count):
             s = rng.dirichlet(np.ones(m)) + 1e-3
             tgt = validate_state(q, s / s.sum())
         yield src, tgt, k % 2 == 0
+
+
+def extreme_instances(rng, count, masses):
+    """Seeded pairs of 2-12 levels whose populations and Gibbs masses come
+    from `masses(rng, dim)`: a state through a random column-stochastic
+    channel (feasible), a partial thermalisation and its state swapped
+    (infeasible), or an unrelated pair (None)."""
+    for k in range(count):
+        n, m = (int(d) for d in rng.integers(2, 13, size=2))
+        src = validate_state(*masses(rng, n))
+        p, g = np.array(src.r.entries), np.array(src.g.entries)
+        if k % 3 == 0:
+            E = rng.dirichlet(np.ones(m), size=n).T
+            yield src, validate_state(E @ p, E @ g), True
+        elif k % 3 == 1:
+            lam = rng.uniform(0.2, 0.8)
+            yield validate_state(lam * p + (1 - lam) * g, g), src, False
+        else:
+            yield src, validate_state(*masses(rng, m)), None
+
+
+def cold_gibbs(rng, dim):
+    """Flat Dirichlet populations on the Gibbs vector of energies in [0, 3)
+    at a beta up to 30: Gibbs masses down to about 1e-39."""
+    e = rng.uniform(0.0, 3.0, dim)
+    w = np.exp(-rng.uniform(0.0, 30.0) * (e - e.min()))
+    return rng.dirichlet(np.ones(dim)), w / w.sum()
+
+
+def small_masses(rng, dim):
+    """Populations and Gibbs masses with one dominant level each; every other
+    mass is 10^U(-12, -2) of it."""
+
+    def draw():
+        w = 10.0 ** rng.uniform(-12.0, -2.0, dim)
+        w[rng.integers(dim)] = 1.0
+        return w / w.sum()
+
+    return draw(), draw()
 
 
 class TestLpFeasible:
@@ -221,13 +262,60 @@ class TestLpFeasible:
         prices = np.array([10.0, -57.0, -9.0, -24.0])
         A = np.vstack([rows, prices - rows.sum(axis=0)])
         b = np.array([0.0, 0.0, 1.0, 1.0])
-        optimum, x = oracle._phase_one(A, b)
+        # [A | I | b] on every artificial, over the phase-1 objective with the
+        # artificials priced out
+        t = np.zeros((5, 9))
+        t[:-1, :4], t[:-1, 4:-1], t[:-1, -1] = A, np.eye(4), b
+        t[-1, :4], t[-1, -1] = A.sum(axis=0), b.sum()
+        optimum, x = oracle._phase_one(t, np.arange(4, 8))
+        x = x[:4]
         assert optimum == pytest.approx(1.5, abs=1e-12)  # HiGHS: 1.5
         assert x.min() >= 0.0
         assert np.sum(b - A @ x) == pytest.approx(optimum, abs=1e-12)
 
+    @pytest.mark.parametrize("masses, seed", [(cold_gibbs, 30), (small_masses, 12)])
+    def test_feasible_verdicts_meet_the_tolerance_at_extreme_masses(self, masses, seed):
+        # a feasible verdict's vertex meets every constraint within tol, and
+        # every channel image is feasible; a reversed partial thermalisation
+        # is infeasible wherever its populations are not small (the absolute
+        # tol decides small-mass ones)
+        for src, tgt, expected in extreme_instances(np.random.default_rng(seed), 600, masses):
+            out = lp_feasible(src.r, src.g, tgt.r, tgt.g)
+            if out.feasible:
+                assert out.max_violation <= oracle.DEFAULT_TOL
+            if expected or masses is cold_gibbs and expected is False:
+                assert out.feasible is expected
+
+    def test_cold_24_level_pairs(self):
+        # Gibbs masses from 1 down to about 1e-39 on 24 levels: rows whose
+        # rhs is near 0 offer pivots down to _PIVOT_TOL, and taking them blew
+        # the tableau up (pivot limit, or optima of 1e25)
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            g = np.exp(-30.0 * np.concatenate(([0.0, 3.0], rng.uniform(0.0, 3.0, 22))))
+            src = validate_state(rng.dirichlet(np.ones(24)), g / g.sum())
+            p, g = np.array(src.r.entries), np.array(src.g.entries)
+            E = rng.dirichlet(np.ones(24), size=24).T
+            lam = rng.uniform(0.2, 0.8)
+            image = validate_state(E @ p, E @ g)
+            assert lp_feasible(src.r, src.g, image.r, image.g).feasible
+            thermalized = validate_state(lam * p + (1 - lam) * g, g)
+            out = lp_feasible(thermalized.r, thermalized.g, src.r, src.g)
+            # phase 1 starts at most at sum(q + s + p + r) = 4 and never climbs
+            assert not out.feasible and out.max_violation <= 4.0
+
+    def test_an_optimum_within_tol_needs_its_vertex_within_tol(self, monkeypatch):
+        # an optimum of 0 whose vertex E = 0 misses every column sum by 1, as
+        # a tableau that lost accuracy can report: that certifies nothing
+        monkeypatch.setattr(oracle, "_phase_one", lambda t, basis: (0.0, np.zeros(t.shape[1] - 1)))
+        p, r = _pv((0.6, 0.4)), _pv((0.5, 0.5))
+        out = lp_feasible(p, r, p, r)
+        assert not out.feasible
+        assert out.max_violation == 1.0
+
     def test_pivot_limit(self, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_PIVOTS", 1)
+        # the start is E = I, which maps p to itself, not to r: it needs a pivot
         p, r = _pv((0.6, 0.4)), _pv((0.5, 0.5))
         with pytest.raises(BisectionError, match="pivot limit"):
             lp_feasible(p, r, r, r)
