@@ -31,13 +31,14 @@ NORMALIZATION_TOL = 1e-9
 # compare), pure Python / numpy, median of 9 interleaved rounds, two runs
 # averaged; plain ladders, 2-CPU x86-64 host, numpy 2.4:
 #   n                            32   64   80   96  128  256  2048  20000
-#   relatively_majorizes        0.5  0.9  1.0  1.2  1.4  2.3   4.6    5.7
-#   convertible_via_monotones   0.5  0.9  1.0  1.2  1.4  2.3   4.6    5.6
-# Both break even near 80. 100 keeps the n = 32 decide inputs and every
-# dim <= 64 solver, scan and CLI input on the pure-Python path; no benchmark
-# input lies between 64 and 100 levels, so lowering it to 80 would show no
-# measured gain, and to 64 or below would send `solve`'s 64-level resources
-# to numpy, where they lose.
+#   relatively_majorizes        0.4  0.8  0.9  1.0  1.1  2.3   8.1    8.9
+#   convertible_via_monotones   0.4  0.8  0.9  1.0  1.2  2.0   6.8    8.8
+# Both break even near 96: the numpy path's fixed cost per vector is a few
+# whole-array steps (`_validated_array`), about 2 us more than an `fsum`
+# over a 100-entry list. 100 keeps the n = 32 decide inputs and every
+# dim <= 64 solver, scan and CLI input on the pure-Python path; lowering it
+# would send 80-99-level states to numpy, where they do not gain, and to 64
+# or below `solve`'s 64-level resources, where they lose.
 _NUMPY_MIN_DIM = 100
 
 
@@ -55,11 +56,12 @@ def _check_gap(E: float) -> None:
 class ProbabilityVector:
     """Probability vector, stored exactly renormalized, once, in the form its
     validation built: a tuple of floats below `_NUMPY_MIN_DIM` entries, a
-    read-only numpy array from there up (a tuple where a raw entry is not a
-    plain number, such as a string). The stored form seeds its own view,
-    `entries` for a tuple and `array` for an array; the other view is made
-    on its first read and kept. Seeding also skips the lock that cached_property takes on a first
-    read before Python 3.12, about 0.3 us a vector on a 10 us qubit decision.
+    read-only numpy array from there up (also where an entry is a numeric
+    string, which both paths read as `float` does). The stored form seeds
+    its own view, `entries` for a tuple and `array` for an array; the other
+    view is made on its first read and kept. Seeding also skips the lock
+    that cached_property takes on a first read before Python 3.12, about
+    0.3 us a vector on a 10 us qubit decision.
 
     Takes any sequence of numbers, such as a list, tuple or numpy array;
     each entry is read as a float.
@@ -120,28 +122,76 @@ class ProbabilityVector:
 
 
 def _validated_array(raw: Sequence[float]):
-    """The checks of `ProbabilityVector` in one whole-array pass, for large
+    """The checks of `ProbabilityVector` in whole-array steps, for large
     vectors: the renormalized entries as a read-only array, or None when a
-    check fails or an entry is not a number that numpy and `fsum` both read
-    (a string, say). The scalar loop then decides: it raises the same error,
-    naming the same entry, or keeps a tuple. The sum is the `fsum` of the
-    raw entries, so the renormalization is the scalar loop's, bit for bit.
+    check fails or an entry is not a number that numpy reads. The scalar
+    loop then decides: it raises the same error, naming the same entry.
+    A list or tuple is read once, by `np.fromiter`. An entry given as a
+    numeric string is read as `float` reads it, so such a vector keeps the
+    array form, with the scalar loop's values. The total is `math.fsum` of
+    the entries, from `_exact_sum` or, where that cannot be sure, from
+    `fsum` itself, so the renormalization is the scalar loop's, bit for bit.
     """
     import numpy as np
 
     try:
-        a = np.array(raw, dtype=float)
-        total = math.fsum(raw)
+        if isinstance(raw, (list, tuple)):
+            a = np.fromiter(raw, float, count=len(raw))
+        else:
+            a = np.array(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):
         return None
-    if a.ndim != 1 or not (np.isfinite(a).all() and a.min() >= 0.0):
+    # NaN fails both tests; the total is at least the largest entry
+    if a.ndim != 1 or not (a.min() >= 0.0 and a.max() <= 1.0 + NORMALIZATION_TOL):
         return None
+    total = _exact_sum(a)
+    if total is None:
+        total = math.fsum(a.tolist())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         return None
     if total != 1.0:
         a /= total
     a.flags.writeable = False
     return a
+
+
+def _exact_sum(a):
+    """`math.fsum(a.tolist())` for entries in [0, 2], in a few whole-array
+    steps, or None where those steps cannot be sure of it.
+
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
+    189 (2008)) against sigma = 2, with u = 2**-53 and n < 2**k entries:
+    - q = (2 + a) - 2 is exact and a non-negative multiple of 4u, so every
+      partial sum of q below 4 is exact: `q.sum()` is the exact total tau
+      of q, in any order, wherever it comes out below 4;
+    - each remainder a - q is exact and at most 2u, so their rounded sum
+      rho is within delta = 2(n - 1)u * 2nu < 2**(2k - 104) of their exact
+      one (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      sec. 4.2);
+    - t = tau + rho, and the exact total lies within delta of t + err,
+      where err = tau + rho - t is exact by two-sum. t is fsum's where that
+      whole range lies strictly inside t's rounding interval, whose lower
+      half-gap is half the upper one when t is a power of two.
+    """
+    import numpy as np
+
+    q = a + 2.0
+    q -= 2.0
+    tau = float(np.add.reduce(q))
+    if not tau < 4.0:
+        return None
+    np.subtract(a, q, out=q)
+    rho = float(np.add.reduce(q))
+    t = tau + rho
+    z = t - tau
+    err = (tau - (t - z)) + (rho - z)
+    delta = math.ldexp(1.0, 2 * len(a).bit_length() - 104)
+    if (
+        err + delta < 0.5 * (math.nextafter(t, math.inf) - t)
+        and err - delta > 0.5 * (math.nextafter(t, 0.0) - t)
+    ):
+        return t
+    return None
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ path: validation, boundary building, both decision methods and gap_set.
 Each case runs the whole chain twice, once with every vector forced onto the
 pure-Python path and once with every vector forced onto the numpy path, and
 requires bit-identical renormalised entries and elbows, the same verdicts and
-the same first failed check.
+the same first failed check. The numpy path's renormalising total
+(`core._exact_sum`) must be `math.fsum`'s or defer to it, also at rounding
+midpoints.
 """
 
 import math
@@ -13,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from athermal import (
     compute_elbows,
@@ -377,3 +381,125 @@ def test_validation_errors_match(monkeypatch, n):
         assert scalar[0] is kind, name
         if message is not None:
             assert scalar[1] == message, name
+
+
+# --------------------------------------------------- exact sum of the array
+
+
+def _masses(rng, n):
+    """Dirichlet masses, a third of them scaled down by up to 1e-300, and one
+    subnormal entry, renormalized in numpy so that the total is near 1 but
+    not always 1 and the scalar loop divides."""
+    w = rng.dirichlet(np.ones(n))
+    small = rng.random(n) < 1.0 / 3.0
+    w[small] *= 10.0 ** -rng.uniform(0.0, 300.0, small.sum())
+    w[1] = 3 * 2.0**-1074
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+@pytest.mark.parametrize("n", (_NUMPY_MIN_DIM, 2048, 20_000))
+def test_validation_parity_by_input_kind(monkeypatch, kind, n):
+    for seed in range(3):
+        raw = kind(_masses(np.random.default_rng([n, seed]), n).tolist())
+        _force(monkeypatch, PURE_PYTHON)
+        scalar = core.ProbabilityVector(raw)
+        _force(monkeypatch, NUMPY)
+        vector = core.ProbabilityVector(raw)
+        assert isinstance(vector._stored, np.ndarray)
+        assert np.array(vector.entries).tobytes() == np.array(scalar.entries).tobytes()
+        assert min(x for x in vector.entries if x > 0.0) < 1e-300
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5000),
+    st.integers(0, 2**32 - 1),
+    st.floats(-1074.0, 0.0),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+)
+def test_exact_sum_is_fsum_or_none(n, seed, floor, zeros, normalize):
+    """Entries from 2**floor (subnormal at the far end) up to 1, a share of
+    them zero; raw, or divided by their float sum as validation sees them."""
+    rng = np.random.default_rng(seed)
+    a = rng.random(n) * 2.0 ** rng.uniform(floor, 0.0, n)
+    a[rng.random(n) < zeros] = 0.0
+    if normalize and a.sum() > 0.0:
+        a /= a.sum()
+    total = core._exact_sum(a)
+    assert total is None or total == math.fsum(a.tolist())
+
+
+@pytest.mark.parametrize("n", (_NUMPY_MIN_DIM, 2048, 20_000, 100_000))
+def test_exact_sum_decides_validated_inputs(n):
+    """No fallback on the inputs the numpy path sees: spread masses, masses
+    down to 1e-300, and one dominant level."""
+    rng = np.random.default_rng(n)
+    dominant = rng.dirichlet(np.ones(n)) * 1e-6
+    dominant[0] += 1.0 - dominant.sum()
+    for a in (rng.dirichlet(np.ones(n)), _masses(rng, n), dominant):
+        assert core._exact_sum(a) == math.fsum(a.tolist())
+
+
+# Totals on, and within 1e-30 of, the rounding midpoints next to 1.0: the
+# one below, 1 - 2**-54 (the float gap below 1.0 is half the one above),
+# and the one above, 1 + 2**-53. 2048 entries of 2**-11 make 1.0 exactly.
+_ONE_SPLIT = [2.0**-11] * 2048
+_MIDPOINTS = {
+    "below_one": _ONE_SPLIT[1:] + [2.0**-11 - 2.0**-53, 2.0**-54],
+    "below_one_minus": _ONE_SPLIT[1:] + [2.0**-11 - 2.0**-53, 2.0**-54 - 1e-30],
+    "below_one_plus": _ONE_SPLIT[1:] + [2.0**-11 - 2.0**-53, 2.0**-54 + 1e-30],
+    "above_one": _ONE_SPLIT + [2.0**-53],
+    "above_one_minus": _ONE_SPLIT + [2.0**-53 - 1e-30],
+    "above_one_plus": _ONE_SPLIT + [2.0**-53 + 1e-30],
+}
+_MIDPOINT_TOTALS = {
+    "below_one": 1.0,  # a tie, to even
+    "below_one_minus": 1.0 - 2.0**-53,
+    "below_one_plus": 1.0,
+    "above_one": 1.0,  # a tie, to even
+    "above_one_minus": 1.0,
+    "above_one_plus": 1.0 + 2.0**-52,
+}
+
+
+@pytest.mark.parametrize("short", [False, True])
+def test_exact_sum_at_rounding_midpoints(short):
+    """At 2049 entries the remainders' error bound, 2**-80, is wider than
+    1e-30, so every midpoint total falls back. With the first 2047 entries
+    folded into one, 3 entries, it is 2**-100: the totals 1e-30 off a
+    midpoint are decided, and fsum's, and a tie still falls back."""
+    for name, entries in _MIDPOINTS.items():
+        if short:
+            entries = [math.fsum(entries[:-2])] + entries[-2:]
+        assert math.fsum(entries) == _MIDPOINT_TOTALS[name], name
+        a = np.random.default_rng(len(name)).permutation(entries)
+        tie = name in ("below_one", "above_one")
+        expected = _MIDPOINT_TOTALS[name] if short and not tie else None
+        assert core._exact_sum(a) == expected, name
+
+
+@pytest.mark.parametrize("name", list(_MIDPOINTS))
+def test_validation_falls_back_to_fsum_at_a_midpoint(monkeypatch, name):
+    raw = _MIDPOINTS[name]
+    _force(monkeypatch, PURE_PYTHON)
+    scalar = core.ProbabilityVector(raw)
+    _force(monkeypatch, NUMPY)
+    exact, fsums = [], []
+    exact_sum, fsum = core._exact_sum, math.fsum
+
+    def exact_spy(a):
+        exact.append(exact_sum(a))
+        return exact[-1]
+
+    def fsum_spy(xs):
+        fsums.append(fsum(xs))
+        return fsums[-1]
+
+    monkeypatch.setattr(core, "_exact_sum", exact_spy)
+    monkeypatch.setattr(math, "fsum", fsum_spy)
+    vector = core.ProbabilityVector(raw)
+    assert exact == [None] and fsums == [_MIDPOINT_TOTALS[name]]
+    assert isinstance(vector._stored, np.ndarray)
+    assert np.array(vector.entries).tobytes() == np.array(scalar.entries).tobytes()
