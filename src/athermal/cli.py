@@ -97,12 +97,12 @@ def load_state(path: str) -> tuple[AthermalityState, GibbsContext]:
     has_dm = "density_matrix" in doc
     if has_pop and has_dm:
         raise AthermalError(f"{path}: give populations or density_matrix, not both")
-    g = gibbs_vector(ctx.energies, ctx.beta)
     if has_pop:
         populations = ctx.apply_permutation(
             _numbers(path, "populations", doc["populations"])
         )
-        return validate_state(populations, g.entries), ctx
+        g = gibbs_vector(ctx.energies, ctx.beta).entries
+        return validate_state(populations, g), ctx
     if has_dm:
         import numpy as np
 
@@ -125,7 +125,8 @@ def load_state(path: str) -> tuple[AthermalityState, GibbsContext]:
         perm = list(ctx.permutation)
         rho = DensityMatrix(m[np.ix_(perm, perm)])
         return to_quasiclassical(rho, ctx), ctx
-    return validate_state(g.entries, g.entries), ctx  # free Gibbs state
+    g = gibbs_vector(ctx.energies, ctx.beta).entries
+    return validate_state(g, g), ctx  # free Gibbs state
 
 
 def render_boundary(

@@ -23,18 +23,19 @@ the other conditions are the rows of one root search toward
 goal_k = L + excess, in three steps:
 - Brackets. One sweep per probe x = beta + 2^j gives L_k(x) for every k at
   once in O(d) for d levels, from prefix and suffix sums of exp(-x h_i)
-  (`_sweep`: running sums in Python; `_sweep_array`:
-  `np.logaddexp.accumulate`). A row's bracket ends at the first probe where
-  its L_k reaches goal_k and starts at the probe before it, or at beta,
-  where L_k is the rule's start. The doubling runs to the end of the
-  float range: it stops, naming the first unbracketed row, once
+  (`_sweep`: running sums in Python, for x < 0 on the mirror below;
+  `_sweep_array`: `np.logaddexp.accumulate`). A row's bracket ends at the
+  first probe where its L_k reaches goal_k and starts at the probe before
+  it, or at beta, where L_k is the rule's start. The doubling runs to the
+  end of the float range: it stops, naming the first unbracketed row, once
   x (h_max - h_min) overflows.
-- Secant start. Each row is evaluated exactly (`_log_odds`: value and
-  slope) at the secant point of its bracket, from the sweep's L_k at both
-  ends; the midpoint if that point is not strictly inside.
-- Safeguarded Newton from there, inside the shrinking bracket: a step that
-  leaves it is replaced by a bisection step, and the search stops once the
-  step or the bracket is narrower than `_REL_WIDTH` relative.
+- Secant start. The search hands each row the secant point of its bracket
+  as it brackets it, from the sweep's L_k at both ends; the midpoint if
+  that point is not strictly inside.
+- Safeguarded Newton from there. Each pass evaluates the row exactly
+  (`_log_odds`: value and slope) and narrows its bracket; a step that
+  leaves the bracket is replaced by a bisection step, and the search stops
+  once the step or the bracket is narrower than `_REL_WIDTH` relative.
 A probe costs O(d) for all rows together and a Newton step O(K d) for K
 open rows. The exact evaluations fork on the target's level count:
 - below `_VECTOR_MIN_LEVELS`, one row at a time in pure Python
@@ -121,40 +122,28 @@ def _log_odds(head, tail, bt: float) -> tuple[float, float]:
 def _sweep(h: Sequence[float], x: float) -> list[float]:
     """L_1 .. L_{d-1} at x in one O(d) pass of running sums.
 
-    The head sum of levels i < k and the tail sum of levels i >= k are each
-    taken relative to their largest weight, as in `_log_odds`, so neither
-    is below 1; q_i = exp(-|x| (h_{i+1} - h_i)) <= 1. For x >= 0 that
-    weight is the lowest level's: W_k = sum_{i<k} exp(-x (h_i - h_0)) runs
-    up from h_0, T_k = sum_{i>=k} exp(-x (h_i - h_k)) = 1 + q_k T_{k+1}
-    down from the top, and L_k = x (h_k - h_0) + ln(W_k / T_k). For x < 0
-    it is the highest level's, and the roles swap:
-    U_k = sum_{i<k} exp(x (h_{k-1} - h_i)) = 1 + q_{k-2} U_{k-1},
-    V_k = sum_{i>=k} exp(x (h_{d-1} - h_i)), and
-    L_k = x (h_{d-1} - h_{k-1}) + ln(U_k / V_k)."""
+    For x >= 0 the head sum of levels i < k is taken relative to the lowest
+    level's weight and the tail sum of levels i >= k relative to level k's,
+    so neither is below 1: W_k = sum_{i<k} exp(-x (h_i - h_0)) runs up from
+    h_0, T_k = sum_{i>=k} exp(-x (h_i - h_k)) = 1 + q_k T_{k+1} down from the
+    top with q_i = exp(-x (h_{i+1} - h_i)) <= 1, and
+    L_k = x (h_k - h_0) + ln(W_k / T_k). For x < 0 it is that pass on the
+    mirror, L_k(x; h) = -L_{d-k}(-x; -h reversed)."""
     if len(h) == 2:  # each sum is one weight, and L_1 is linear
         return [x * (h[1] - h[0])]
-    q = [math.exp(abs(x) * (a - b)) for a, b in zip(h, h[1:])]
+    if x < 0.0:
+        return [-v for v in reversed(_sweep([-e for e in reversed(h)], -x))]
+    q = [math.exp(x * (a - b)) for a, b in zip(h, h[1:])]
+    t, tails = 1.0, [1.0]  # T_{d-1}, T_{d-2}, ..., T_1
+    for qk in q[:0:-1]:
+        t = 1.0 + qk * t
+        tails.append(t)
     out: list[float] = []
-    if x >= 0.0:
-        t, tails = 1.0, [1.0]  # T_{d-1}, T_{d-2}, ..., T_1
-        for qk in q[:0:-1]:
-            t = 1.0 + qk * t
-            tails.append(t)
-        h0, w, head = h[0], 1.0, 0.0
-        for hk, qk, t in zip(h[1:], q, reversed(tails)):
-            head += w
-            out.append(x * (hk - h0) + math.log(head / t))
-            w *= qk
-    else:
-        w, tail, tails = 1.0, 1.0, [1.0]  # V_{d-1}, V_{d-2}, ..., V_1
-        for qk in q[:0:-1]:
-            w *= qk
-            tail += w
-            tails.append(tail)
-        top, u = h[-1], 0.0
-        for hk, qk, t in zip(h, (0.0, *q), reversed(tails)):
-            u = 1.0 + qk * u
-            out.append(x * (top - hk) + math.log(u / t))
+    h0, w, head = h[0], 1.0, 0.0
+    for hk, qk, t in zip(h[1:], q, reversed(tails)):
+        head += w
+        out.append(x * (hk - h0) + math.log(head / t))
+        w *= qk
     return out
 
 
@@ -172,52 +161,48 @@ def _sweep_array(up, x: float) -> list[float]:
 def _brackets(
     sweep, h, beta: float, ks: Sequence[int], goals: Sequence[float],
     starts: Sequence[float],
-) -> tuple[list[float], list[float], list[float], list[float]]:
-    """lo, hi, L_k(lo) and L_k(hi) per row, from L_k(beta) = starts and the
-    sweeps: hi is the first probe beta + 2^j at which L_k reaches the goal,
-    lo the probe before it, or beta. The doubling runs to the end of the
-    float range, where x (h_max - h_min) overflows and no sweep is finite."""
-    span, n = float(h[-1] - h[0]), len(ks)
-    lo, hi, at_lo, at_hi = [beta] * n, [beta] * n, list(starts), list(starts)
-    rows, offset = list(zip(range(n), ks, goals)), 1.0
+) -> list[tuple[float, float, float]]:
+    """(lo, hi, start) per row, from L_k(beta) = starts and the sweeps: hi is
+    the first probe beta + 2^j at which L_k reaches the goal, lo the probe
+    before it, or beta, and start the secant point of the bracket from L_k at
+    both ends, or its midpoint if that point is not strictly inside. The
+    doubling runs to the end of the float range, where x (h_max - h_min)
+    overflows and no sweep is finite."""
+    n = len(ks)
+    span, found, offset = float(h[-1] - h[0]), [None] * n, 1.0
+    rows = list(zip(range(n), ks, goals, [beta] * n, starts))  # (r, k, goal, lo, L(lo))
     for _ in range(_MAX_DOUBLINGS):
         x = beta + offset
         if not math.isfinite(x * span):
             break
         at_x, rest = sweep(h, x), []
-        for row in rows:
-            r, k, goal = row
+        for r, k, goal, lo, at_lo in rows:
             v = at_x[k - 1]
             if v >= goal:
-                hi[r], at_hi[r] = x, v
-            else:
-                lo[r], at_lo[r] = x, v
-                rest.append(row)
+                t = (goal - at_lo) / (v - at_lo) if at_lo < goal else 0.5
+                start = lo + (x - lo) * t
+                found[r] = (lo, x, start if lo < start < x else 0.5 * (lo + x))
+            else:  # NaN too
+                rest.append((r, k, goal, x, v))
         if not rest:
-            return lo, hi, at_lo, at_hi
+            return found
         rows, offset = rest, 2.0 * offset
     raise BisectionError(f"no bracket for condition k={rows[0][1]}")
 
 
 def _cooling_root(
-    h: Sequence[float], k: int, goal: float, lo: float, hi: float,
-    at_lo: float, at_hi: float,
+    h: Sequence[float], k: int, goal: float, lo: float, hi: float, x: float
 ) -> float:
     """The beta~ in (lo, hi] at which L_k reaches goal = logit(alpha_k),
-    from the secant point of the bracket and the sweep's L_k at its ends."""
+    by safeguarded Newton from x inside the bracket."""
     head, tail = h[:k], h[k:]
-    t = (goal - at_lo) / (at_hi - at_lo) if at_lo < goal else 0.5
-    x = lo + (hi - lo) * t
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
-    value, slope = _log_odds(head, tail, x)
-    if value >= goal:
-        hi = x
-    else:
-        lo = x
-
-    # Safeguarded Newton: L(lo) < goal <= L(hi) holds throughout.
+    # L(lo) < goal <= L(hi) holds throughout.
     for _ in range(_MAX_ITERS):
+        value, slope = _log_odds(head, tail, x)
+        if value >= goal:
+            hi = x
+        else:
+            lo = x
         mid = 0.5 * (lo + hi)
         width = _REL_WIDTH * max(1.0, abs(mid))
         if hi - lo < width:
@@ -226,11 +211,6 @@ def _cooling_root(
         if abs(step) < width:
             return x - step
         x = x - step if lo < x - step < hi else mid
-        value, slope = _log_odds(head, tail, x)
-        if value >= goal:
-            hi = x
-        else:
-            lo = x
     return x
 
 
@@ -254,31 +234,25 @@ def _cooling_roots(
     energies: Sequence[float], beta: float, ks: Sequence[int], goals: Sequence[float],
     starts: Sequence[float],
 ) -> list[float]:
-    """_cooling_root for every k at once: the same brackets, secant start
-    and safeguarded Newton steps, each row on its own bracket, one array
+    """_cooling_root for every k at once: the same brackets, starts and
+    safeguarded Newton steps, each row on its own bracket, one array
     operation a step."""
     import numpy as np
 
     h, k, goal = np.array(energies), np.array(ks), np.array(goals)
     brackets = _brackets(_sweep_array, h - h[0], beta, ks, goals, starts)
-    lo, hi, at_lo, at_hi = map(np.array, brackets)
+    lo, hi, x = map(np.array, zip(*brackets))
     # x * h may still overflow inside a bracket when the energies lie far
     # from 0; the NaN it leaves fails every comparison, as on the scalar
     # path, which warns of nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        t = np.divide(
-            goal - at_lo, at_hi - at_lo, out=np.full(len(k), 0.5), where=at_lo < goal
-        )
-        x = lo + (hi - lo) * t
-        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-        value, slope = _log_odds_rows(h, k, x)
-        rise = value >= goal
-        lo, hi = np.where(rise, lo, x), np.where(rise, x, hi)
-
-        # Safeguarded Newton: L(lo) < goal <= L(hi) holds on every row, and
-        # the arrays keep only the rows still open.
+        # L(lo) < goal <= L(hi) holds on every row, and the arrays keep only
+        # the rows still open.
         root, rows = np.empty(len(k)), np.arange(len(k))
         for _ in range(_MAX_ITERS):
+            value, slope = _log_odds_rows(h, k, x)
+            rise = value >= goal
+            lo, hi = np.where(rise, lo, x), np.where(rise, x, hi)
             mid = 0.5 * (lo + hi)
             width = _REL_WIDTH * np.maximum(1.0, np.abs(mid))
             step = np.divide(
@@ -293,9 +267,6 @@ def _cooling_roots(
             if not len(rows):
                 break
             x = np.where((lo < x - step) & (x - step < hi), x - step, mid)
-            value, slope = _log_odds_rows(h, k, x)
-            rise = value >= goal
-            lo, hi = np.where(rise, lo, x), np.where(rise, x, hi)
         else:
             root[rows] = x
     return root.tolist()
@@ -356,8 +327,8 @@ def _conditions(
     if open_ks and len(h) >= _VECTOR_MIN_LEVELS:
         roots = _cooling_roots(h, beta, open_ks, goals, starts)
     elif open_ks:
-        brackets = _brackets(_sweep, h, beta, open_ks, goals, starts)
-        roots = [_cooling_root(h, *row) for row in zip(open_ks, goals, *brackets)]
+        rows = zip(open_ks, goals, _brackets(_sweep, h, beta, open_ks, goals, starts))
+        roots = [_cooling_root(h, k, goal, *b) for k, goal, b in rows]
     else:
         roots = []
     roots, sign = iter(roots), (-1.0 if heating else 1.0)

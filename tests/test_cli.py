@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from athermal import convertible_via_monotones, cooling_monotone, heating_monotone
-from athermal import cli, core, esets, majorization, monotones, tempbounds
+from athermal import cli, core, esets, majorization, monotones, tempbounds, thermo
 from athermal.cli import load_state, run
 
 LN4 = math.log(4.0)
@@ -86,6 +86,29 @@ class TestStateFiles:
         assert code == 0
         # coherences are pinched away; same verdict as the diagonal state
         assert json.loads(out)["beta_max"] == pytest.approx(math.log(9.0) / LN4)
+
+    def test_density_matrix_builds_gibbs_once(
+        self, capsys, monkeypatch, tmp_path, target_file
+    ):
+        """A density-matrix file builds its Gibbs vector once, in
+        `to_quasiclassical`, and reads as the file of its diagonal."""
+        diagonal, dm = tmp_path / "diagonal.json", tmp_path / "dm.json"
+        doc, pops = {"energies": [0.0, 0.5, LN4], "beta": 1.0}, [0.6, 0.3, 0.1]
+        diagonal.write_text(json.dumps({**doc, "populations": pops}))
+        rho = [[[pops[i] if i == j else 0.05, 0.0] for j in range(3)] for i in range(3)]
+        dm.write_text(json.dumps({**doc, "density_matrix": rho}))
+        _, expected, _ = _run(capsys, ["cool", "-s", str(diagonal), "-t", target_file])
+        calls, real = [], thermo.gibbs_vector
+
+        def spy(energies, beta):
+            calls.append(beta)
+            return real(energies, beta)
+
+        monkeypatch.setattr(cli, "gibbs_vector", spy)
+        monkeypatch.setattr(thermo, "gibbs_vector", spy)
+        code, out, _ = _run(capsys, ["cool", "-s", str(dm), "-t", target_file])
+        assert code == 0 and out == expected
+        assert len(calls) == 1
 
     def test_density_matrix_negative_within_psd_tol(self, capsys, tmp_path):
         dm = tmp_path / "dm.json"

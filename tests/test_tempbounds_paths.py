@@ -264,23 +264,26 @@ def _near_limit_rows(h, beta):
 
 
 def _check_brackets(h, beta, ks, goals, starts):
-    """Both sweeps' brackets against the exact doubling, row by row."""
+    """Both sweeps' brackets and secant starts against the exact doubling,
+    row by row."""
     h_array = np.array(h)
     forms = (
         (tempbounds._sweep, h),
         (tempbounds._sweep_array, h_array - h_array[0]),
     )
     brackets = [
-        list(zip(*tempbounds._brackets(sweep, hs, beta, ks, goals, starts)))
-        for sweep, hs in forms
+        tempbounds._brackets(sweep, hs, beta, ks, goals, starts) for sweep, hs in forms
     ]
     for (sweep, hs), found in zip(forms, brackets):
         swept_at = functools.lru_cache(maxsize=None)(lambda x: sweep(hs, x))
         for r, (k, goal) in enumerate(zip(ks, goals)):
             exact = _exact_bracket(h, beta, k, goal)
-            lo, hi, at_lo, at_hi = found[r]
-            assert at_lo == (starts[r] if lo == beta else swept_at(lo)[k - 1])
-            assert at_hi == swept_at(hi)[k - 1] >= goal
+            lo, hi, start = found[r]
+            at_lo = starts[r] if lo == beta else swept_at(lo)[k - 1]
+            at_hi = swept_at(hi)[k - 1]
+            assert at_lo < goal <= at_hi
+            secant = lo + (hi - lo) * ((goal - at_lo) / (at_hi - at_lo))
+            assert start == (secant if lo < secant < hi else 0.5 * (lo + hi))
             x, offset = beta, 1.0
             while x < max(hi, exact[1]):  # every probe either bracket passed
                 x = beta + offset
@@ -322,12 +325,65 @@ def test_sweep_brackets_at_the_degenerate_limit(monkeypatch):
 def test_heating_probes_cross_zero(monkeypatch):
     # Heating solves the mirror from -beta: with beta = 2.5 the probes
     # -1.5, -0.5 are negative and 1.5, 5.5, ... positive, and some rows are
-    # bracketed across x = 0, where the scalar sweep switches its sums.
+    # bracketed across x = 0, where the scalar sweep turns to its own mirror
+    # (back to the target's energies, at x > 0) for the negative probes.
     base = _target(64, 2, 3)
     target = GibbsContext(base.energies, 2.5)
     h, beta, ks, goals, starts = _open_rows(monkeypatch, _resource(64), target, True)
     for found in _check_brackets(h, beta, ks, goals, starts):
-        assert any(lo < 0.0 < hi for lo, hi, _, _ in found)
+        assert any(lo < 0.0 < hi for lo, hi, _ in found)
+
+
+# ------------------------------------------------------ the sweep's mirror
+#
+# At x < 0 `_sweep` runs its x >= 0 pass on the mirror, -h reversed at -x.
+# Where beta (h_max - h_min) passes 709, a weight taken relative to the
+# lowest level's would overflow at -beta: the heating conditions below are
+# the cases that need the shift to the highest level that the mirror makes.
+
+FAR_LEVELS = ((0.0, 400.0, 800.0), (0.0, 0.0, 800.0), (0.0, 300.0, 300.0, 900.0))
+# beta_min of each against FAR_RESOURCE at beta = 1, as float.hex
+FAR_BETA_MIN = ("0x1.ff8e6f4cd2092p-1", "0x1.ff8e6f4cd2092p-1", "0x1.ff9b0d999e410p-1")
+FAR_RESOURCE = ((0.5, 0.3, 0.2), (0.6, 0.3, 0.1))
+
+
+def _fsum_log_odds(h, x):
+    """L_1 .. L_{d-1} at x from exact sums of each side's weights, each side
+    shifted by its own largest exponent."""
+
+    def log_sum(part):
+        top = max(-x * e for e in part)
+        return top + math.log(math.fsum(math.exp(-x * e - top) for e in part))
+
+    return [log_sum(h[:k]) - log_sum(h[k:]) for k in range(1, len(h))]
+
+
+@pytest.mark.parametrize(
+    "energies, expected",
+    list(zip(FAR_LEVELS, FAR_BETA_MIN)),
+    ids=["-".join(f"{e:g}" for e in h) for h in FAR_LEVELS],
+)
+def test_heating_far_levels(monkeypatch, energies, expected):
+    resource, target = validate_state(*FAR_RESOURCE), GibbsContext(energies, 1.0)
+    for threshold in (ONE_BY_ONE, VECTOR):
+        _force(monkeypatch, threshold)
+        heat = beta_min(resource, target)
+        assert heat.beta_min.value == pytest.approx(float.fromhex(expected), rel=1e-14)
+        assert all(b.is_finite and b.value < 1.0 for _, b, _ in heat.per_condition)
+
+
+def test_sweep_below_zero_matches_fsum():
+    cases = [(h, -1.0) for h in FAR_LEVELS]
+    for levels in (3, 4, 8, 16, 64, 400):
+        for ground, top in DEGENERACIES:
+            if ground + top <= levels:
+                h = _target(levels, ground, top).energies
+                cases += [(h, x) for x in (-0.3, -2.5, -40.0, -1e3)]
+                mirror = tuple(-e for e in reversed(h))
+                cases += [(mirror, x) for x in (-0.3, -40.0)]
+    for h, x in cases:
+        for swept, ref in zip(tempbounds._sweep(h, x), _fsum_log_odds(h, x), strict=True):
+            assert abs(swept - ref) <= _bound(h, x)
 
 
 # ------------------------------------------------- the sweep's k-level masses
