@@ -1,10 +1,12 @@
 """File-driven command line frontend.
 
 One subcommand per computation: cool, heat, overlap, convert, monotones,
-critical-energies, eset, gap-example, oracle, curve. Results go to stdout
-as a single JSON document (sorted keys; infinities as "+inf"/"-inf"); side
-files (boundary plots as CSV / SVG; scans as CSV) are written only when
---out is given, in the formats each subcommand lists.
+critical-energies, eset, gap-example, oracle, curve. Each handler writes
+its side file, if --out is given (boundary plots as CSV / SVG; scans as
+CSV), and returns its exit code and document; `run` is the one writer of
+stdout and stderr. A result goes to stdout as a single JSON document (sorted
+keys; infinities as "+inf"/"-inf"), an error to stderr as
+{"error": {"code", "message"}}, and nothing else is printed.
 
 Exit codes: 0 ok, 2 invalid input, 3 infeasible request, 4 numeric failure.
 """
@@ -44,6 +46,14 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERIC = 4
+
+
+class UsageError(AthermalError):
+    """A command line that argparse rejects."""
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def _load_json(path: str) -> dict:
@@ -168,12 +178,11 @@ def render_boundary(
 
 
 def _write_out(path: str, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
-def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise AthermalError(f"cannot write {path}: {exc}") from exc
 
 
 def _side_file(args, states, labels=None) -> None:
@@ -181,33 +190,29 @@ def _side_file(args, states, labels=None) -> None:
         _write_out(args.out, render_boundary(states, args.format, labels))
 
 
-def _cmd_temperature(args) -> int:
+def _cmd_temperature(args) -> tuple[int, dict]:
     resource, _ = load_state(args.state)
     target = load_target(args.target)
     # Looked up per call, so a rebinding of the module name is what runs.
     solve = beta_max if args.key == "beta_max" else beta_min
     report = solve(resource, target)
-    _emit(
-        {
-            "beta": target.beta,
-            args.key: getattr(report, args.key).to_json(),
-            "per_condition": [
-                {"k": k, "beta": b.to_json(), "alpha": a}
-                for k, b, a in report.per_condition
-            ],
-        }
-    )
     _side_file(args, [resource], ["resource"])
-    return EXIT_OK
+    return EXIT_OK, {
+        "beta": target.beta,
+        args.key: getattr(report, args.key).to_json(),
+        "per_condition": [
+            {"k": k, "beta": b.to_json(), "alpha": a}
+            for k, b, a in report.per_condition
+        ],
+    }
 
 
-def _cmd_overlap(args) -> int:
+def _cmd_overlap(args) -> tuple[int, dict]:
     resource, _ = load_state(args.state)
     target = load_target(args.target)
     value = max_ground_overlap(resource, target, args.ground_degeneracy)
-    _emit({"ground_degeneracy": args.ground_degeneracy, "o_max": value})
     _side_file(args, [resource], ["resource"])
-    return EXIT_OK
+    return EXIT_OK, {"ground_degeneracy": args.ground_degeneracy, "o_max": value}
 
 
 def _load_pair(args) -> tuple[AthermalityState, AthermalityState, float]:
@@ -222,7 +227,7 @@ def _load_pair(args) -> tuple[AthermalityState, AthermalityState, float]:
     return source, target, tgt_ctx.beta
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> tuple[int, dict]:
     source, target, beta = _load_pair(args)
     failed = _failed_check(source, target, beta)
     doc = {"convertible": failed is None}
@@ -234,12 +239,11 @@ def _cmd_convert(args) -> int:
             "lhs": ExtendedBeta(mono(source, beta, E_k)).to_json(),
             "rhs": ExtendedBeta(mono(target, beta, E_k)).to_json(),
         }
-    _emit(doc)
     _side_file(args, [source, target], ["from", "to"])
-    return EXIT_OK if failed is None else EXIT_INFEASIBLE
+    return (EXIT_OK if failed is None else EXIT_INFEASIBLE), doc
 
 
-def _cmd_monotones(args) -> int:
+def _cmd_monotones(args) -> tuple[int, dict]:
     state, ctx = load_state(args.state)
     entries = []
     for E in args.gap:
@@ -248,38 +252,23 @@ def _cmd_monotones(args) -> int:
         entries.append(
             {"E": E, "cooling": cooling.to_json(), "heating": heating.to_json()}
         )
-    _emit({"beta": ctx.beta, "entries": entries})
     _side_file(args, [state], ["state"])
-    return EXIT_OK
+    return EXIT_OK, {"beta": ctx.beta, "entries": entries}
 
 
-def _cmd_critical_energies(args) -> int:
+def _cmd_critical_energies(args) -> tuple[int, dict]:
     state, ctx = load_state(args.state)
     crit = critical_energies(state, ctx.beta)
-    _emit(
-        {
-            "beta": ctx.beta,
-            "degenerate": list(crit.degenerate_flags),
-            "entries": [
-                {"E": E, "k": k, "kind": kind} for k, E, kind in crit.entries
-            ],
-        }
-    )
-    return EXIT_OK
+    return EXIT_OK, {
+        "beta": ctx.beta,
+        "degenerate": list(crit.degenerate_flags),
+        "entries": [{"E": E, "k": k, "kind": kind} for k, E, kind in crit.entries],
+    }
 
 
-def _cmd_eset(args) -> int:
+def _cmd_eset(args) -> tuple[int, dict]:
     state, ctx = load_state(args.state)
     result = gap_set(state, ctx.beta, args.beta_tilde, args.e_max, args.grid)
-    _emit(
-        {
-            "beta": ctx.beta,
-            "beta_tilde": args.beta_tilde,
-            "intervals": [[iv.lo, iv.hi] for iv in result.intervals],
-            "closed": [[iv.lo_closed, iv.hi_closed] for iv in result.intervals],
-            "resolution": result.resolution,
-        }
-    )
     if args.out and args.format == "csv":
         import numpy as np
 
@@ -294,10 +283,16 @@ def _cmd_eset(args) -> int:
         _write_out(args.out, csv.encode())
     else:
         _side_file(args, [state], ["resource"])
-    return EXIT_OK
+    return EXIT_OK, {
+        "beta": ctx.beta,
+        "beta_tilde": args.beta_tilde,
+        "intervals": [[iv.lo, iv.hi] for iv in result.intervals],
+        "closed": [[iv.lo_closed, iv.hi_closed] for iv in result.intervals],
+        "resolution": result.resolution,
+    }
 
 
-def _cmd_gap_example(args) -> int:
+def _cmd_gap_example(args) -> tuple[int, dict]:
     state = construct_gap_example(args.a)
     g1, g2 = state.g.entries
     doc = {
@@ -305,24 +300,22 @@ def _cmd_gap_example(args) -> int:
         "beta": 1.0,
         "populations": list(state.r.entries),
     }
-    _emit(doc)
-    if args.out:
-        if args.format == "json":
-            _write_out(args.out, (json.dumps(doc, sort_keys=True) + "\n").encode())
-        else:
-            _side_file(args, [state], ["constructed"])
-    return EXIT_OK
+    if args.out and args.format == "json":
+        _write_out(args.out, _dumps(doc).encode())
+    else:
+        _side_file(args, [state], ["constructed"])
+    return EXIT_OK, doc
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[int, dict]:
     source, target, _ = _load_pair(args)
     result = lp_feasible(source.r, source.g, target.r, target.g, args.tol)
-    _emit({"feasible": result.feasible, "max_violation": result.max_violation})
     _side_file(args, [source, target], ["from", "to"])
-    return EXIT_OK if result.feasible else EXIT_INFEASIBLE
+    doc = {"feasible": result.feasible, "max_violation": result.max_violation}
+    return (EXIT_OK if result.feasible else EXIT_INFEASIBLE), doc
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args) -> tuple[int, dict]:
     n = args.grid
     if not 1 <= n <= MAX_GRID:
         raise InvalidGrid(f"--grid must be in [1, {MAX_GRID}], got {n}")
@@ -331,17 +324,15 @@ def _cmd_curve(args) -> int:
         w = i / n
         x, y = fa_point(args.a, w)
         points.append([w, x, y])
-    _emit({"a": args.a, "points": points})
     if args.out:
         rows = "".join(f"{w:.17g},{x:.17g},{y:.17g}\n" for w, x, y in points)
         _write_out(args.out, rows.encode())
-    return EXIT_OK
+    return EXIT_OK, {"a": args.a, "points": points}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error is an input error, in JSON
-        _error("UsageError", f"{self.prog}: {message}")
-        self.exit(EXIT_INPUT)
+        raise UsageError(f"{self.prog}: {message}")
 
 
 @functools.cache
@@ -429,26 +420,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    """Parse argv, dispatch to its handler and write what it returns."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+        code, doc = args.func(args)
+    except SystemExit as exc:  # --help, printed by argparse
         return EXIT_INPUT if exc.code else EXIT_OK
-    try:
-        return args.func(args)
-    except AthermalError as exc:
-        _error(type(exc).__name__, str(exc))
-        return EXIT_INPUT
-    except BisectionError as exc:
-        _error("BisectionError", str(exc))
-        return EXIT_NUMERIC
-
-
-def _error(code: str, message: str) -> None:
-    sys.stderr.write(
-        json.dumps({"error": {"code": code, "message": message}}, sort_keys=True)
-        + "\n"
-    )
+    except (AthermalError, BisectionError) as exc:
+        code = EXIT_NUMERIC if isinstance(exc, BisectionError) else EXIT_INPUT
+        error = {"code": type(exc).__name__, "message": str(exc)}
+        sys.stderr.write(_dumps({"error": error}))
+        return code
+    sys.stdout.write(_dumps(doc))
+    return code
 
 
 def main() -> None:

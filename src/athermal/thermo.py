@@ -68,6 +68,8 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():  # NaN would pass every tolerance below
+            raise InvalidDensityMatrix("matrix has a non-finite entry")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise InvalidDensityMatrix("matrix is not Hermitian within tolerance")
         tr = np.trace(m).real

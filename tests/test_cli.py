@@ -192,6 +192,20 @@ class TestInputErrors:
         assert "trace 1.5 " in error["message"]
         assert "np.float64" not in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_density_matrix_non_finite_literal(
+        self, capsys, tmp_path, target_file, literal
+    ):
+        # Python's json reads these literals; the matrix must not accept them
+        bad = tmp_path / "state.json"
+        bad.write_text(
+            '{"energies": [0.0, 0.0], "beta": 1.0, "density_matrix": '
+            f'[[[0.5, 0.0], [{literal}, 0.0]], [[{literal}, 0.0], [0.5, 0.0]]]}}'
+        )
+        code, out, err = _run(capsys, ["cool", "-s", str(bad), "-t", target_file])
+        assert _input_error(code, err)["code"] == "InvalidDensityMatrix"
+        assert out == ""
+
     def test_density_matrix_of_wrong_size(self, capsys, tmp_path, target_file):
         bad = self._state(
             tmp_path,
@@ -802,6 +816,31 @@ class TestSideFiles:
             assert _input_error(code, err)["code"] == "UsageError"
             assert not side.exists()
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize(
+        "command, fmt",
+        [(c, f) for c, formats in _SIDE_FORMATS.items() for f in formats],
+    )
+    def test_unwritable_out_exits_2(
+        self, capsys, tmp_path, resource_file, target_file, command, fmt, where
+    ):
+        """A side file that cannot be written is an input error: one JSON
+        error, nothing on stdout, and no file left behind."""
+        side_dir = tmp_path / "sides"
+        if where == "directory":
+            side_dir.mkdir()
+            side = side_dir
+        else:
+            side = side_dir / "side"
+        argv = _side_argv(command, resource_file, target_file)
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = _run(capsys, argv + ["--out", str(side), "--format", fmt])
+        error = _input_error(code, err)
+        assert error["code"] == "AthermalError"
+        assert error["message"].startswith(f"cannot write {side}: ")
+        assert out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 def _reject_constant(token):
     raise ValueError(f"non-JSON token {token} on stdout")
@@ -858,8 +897,9 @@ _FUZZ_COMMANDS = {
 
 class TestFuzz:
     def test_random_malformed_invocations(self, capsys, tmp_path):
-        """Every invocation ends in a documented exit code: JSON on stderr
-        when it fails, strict JSON (no NaN/Infinity) on stdout when not."""
+        """Every invocation ends in a documented exit code: one JSON error on
+        stderr and nothing on stdout when it fails, strict JSON (no
+        NaN/Infinity) on stdout and nothing on stderr when not."""
         states = []
         for i, doc in enumerate(_FUZZ_STATES):
             path = tmp_path / f"state{i}.json"
@@ -867,6 +907,8 @@ class TestFuzz:
             states.append(str(path))
         states.append(str(tmp_path / "missing.json"))
         pools = {"state": states, "float": _FUZZ_FLOATS, "int": _FUZZ_INTS}
+        # a writable side file, one in a missing directory, and a directory
+        sides = [tmp_path / "side", tmp_path / "no_such_dir" / "side", tmp_path]
         rng = random.Random(1)
         for _ in range(600):
             command = rng.choice([*_FUZZ_COMMANDS, "no-such-command"])
@@ -875,7 +917,7 @@ class TestFuzz:
                 if rng.random() < 0.9:
                     argv += [flag, rng.choice(pools[kind])]
             if rng.random() < 0.2:
-                argv += ["--out", str(tmp_path / "side"),
+                argv += ["--out", str(rng.choice(sides)),
                          "--format", rng.choice(["json", "csv", "svg", "png"])]
             if rng.random() < 0.05:
                 argv.append(rng.choice(["--bogus", "extra", "-x"]))
@@ -883,8 +925,10 @@ class TestFuzz:
             assert code in (0, 2, 3, 4), argv
             if code in (0, 3):
                 json.loads(out, parse_constant=_reject_constant)
+                assert err == "", argv
             else:
                 assert set(json.loads(err)) == {"error"}, argv
+                assert out == "", argv
 
     def test_help_exits_0(self, capsys):
         code, out, _ = _run(capsys, ["eset", "--help"])

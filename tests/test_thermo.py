@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from athermal import (
     to_quasiclassical,
 )
 from athermal.core import ProbabilityVector, validate_state
-from athermal.errors import DimensionMismatch, NonFiniteBeta
+from athermal.errors import DimensionMismatch, InvalidDensityMatrix, NonFiniteBeta
 
 
 class TestGibbsVector:
@@ -83,6 +84,24 @@ class TestDensityMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             DensityMatrix(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    def test_rejects_non_finite_entry(self, value, part, where):
+        """A NaN compares False with every tolerance, and an infinity makes
+        the checks compute NaN: both are refused up front, with no warning."""
+        m = np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)
+        entry = complex(value, 0.0) if part == "real" else complex(0.0, value)
+        if where == "diagonal":
+            m[1, 1] += entry
+        else:  # the conjugate pair, so the matrix is otherwise Hermitian
+            m[0, 1] += entry
+            m[1, 0] += entry.conjugate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDensityMatrix, match="non-finite"):
+                DensityMatrix(m)
 
     def test_matrix_is_read_only(self):
         rho = DensityMatrix(np.array([[0.5, 0.0], [0.0, 0.5]]))
