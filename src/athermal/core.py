@@ -15,6 +15,7 @@ from .errors import (
     AthermalError,
     DimensionMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     NonPositiveBeta,
     NonPositiveGap,
     NormalizationOutOfTolerance,
@@ -81,7 +82,7 @@ class ProbabilityVector:
         entries = tuple(map(float, raw))
         for x in entries:
             if not math.isfinite(x):
-                raise NegativeEntry(f"non-finite entry {x!r}")
+                raise NonFiniteEntry(f"non-finite entry {x!r}")
             if x < 0.0:
                 raise NegativeEntry(f"negative entry {x!r}")
         total = math.fsum(entries)

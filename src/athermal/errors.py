@@ -9,6 +9,10 @@ class NegativeEntry(AthermalError):
     pass
 
 
+class NonFiniteEntry(NegativeEntry):
+    """A NaN or infinite entry: a NegativeEntry to every handler of one."""
+
+
 class NormalizationOutOfTolerance(AthermalError):
     pass
 

@@ -13,7 +13,10 @@ x = F_a(y) = sigma(a * logit y), with y in [1/2, 1) for a > 1 and in
 (0, 1/2] for a < 1, where F_a has one sign of curvature (`_curve_dxdy`).
 Between two elbow ordinates the resource boundary is a line, so there the
 clearance is a line minus F_a and changes sign at most twice, once on each
-side of its one extremum; `_root` brackets each change.
+side of its one extremum; `_root` brackets each change. Its Newton steps
+take the exact slope in E: with dy/dE = +-beta y(1 - y) (+ on the cooling
+branch), (s - F_a'(y)) dy/dE for the clearance on a piece of boundary slope
+s, and -F_a''(y) dy/dE for the slope s - F_a'(y) whose zero is the extremum.
 
 numpy is imported only where arrays are built: a qubit's gap set loads none.
 """
@@ -55,6 +58,8 @@ DEFAULT_W_MIN = 1e-10
 ENDPOINT_RESOLUTION = 1e-10  # bracket width in E of each interval end
 
 _TANGENT_EPS = 1e-9
+# Steps `_root` may spend beyond bisection's count before it only bisects.
+_SPARE_STEPS = 8
 # Points per block of the vector clearance (64 KiB float arrays). Whole-grid
 # temporaries above glibc's 128 KiB mmap threshold can be handed back to the
 # OS and faulted in again on every scan, depending on the heap's layout.
@@ -152,47 +157,65 @@ def _scan_grid(beta: float, e_max: float | None, n_grid: int) -> np.ndarray:
     return w_min + step * np.arange(n_grid)
 
 
-def _root(f, lo: float, hi: float, tol: float) -> float:
+def _root(f, lo: float, hi: float, tol: float, x: float | None = None) -> float:
     """Midpoint of a bracket lo < hi of the sign change of f (f >= 0 on one
     side, f < 0 on the other) narrower than tol, or as narrow as floats
     allow; or the end nearer zero if f has one sign at both ends: the change
-    then lies at that end, within rounding.
+    then lies at that end, within rounding. f(x) gives the pair (f, f').
 
-    Illinois false-position steps narrow the bracket: an end kept twice in a
-    row has its value halved, and a step stays tol/2 inside the bracket, so
-    that an end the steps converge on is straddled. A midpoint step follows
-    any three steps that failed to halve the bracket.
+    Safeguarded Newton inside the bracket (Numerical Recipes, 3rd ed.,
+    section 9.4, `rtsafe`), from x if it lies strictly inside, else from the
+    secant point of the ends, else from their midpoint; each value
+    moves the end on its side to x, and a step that leaves the bracket is
+    replaced by its midpoint. Newton steps that converge on one end leave
+    the far end where it was, so a step shorter than max(tol/2, 1 ulp) is
+    pushed to that length towards the far end, past the root, and the far
+    end closes in. A Newton step that fails to halve the step before has
+    reached the rounding floor of f: it becomes a push of twice its length,
+    and a push that stays on its side is followed by one twice as long.
+    With tol > 0, f may change by rounding only over a span wider than tol,
+    as the clearance does near e_max, and there no step but the midpoint
+    says anything: after k steps the bracket is at most 2^(_SPARE_STEPS - k)
+    of its first width, by a midpoint step wherever another could leave it
+    wider, so `_root` takes at most _SPARE_STEPS + 1 steps more than
+    bisection.
     """
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo, f_hi = f(lo)[0], f(hi)[0]
     lo_side = f_lo >= 0.0
     if (f_hi >= 0.0) == lo_side:
         return lo if abs(f_lo) <= abs(f_hi) else hi
-    kept = 0  # the end the last step kept: -1 lo, +1 hi
-    ref, steps = hi - lo, 0  # width when last halved, steps since
-    while not hi - lo < tol:
-        x = mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if steps < 3:
-            x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-            x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
-            if not lo < x < hi:
-                x = mid
-        f_x = f(x)
-        if (f_x >= 0.0) == lo_side:
-            lo, f_lo = x, f_x
-            if kept == 1:
-                f_hi *= 0.5
-            kept = 1
+    cap = (hi - lo) * 2.0**_SPARE_STEPS if tol > 0.0 else math.inf
+    step = before = hi - lo  # lengths of the last step and of the one before
+    push, far = 0.0, None  # the last push (0 after any other step), far end
+    if x is None or not lo < x < hi:
+        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    while True:
+        value, slope = f(x)
+        stayed = far  # the far end, which a push that stayed keeps
+        if (value >= 0.0) == lo_side:
+            lo, far = x, hi
         else:
-            hi, f_hi = x, f_x
-            if kept == -1:
-                f_lo *= 0.5
-            kept = -1
-        steps += 1
-        if hi - lo <= 0.5 * ref:
-            ref, steps = hi - lo, 0
-    return 0.5 * (lo + hi)
+            hi, far = x, lo
+        mid = 0.5 * (lo + hi)
+        if hi - lo < tol or not lo < mid < hi:
+            return mid
+        cap *= 0.5
+        delta = value / slope if slope else math.inf  # Newton: x - delta
+        short = max(0.5 * tol, math.ulp(x))
+        if push and far == stayed:
+            push *= 2.0
+        elif abs(delta) < short:
+            push = short
+        elif abs(delta) > 0.5 * before:
+            push = 2.0 * abs(delta)
+        else:
+            push = 0.0
+        nxt = x + math.copysign(push, far - x) if push else x - delta
+        if hi - lo > cap or not lo < nxt < hi:
+            nxt, push = mid, 0.0
+        step, before, x = abs(nxt - x), step, nxt
 
 
 def gap_membership(
@@ -320,9 +343,13 @@ def gap_set(
     changes at most twice: once if it differs at the two ends, twice only if
     `_turns` and the clearance's extremum, found by `_root` on its slope, has
     the other membership. Each change is bracketed by `_root` to
-    ENDPOINT_RESOLUTION in E, and the end it gives is closed iff feasible
-    there. Every step decides by the sign of `_margin`, the rule of
-    `gap_membership`; no grid is built.
+    ENDPOINT_RESOLUTION in E, from one Newton step in y and then by Newton
+    steps on the exact slopes in E of the module docstring, and the end it
+    gives is the midpoint of that bracket, closed iff feasible there. Every step decides by the sign of `_margin`,
+    the rule of `gap_membership`; no grid is built. Where the margin changes
+    by rounding only, over a span wider than the resolution (at the absolute
+    DOMINATION_SLACK, near e_max), `_root` bisects, and any end in that span
+    is one within rounding.
     """
     e_max, w_min, step = _grid_span(beta, e_max, n_grid)
     if beta_tilde == beta:
@@ -334,11 +361,30 @@ def gap_set(
     boundary = compute_elbows(resource)
     tuples = isinstance(boundary.xs, tuple)
 
-    def clearance(E: float) -> float:
-        """`_margin` of the curve point at gap E: >= 0 iff `_dominates`."""
-        x, y = _curve_xy(a, math.exp(-beta * E))
-        alpha = alpha_at(boundary, y) if tuples else float(alphas_at(boundary, y))
-        return _margin(alpha, x)
+    rate = beta if a > 1.0 else -beta  # dy/dE = rate * y(1 - y)
+
+    def crossing(s: float):
+        """The clearance at gap E, the `_margin` of the curve point (>= 0 iff
+        `_dominates`), and its slope (s - F_a'(y)) dy/dE in E on a piece of
+        boundary slope s, with y(1 - y) = w/(1 + w)^2."""
+        def f(E: float) -> tuple[float, float]:
+            w = math.exp(-beta * E)
+            x, y = _curve_xy(a, w)
+            alpha = alpha_at(boundary, y) if tuples else float(alphas_at(boundary, y))
+            return (_margin(alpha, x),
+                    (s - _curve_dxdy(a, w)) * rate * w / ((1.0 + w) * (1.0 + w)))
+        return f
+
+    def turn(s: float):
+        """s - F_a'(y), zero at the clearance's extremum on a piece of slope
+        s, and its slope -F_a''(y) dy/dE in E, which `_curve_dxdy`'s F_a''
+        puts as -rate F_a'(y) ((2y - 1) - a(2x - 1))."""
+        def f(E: float) -> tuple[float, float]:
+            w = math.exp(-beta * E)
+            x, y = _curve_xy(a, w)
+            d = _curve_dxdy(a, w)
+            return s - d, -rate * d * ((2.0 * y - 1.0) - a * (2.0 * x - 1.0))
+        return f
 
     ws, alphas, slopes = _pieces(boundary, a, w_min, w_min + step * (n_grid - 1))
     if tuples:  # its few pieces one by one
@@ -361,25 +407,44 @@ def gap_set(
                            slopes - dxdy[1:], np.diff(ys))
         todo = np.flatnonzero((inside[:-1] != inside[1:]) | turns).tolist()
 
-    roots: list[float] = []  # gaps E where membership changes, descending
+    convex = a > 0.0 or a < -1.0  # the clearance in y on a piece, as in `_turns`
+
+    def start(y: float, h: float, d: float, s: float) -> float | None:
+        """E after one Newton step in y from a span end at ordinate y, with
+        clearance h and F_a'(y) = d, on a piece of slope s. In y the
+        clearance is a line minus F_a, of one sign of curvature, so from the
+        end where its sign agrees with that curvature the step stays inside
+        the span (Fourier's condition), while in E it is near exponential."""
+        if s == d:
+            return None
+        y -= h / (s - d)
+        if not 0.0 < y < 1.0:
+            return None
+        return -math.log((1.0 - y) / y if a > 1.0 else y / (1.0 - y)) / beta
+
+    # (E, feasible at E) where membership changes, E descending
+    roots: list[tuple[float, bool]] = []
     for k in todo:  # E descends from E_p to E_q over the piece
-        E_p, E_q = -math.log(ws[k]) / beta, -math.log(ws[k + 1]) / beta
-        if inside[k] != inside[k + 1]:
-            roots.append(_root(clearance, E_q, E_p, ENDPOINT_RESOLUTION))
-            continue
-        # `_turns`: the clearance's extremum, where its slope in y is 0
-        slope = float(slopes[k])
-        E_e = _root(lambda E: slope - _curve_dxdy(a, math.exp(-beta * E)),
-                    E_q, E_p, ENDPOINT_RESOLUTION)
-        if (clearance(E_e) >= 0.0) != inside[k]:
-            roots.append(_root(clearance, E_e, E_p, ENDPOINT_RESOLUTION))
-            roots.append(_root(clearance, E_q, E_e, ENDPOINT_RESOLUTION))
+        s = float(slopes[k])
+        f = crossing(s)
+        # (E, y, clearance, F_a'(y)) at the ends of the spans, E descending
+        ends = [(-math.log(ws[k + i]) / beta, float(ys[k + i]), float(hs[k + i]),
+                 float(dxdy[k + i])) for i in (0, 1)]
+        if inside[k] == inside[k + 1]:  # `_turns`: the extremum, at slope 0
+            E_e = _root(turn(s), ends[1][0], ends[0][0], ENDPOINT_RESOLUTION)
+            h_e = f(E_e)[0]
+            if (h_e >= 0.0) == inside[k]:
+                continue
+            ends.insert(1, (E_e, 0.5, h_e, s))  # never a start: wrong sign
+        for (hi, *top), (lo, *bottom) in zip(ends, ends[1:]):
+            end = top if (top[1] >= 0.0) == convex else bottom
+            E = _root(f, lo, hi, ENDPOINT_RESOLUTION, start(*end, s))
+            roots.append((E, f(E)[0] >= 0.0))
 
     # w ascending means E descending: each change ends or starts an interval
     intervals: list[GapInterval] = []
     top = (e_max, True) if inside[0] else None
-    for E in roots:
-        end = (E, clearance(E) >= 0.0)
+    for end in roots:
         if top is None:
             top = end
             continue
@@ -392,45 +457,54 @@ def gap_set(
     return EnergyGapSet(tuple(intervals), step)
 
 
-def _curve_height(x: float, a: float) -> float:
-    """Curve ordinate as a function of abscissa: x^(1/a)/((1-x)^(1/a)+x^(1/a))."""
+def _curve_height(x: float, a: float) -> tuple[float, float]:
+    """Curve ordinate as a function of abscissa, with c = 1/a,
+    h(x) = x^c/((1-x)^c + x^c) = sigma(c logit x), and its slope
+    h'(x) = c h(1 - h)/(x(1 - x))."""
     c = 1.0 / a
     num = x**c
-    return num / ((1.0 - x) ** c + num)
+    h = num / ((1.0 - x) ** c + num)
+    return h, c * h * (1.0 - h) / (x * (1.0 - x))
 
 
-def _curve_slope(x: float, a: float) -> float:
+def _sign_change(f, lo: float, hi: float) -> float:
+    """`_root` of f on [lo, hi] to the last float; the ends must differ in
+    sign."""
+    if (f(lo)[0] >= 0.0) == (f(hi)[0] >= 0.0):
+        raise BisectionError("no sign change on the given bracket")
+    return _root(f, lo, hi, 0.0)
+
+
+def _tangent_point(a: float) -> float:
+    """Abscissa x0 in (0, 1/2) at which a line through (1, 1) touches the
+    curve, for 0 < a < 1. Tangency h'(x) = (1 - h)/(1 - x) is, by the slope
+    of `_curve_height`, c h(x) = x with c = 1/a: the root of c h(x) - x,
+    whose slope is c h'(x) - 1."""
     c = 1.0 / a
-    denom = (1.0 - x) ** c + x**c
-    inner = x ** (c - 1.0) - x**c * (
-        (x ** (c - 1.0) - (1.0 - x) ** (c - 1.0)) / denom
-    )
-    return c * inner / denom
+
+    def tangency(x: float) -> tuple[float, float]:
+        h, dh = _curve_height(x, a)
+        return c * h - x, c * dh - 1.0
+
+    return _sign_change(tangency, _TANGENT_EPS, 0.5 - _TANGENT_EPS)
 
 
 def _construct_heating_example(a: float) -> AthermalityState:
     """Tangent-line construction for 0 < a < 1 (heating branch)."""
-    eps = _TANGENT_EPS
-
-    def root(f, lo: float, hi: float) -> float:
-        """Sign change of f on [lo, hi], to the last float."""
-        if (f(lo) >= 0.0) == (f(hi) >= 0.0):
-            raise BisectionError("no sign change on the given bracket")
-        return _root(f, lo, hi, 0.0)
-
-    # affine function through (1,1) tangent to the curve
-    def tangency(x: float) -> float:
-        return _curve_slope(x, a) - (1.0 - _curve_height(x, a)) / (1.0 - x)
-
-    x0 = root(tangency, eps, 0.5 - eps)
-    slope = _curve_slope(x0, a)
+    x0 = _tangent_point(a)
+    slope = (1.0 - _curve_height(x0, a)[0]) / (1.0 - x0)  # of the tangent
     c_half = (1.0 - slope) / 2.0  # half the tangent's ordinate at x = 0
 
     def lowered(x: float) -> float:
         return c_half + (1.0 - c_half) * x
 
+    def gap(x: float) -> tuple[float, float]:
+        """The curve minus the lowered line, and its slope."""
+        h, dh = _curve_height(x, a)
+        return h - lowered(x), dh - (1.0 - c_half)
+
     x4 = -c_half / (1.0 - c_half)  # x-intercept of the lowered line
-    x2 = root(lambda x: _curve_height(x, a) - lowered(x), x4, x0)
+    x2 = _sign_change(gap, x4, x0)
     x1 = 0.5 * (x2 - x4)
     y1 = lowered(x1)
     if y1 <= 0.0:

@@ -18,9 +18,12 @@ with L_1 = beta E for a qubit and every other L_k(beta) from one Python
 tagged +inf when alpha_k reaches the limit of the k-level mass as
 beta~ -> +inf; it keeps beta when that mass already reaches alpha_k at beta,
 always so for a free resource (a Gibbs state cools nothing); else L_k must
-rise by excess = logit(alpha_k) - L. A qubit's root is beta + excess / E;
-the other conditions are the rows of one root search toward
-goal_k = L + excess, in three steps:
+rise by excess = logit(alpha_k) - L. A qubit's L_1 is linear, so its root
+is beta + excess / E in closed form (`_qubit_root`): `qubit_beta_bounds`,
+the monotones and `beta_max`/`beta_min` on any 2-level target take it alike
+and agree bit for bit, and a gap so small that the root overflows a float
+raises GapTooSmall there too. The conditions of larger targets are the rows
+of one root search toward goal_k = L + excess, in three steps:
 - Brackets. One sweep per probe x = beta + 2^j gives L_k(x) for every k at
   once in O(d) for d levels, from prefix and suffix sums of exp(-x h_i)
   (`_sweep`: running sums in Python, for x < 0 on the mirror below;
@@ -312,6 +315,12 @@ def _conditions(
     degeneracy d, else to 1: the limit `_condition` tags against."""
     if target.is_degenerate:
         raise DegenerateTarget("target energies are completely degenerate")
+    if len(target.energies) == 2:  # L_1 is linear: `_qubit_root`'s closed form
+        E = target.energies[1] - target.energies[0]
+        bt, alpha = _qubit_root(
+            compute_elbows(resource), target.beta, E, -1.0 if heating else 1.0
+        )
+        return ((1, ExtendedBeta(bt), alpha),)
     h, beta, d = target.energies, target.beta, target.ground_degeneracy()
     if heating:
         h, beta, d = tuple(-x for x in reversed(h)), -beta, target.top_degeneracy()
@@ -362,8 +371,8 @@ def qubit_beta_bounds(
     _check_gap(E)
     _check_beta(beta)
     boundary = compute_elbows(resource)
-    return (ExtendedBeta(_qubit_root(boundary, beta, E, 1.0)),
-            ExtendedBeta(_qubit_root(boundary, beta, E, -1.0)))
+    return (ExtendedBeta(_qubit_root(boundary, beta, E, 1.0)[0]),
+            ExtendedBeta(_qubit_root(boundary, beta, E, -1.0)[0]))
 
 
 def _qubit_side(
@@ -373,26 +382,29 @@ def _qubit_side(
     sign = +1, beta~_min for sign = -1; the other side is not settled."""
     _check_gap(E)
     _check_beta(beta)
-    return _qubit_root(compute_elbows(resource), beta, E, sign)
+    return _qubit_root(compute_elbows(resource), beta, E, sign)[0]
 
 
-def _qubit_root(boundary: TestingBoundary, beta: float, E: float, sign: float) -> float:
-    """beta~ of the gap-E qubit's condition on the side of sign: with
-    w = exp(-beta E), the mass at beta is 1 / (1 + w) cooling and w / (1 + w)
-    heating (`_mass` of L = +-beta E), and the root is beta + sign * excess / E,
-    the tag sign * inf for an infinite excess, or beta where the condition is
-    met there (excess <= 0). beta E is kept apart from the excess: it may
-    overflow where a far level's excess, in which it cancels, does not."""
+def _qubit_root(
+    boundary: TestingBoundary, beta: float, E: float, sign: float
+) -> tuple[float, float]:
+    """(beta~, alpha_1) of the gap-E qubit's condition on the side of sign:
+    with w = exp(-beta E), the mass at beta is 1 / (1 + w) cooling and
+    w / (1 + w) heating (`_mass` of L = +-beta E), and the root is
+    beta + sign * excess / E, the tag sign * inf for an infinite excess, or
+    beta where the condition is met there (excess <= 0). beta E is kept apart
+    from the excess: it may overflow where a far level's excess, in which it
+    cancels, does not."""
     L, w = sign * (beta * E), math.exp(-beta * E)
     z = 1.0 + w
-    _, excess = _condition(boundary, L, (1.0 if sign > 0.0 else w) / z, 1.0)
+    alpha, excess = _condition(boundary, L, (1.0 if sign > 0.0 else w) / z, 1.0)
     if excess <= 0.0:
-        return beta
+        return beta, alpha
     value = beta + sign * excess / E
     # a log-odds of order 1 over a gap near the subnormal range overflows
     if not math.isfinite(value) and excess != math.inf:
         raise GapTooSmall(f"energy gap {E!r} too small: beta~ overflows a float")
-    return value
+    return value, alpha
 
 
 def max_ground_overlap(

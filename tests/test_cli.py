@@ -256,10 +256,32 @@ class TestInputErrors:
         assert _input_error(code, err)["code"] == "NonFiniteBeta"
         assert out == ""
 
-    @pytest.mark.parametrize("gap", ["5e-324", "1e-310"])
-    def test_monotones_subnormal_gap(self, capsys, resource_file, gap):
-        code, out, err = _run(capsys, ["monotones", "-s", resource_file, "-E", gap])
+    @pytest.mark.parametrize(
+        "command, gap",
+        [pytest.param("monotones", gap, id=gap) for gap in ("5e-324", "1e-310")]
+        + [pytest.param(c, gap, id=f"{c}-{gap}")
+           for c in ("cool", "heat") for gap in ("5e-324", "1e-310")],
+    )
+    def test_monotones_subnormal_gap(self, capsys, tmp_path, resource_file, command, gap):
+        # a 2-level target takes the qubit's closed form, which overflows alike
+        if command == "monotones":
+            argv = ["monotones", "-s", resource_file, "-E", gap]
+        else:
+            target = tmp_path / "tiny.json"
+            target.write_text(json.dumps({"energies": [0.0, float(gap)], "beta": 1.0}))
+            argv = [command, "-s", resource_file, "-t", str(target)]
+        code, out, err = _run(capsys, argv)
         assert _input_error(code, err)["code"] == "GapTooSmall"
+        assert out == ""
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_population_code(self, capsys, tmp_path, target_file, entry):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            f'{{"energies": [0.0, 1.0], "beta": 1.0, "populations": [{entry}, 1.0]}}'
+        )
+        code, out, err = _run(capsys, ["cool", "-s", str(path), "-t", target_file])
+        assert _input_error(code, err)["code"] == "NonFiniteEntry"
         assert out == ""
 
     def test_eset_grid_above_cap(self, capsys, resource_file):

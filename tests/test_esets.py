@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,11 +30,13 @@ from athermal.esets import (
     ENDPOINT_RESOLUTION,
     MAX_GRID,
     _SCAN_BLOCK,
+    _SPARE_STEPS,
     _clearance,
     _curve_dxdy,
     _curve_xy,
     _root,
     _scan_grid,
+    _tangent_point,
 )
 from athermal.majorization import DOMINATION_SLACK
 
@@ -299,20 +303,64 @@ class TestConstructGapExample:
 
 
 class TestRoot:
+    """`_root` takes f with its slope, as the pair (f, f')."""
+
     def test_brackets_to_tol_or_to_adjacent_floats(self):
         def f(x):
-            return x * x - 2.0
+            return x * x - 2.0, 2.0 * x
 
         assert abs(_root(f, 1.0, 2.0, 1e-10) - math.sqrt(2.0)) < 1e-10
-        assert abs(_root(f, 1.0, 2.0, 0.0) - math.sqrt(2.0)) <= 2.3e-16
-        # a steep convex function converges on one end; the other follows
-        assert _root(lambda x: math.exp(40.0 * x) - 2.0, 0.0, 1.0, 1e-12) == (
+        root = _root(f, 1.0, 2.0, 0.0)
+        # at tol = 0 the bracket is two adjacent floats, and root one of them
+        assert any(
+            (f(lo)[0] >= 0.0) != (f(hi)[0] >= 0.0) and root in (lo, hi)
+            for lo, hi in ((math.nextafter(root, 0.0), root),
+                           (root, math.nextafter(root, 2.0)))
+        )
+
+    def test_steep_convex_f_converges_on_one_end(self):
+        # Newton converges on one end; the far end closes in by a push
+        def f(x):
+            return math.exp(40.0 * x) - 2.0, 40.0 * math.exp(40.0 * x)
+
+        assert _root(f, 0.0, 1.0, 1e-12) == (
             pytest.approx(math.log(2.0) / 40.0, abs=1e-12)
         )
 
     def test_one_sign_at_both_ends_gives_the_end_nearer_zero(self):
-        assert _root(lambda x: x + 1e-17, 0.0, 1.0, 1e-10) == 0.0
-        assert _root(lambda x: x - 1.0 - 1e-17, 0.0, 1.0, 1e-10) == 1.0
+        assert _root(lambda x: (x + 1e-17, 1.0), 0.0, 1.0, 1e-10) == 0.0
+        assert _root(lambda x: (x - 1.0 - 1e-17, 1.0), 0.0, 1.0, 1e-10) == 1.0
+
+    @pytest.mark.parametrize("slope", [1e-12, -1e-12, 1.0])
+    @pytest.mark.parametrize("zeros", [0.05, 0.5, 0.95])
+    def test_rounding_only_costs_a_few_steps_over_bisection(self, slope, zeros):
+        # The clearance near e_max: across the bracket it takes only the
+        # values -1.1e-16 and 0, whatever its slope says, and only bisection
+        # brackets a change. Bisection evaluates f ceil(log2((hi - lo)/tol))
+        # times after the two ends; `_root` at most _SPARE_STEPS + 1 more.
+        # The end is the midpoint of two evaluated points closer than tol
+        # at which f differs in sign.
+        lo, hi, tol = 2.0, 23.0, ENDPOINT_RESOLUTION
+        bound = math.ceil(math.log2((hi - lo) / tol)) + _SPARE_STEPS + 3
+        for seed in range(40):
+            calls = []
+
+            def f(x):
+                if x in (lo, hi):
+                    value = -1.1e-16 if x == lo else 0.0
+                else:
+                    zero = random.Random(f"{seed} {x!r}").random() < zeros
+                    value = 0.0 if zero else -1.1e-16
+                calls.append((x, value))
+                return value, slope
+
+            root = _root(f, lo, hi, tol)
+            assert len(calls) <= bound, (seed, len(calls))
+            values = dict(calls)
+            below = max(x for x in values if x < root and values[x] < 0.0)
+            above = min(x for x in values if x > root)
+            assert values[above] == 0.0 and above - below < tol
+            assert root == 0.5 * (below + above)
 
 
 @st.composite
@@ -404,3 +452,60 @@ def test_ends_match_a_fine_scan():
                 ends <= cell_hi + ENDPOINT_RESOLUTION
             )
             assert near.any(), (resource, beta, a, cell_lo, cell_hi, out)
+
+
+def _closed_flag_cases():
+    """(resource, beta, beta~) of seeded gap sets: resources of 2-6 levels
+    (tuple boundaries) and of 150 and 2 048 levels (array boundaries), each
+    at one ratio a = beta~/beta from each of (0.2, 0.95), (1.05, 4) and
+    (-3, -0.1); and 120 `construct_gap_example` witnesses at their own a."""
+    rng = np.random.default_rng(27)
+    for dim in [2, 3, 4, 5, 6] * 30 + [150, 2048] * 8:
+        r = rng.uniform(1e-3, 1.0, dim)
+        beta = float(rng.uniform(0.2, 3.0))
+        g = np.exp(-beta * rng.uniform(0.0, 4.0, dim))
+        resource = validate_state(r / r.sum(), g / g.sum())
+        for ends in ((0.2, 0.95), (1.05, 4.0), (-3.0, -0.1)):
+            yield resource, beta, beta * float(rng.uniform(*ends))
+    for _ in range(120):
+        a = float(rng.choice([rng.uniform(0.25, 0.85), rng.uniform(1.25, 5.0)]))
+        yield construct_gap_example(a), 1.0, a
+
+
+def test_closed_flags_match_membership():
+    """Every interval end E > 0 is closed iff `gap_membership` holds at E."""
+    checked = 0
+    for resource, beta, beta_tilde in _closed_flag_cases():
+        for iv in gap_set(resource, beta, beta_tilde).intervals:
+            for E, closed in ((iv.lo, iv.lo_closed), (iv.hi, iv.hi_closed)):
+                if E > 0.0:
+                    assert closed is gap_membership(resource, beta, beta_tilde, E), (
+                        resource, beta, beta_tilde, E)
+                    checked += 1
+    assert checked >= 900
+
+
+def _tangent_point_reference(a: float, x: float) -> Decimal:
+    """The root of c h(x) = x, c = 1/a as the float code rounds it, by
+    Newton's method in 60-digit decimals from x."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c, one, x = Decimal(1.0 / a), Decimal(1), Decimal(x)
+        for _ in range(8):
+            xc = x**c
+            h = xc / ((one - x) ** c + xc)
+            x -= (c * h - x) / (c * c * h * (one - h) / (x * (one - x)) - one)
+        return x
+
+
+def test_tangent_point_matches_a_decimal_reference():
+    """The witness's tangency root x0, found on c h(x) = x, is within 16
+    ulps of a 60-digit reference on a seeded grid of 203 ratios a in
+    (0.05, 0.97). The largest error on this grid is 12.5 ulps; the root of
+    the earlier form h'(x) - (1 - h)/(1 - x) was up to 20.6 ulps off. Near
+    a = 1 the root is ill-conditioned (c h'(x0) - 1 tends to 0)."""
+    rng = np.random.default_rng(203)
+    for a in rng.uniform(0.05, 0.97, 203).tolist():
+        x0 = _tangent_point(a)
+        error = abs(Decimal(x0) - _tangent_point_reference(a, x0))
+        assert error <= 16 * Decimal(math.ulp(x0)), a

@@ -30,6 +30,7 @@ from athermal.core import _NUMPY_MIN_DIM
 from athermal.errors import (
     DimensionMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     NormalizationOutOfTolerance,
     RankDeficientGibbs,
 )
@@ -357,9 +358,9 @@ def _float_error(x):
 @pytest.mark.parametrize("n", (3, 5000))
 def test_validation_errors_match(monkeypatch, n):
     expected = {
-        "nan": (NegativeEntry, "non-finite entry nan"),
-        "+inf": (NegativeEntry, "non-finite entry inf"),
-        "-inf": (NegativeEntry, "non-finite entry -inf"),
+        "nan": (NonFiniteEntry, "non-finite entry nan"),
+        "+inf": (NonFiniteEntry, "non-finite entry inf"),
+        "-inf": (NonFiniteEntry, "non-finite entry -inf"),
         "negative": (NegativeEntry, "negative entry -0.25"),
         "sum": (NormalizationOutOfTolerance, None),
         "zero_gibbs": (RankDeficientGibbs, "Gibbs vector must be strictly positive"),

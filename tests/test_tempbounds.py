@@ -353,6 +353,28 @@ class TestQubitBetaBounds:
             else:
                 assert general_min == ExtendedBeta.neg_inf()
 
+    def test_two_level_targets_agree_bit_for_bit(self):
+        # beta_max and beta_min take the closed form on every 2-level target
+        rng = np.random.default_rng(27)
+        for dim in [2, 3, 4, 6, 150] * 12:
+            g = rng.dirichlet(np.ones(dim)) + 1e-3
+            resource = validate_state(rng.dirichlet(np.ones(dim)), g / g.sum())
+            beta = float(rng.uniform(0.2, 2.0))
+            for E in (float(rng.uniform(0.01, 5.0)), 800.0, 1e-300):
+                ctx = GibbsContext((0.0, E), beta)
+                bmax, bmin = qubit_beta_bounds(resource, E, beta)
+                cool, heat = beta_max(resource, ctx), beta_min(resource, ctx)
+                assert cool.per_condition[0][:2] == (1, cool.beta_max)
+                assert heat.per_condition[0][:2] == (1, heat.beta_min)
+                assert (cool.beta_max, heat.beta_min) == (bmax, bmin)  # floats: bits
+
+    @pytest.mark.parametrize("E", [5e-324, 1e-310])
+    def test_subnormal_two_level_target_overflows(self, E):
+        resource = validate_state((0.9, 0.1), (0.8, 0.2))
+        for solve in (beta_max, beta_min):
+            with pytest.raises(GapTooSmall):
+                solve(resource, GibbsContext((0.0, E), 1.0))
+
     def test_free_resource_both_equal_beta(self):
         bmax, bmin = qubit_beta_bounds(_free((0.6, 0.25, 0.15)), 1.0, 1.3)
         assert bmax == ExtendedBeta.finite(1.3)
