@@ -157,28 +157,25 @@ def _scan_grid(beta: float, e_max: float | None, n_grid: int) -> np.ndarray:
     return w_min + step * np.arange(n_grid)
 
 
-def _root(f, lo: float, hi: float, tol: float, x: float | None = None) -> float:
+def _root(f, lo: float, hi: float, tol: float) -> float:
     """Midpoint of a bracket lo < hi of the sign change of f (f >= 0 on one
     side, f < 0 on the other) narrower than tol, or as narrow as floats
     allow; or the end nearer zero if f has one sign at both ends: the change
     then lies at that end, within rounding. f(x) gives the pair (f, f').
 
     Safeguarded Newton inside the bracket (Numerical Recipes, 3rd ed.,
-    section 9.4, `rtsafe`), from x if it lies strictly inside, else from the
-    secant point of the ends, else from their midpoint; each value
-    moves the end on its side to x, and a step that leaves the bracket is
-    replaced by its midpoint. Newton steps that converge on one end leave
-    the far end where it was, so a step shorter than max(tol/2, 1 ulp) is
-    pushed to that length towards the far end, past the root, and the far
-    end closes in. A Newton step that fails to halve the step before has
-    reached the rounding floor of f: it becomes a push of twice its length,
-    and a push that stays on its side is followed by one twice as long.
-    With tol > 0, f may change by rounding only over a span wider than tol,
-    as the clearance does near e_max, and there no step but the midpoint
-    says anything: after k steps the bracket is at most 2^(_SPARE_STEPS - k)
-    of its first width, by a midpoint step wherever another could leave it
-    wider, so `_root` takes at most _SPARE_STEPS + 1 steps more than
-    bisection.
+    section 9.4, `rtsafe`) from the secant point of the ends, or from their
+    midpoint if that point is not strictly inside. Each value moves the end
+    on its side to x, and a step that leaves the bracket or fails to halve
+    the step before is replaced by the midpoint. Newton steps that converge
+    on one end leave the far end where it was, so a step shorter than
+    max(tol/2, 1 ulp) is pushed to that length towards the far end, past the
+    root, and the far end closes in. With tol > 0, f may change by rounding
+    only over a span wider than tol, as the clearance does near e_max, and
+    there no step but the midpoint says anything: after k steps the bracket
+    is at most 2^(_SPARE_STEPS - k) of its first width, by a midpoint step
+    wherever another could leave it wider, so `_root` takes at most
+    _SPARE_STEPS + 1 steps more than bisection.
     """
     f_lo, f_hi = f(lo)[0], f(hi)[0]
     lo_side = f_lo >= 0.0
@@ -186,14 +183,11 @@ def _root(f, lo: float, hi: float, tol: float, x: float | None = None) -> float:
         return lo if abs(f_lo) <= abs(f_hi) else hi
     cap = (hi - lo) * 2.0**_SPARE_STEPS if tol > 0.0 else math.inf
     step = before = hi - lo  # lengths of the last step and of the one before
-    push, far = 0.0, None  # the last push (0 after any other step), far end
-    if x is None or not lo < x < hi:
-        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
     if not lo < x < hi:
         x = 0.5 * (lo + hi)
     while True:
         value, slope = f(x)
-        stayed = far  # the far end, which a push that stayed keeps
         if (value >= 0.0) == lo_side:
             lo, far = x, hi
         else:
@@ -204,17 +198,14 @@ def _root(f, lo: float, hi: float, tol: float, x: float | None = None) -> float:
         cap *= 0.5
         delta = value / slope if slope else math.inf  # Newton: x - delta
         short = max(0.5 * tol, math.ulp(x))
-        if push and far == stayed:
-            push *= 2.0
-        elif abs(delta) < short:
-            push = short
-        elif abs(delta) > 0.5 * before:
-            push = 2.0 * abs(delta)
+        if abs(delta) < short:
+            nxt = x + math.copysign(short, far - x)
+        elif abs(delta) <= 0.5 * before:
+            nxt = x - delta
         else:
-            push = 0.0
-        nxt = x + math.copysign(push, far - x) if push else x - delta
+            nxt = mid
         if hi - lo > cap or not lo < nxt < hi:
-            nxt, push = mid, 0.0
+            nxt = mid
         step, before, x = abs(nxt - x), step, nxt
 
 
@@ -343,13 +334,13 @@ def gap_set(
     changes at most twice: once if it differs at the two ends, twice only if
     `_turns` and the clearance's extremum, found by `_root` on its slope, has
     the other membership. Each change is bracketed by `_root` to
-    ENDPOINT_RESOLUTION in E, from one Newton step in y and then by Newton
-    steps on the exact slopes in E of the module docstring, and the end it
-    gives is the midpoint of that bracket, closed iff feasible there. Every step decides by the sign of `_margin`,
-    the rule of `gap_membership`; no grid is built. Where the margin changes
-    by rounding only, over a span wider than the resolution (at the absolute
-    DOMINATION_SLACK, near e_max), `_root` bisects, and any end in that span
-    is one within rounding.
+    ENDPOINT_RESOLUTION in E by Newton steps on the exact slopes in E of
+    the module docstring, and the end it gives is the midpoint of that
+    bracket, closed iff feasible there. Every step decides by the sign of
+    `_margin`, the rule of `gap_membership`; no grid is built. Where the
+    margin changes by rounding only, over a span wider than the resolution
+    (at the absolute DOMINATION_SLACK, near e_max), `_root` bisects, and any
+    end in that span is one within rounding.
     """
     e_max, w_min, step = _grid_span(beta, e_max, n_grid)
     if beta_tilde == beta:
@@ -407,38 +398,19 @@ def gap_set(
                            slopes - dxdy[1:], np.diff(ys))
         todo = np.flatnonzero((inside[:-1] != inside[1:]) | turns).tolist()
 
-    convex = a > 0.0 or a < -1.0  # the clearance in y on a piece, as in `_turns`
-
-    def start(y: float, h: float, d: float, s: float) -> float | None:
-        """E after one Newton step in y from a span end at ordinate y, with
-        clearance h and F_a'(y) = d, on a piece of slope s. In y the
-        clearance is a line minus F_a, of one sign of curvature, so from the
-        end where its sign agrees with that curvature the step stays inside
-        the span (Fourier's condition), while in E it is near exponential."""
-        if s == d:
-            return None
-        y -= h / (s - d)
-        if not 0.0 < y < 1.0:
-            return None
-        return -math.log((1.0 - y) / y if a > 1.0 else y / (1.0 - y)) / beta
-
     # (E, feasible at E) where membership changes, E descending
     roots: list[tuple[float, bool]] = []
     for k in todo:  # E descends from E_p to E_q over the piece
+        E_p, E_q = -math.log(ws[k]) / beta, -math.log(ws[k + 1]) / beta
         s = float(slopes[k])
-        f = crossing(s)
-        # (E, y, clearance, F_a'(y)) at the ends of the spans, E descending
-        ends = [(-math.log(ws[k + i]) / beta, float(ys[k + i]), float(hs[k + i]),
-                 float(dxdy[k + i])) for i in (0, 1)]
+        f, ends = crossing(s), [E_p, E_q]
         if inside[k] == inside[k + 1]:  # `_turns`: the extremum, at slope 0
-            E_e = _root(turn(s), ends[1][0], ends[0][0], ENDPOINT_RESOLUTION)
-            h_e = f(E_e)[0]
-            if (h_e >= 0.0) == inside[k]:
+            E_e = _root(turn(s), E_q, E_p, ENDPOINT_RESOLUTION)
+            if (f(E_e)[0] >= 0.0) == inside[k]:
                 continue
-            ends.insert(1, (E_e, 0.5, h_e, s))  # never a start: wrong sign
-        for (hi, *top), (lo, *bottom) in zip(ends, ends[1:]):
-            end = top if (top[1] >= 0.0) == convex else bottom
-            E = _root(f, lo, hi, ENDPOINT_RESOLUTION, start(*end, s))
+            ends.insert(1, E_e)
+        for hi, lo in zip(ends, ends[1:]):
+            E = _root(f, lo, hi, ENDPOINT_RESOLUTION)
             roots.append((E, f(E)[0] >= 0.0))
 
     # w ascending means E descending: each change ends or starts an interval

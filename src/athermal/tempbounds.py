@@ -315,16 +315,23 @@ def _conditions(
     degeneracy d, else to 1: the limit `_condition` tags against."""
     if target.is_degenerate:
         raise DegenerateTarget("target energies are completely degenerate")
+    boundary = compute_elbows(resource)
     if len(target.energies) == 2:  # L_1 is linear: `_qubit_root`'s closed form
         E = target.energies[1] - target.energies[0]
-        bt, alpha = _qubit_root(
-            compute_elbows(resource), target.beta, E, -1.0 if heating else 1.0
-        )
+        bt, alpha = _qubit_root(boundary, target.beta, E, -1.0 if heating else 1.0)
         return ((1, ExtendedBeta(bt), alpha),)
+    return _searched_conditions(boundary, target, heating)
+
+
+def _searched_conditions(
+    boundary: TestingBoundary, target: GibbsContext, heating: bool
+) -> tuple[tuple[int, ExtendedBeta, float], ...]:
+    """`_conditions` by the root search, for a target of any level count;
+    `_conditions` hands it those of 3 or more, and the tests hold it against
+    the closed form on 2-level targets."""
     h, beta, d = target.energies, target.beta, target.ground_degeneracy()
     if heating:
         h, beta, d = tuple(-x for x in reversed(h)), -beta, target.top_degeneracy()
-    boundary = compute_elbows(resource)
     per, open_ks, goals, starts = [], [], [], []
     for k, L in enumerate(_sweep(h, beta), 1):
         alpha_k, excess = _condition(boundary, L, _mass(L), k / d if k < d else 1.0)
@@ -400,9 +407,11 @@ def _qubit_root(
     alpha, excess = _condition(boundary, L, (1.0 if sign > 0.0 else w) / z, 1.0)
     if excess <= 0.0:
         return beta, alpha
+    if excess == math.inf:  # also where E = inf, and excess / E is NaN
+        return sign * math.inf, alpha
     value = beta + sign * excess / E
     # a log-odds of order 1 over a gap near the subnormal range overflows
-    if not math.isfinite(value) and excess != math.inf:
+    if not math.isfinite(value):
         raise GapTooSmall(f"energy gap {E!r} too small: beta~ overflows a float")
     return value, alpha
 

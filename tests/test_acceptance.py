@@ -31,6 +31,7 @@ from athermal import (
     relatively_majorizes,
     validate_state,
 )
+from athermal.tempbounds import _searched_conditions
 from athermal.thermo import gibbs_vector
 
 
@@ -56,9 +57,12 @@ def test_criterion_01_closed_form_matches_solver():
         beta = float(rng.uniform(1e-3, 3.0))
         E = float(rng.uniform(1e-3, 5.0))
         bmax, bmin = qubit_beta_bounds(resource, E, beta)
+        # the general root search itself: beta_max and beta_min take the
+        # closed form on a 2-level target
+        boundary = compute_elbows(resource)
         ctx = GibbsContext((0.0, E), beta)
-        gmax = beta_max(resource, ctx).beta_max
-        gmin = beta_min(resource, ctx).beta_min
+        gmax = min(b for _, b, _ in _searched_conditions(boundary, ctx, heating=False))
+        gmin = max(b for _, b, _ in _searched_conditions(boundary, ctx, heating=True))
         if bmax.is_finite != gmax.is_finite or bmin.is_finite != gmin.is_finite:
             ok = False
             break

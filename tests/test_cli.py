@@ -378,6 +378,19 @@ class TestFarLevels:
         else:
             assert set(json.loads(err)) == {"error"}
 
+    @pytest.mark.parametrize(
+        "command, key, value", [("cool", "beta_max", "+inf"), ("heat", "beta_min", 1.0)]
+    )
+    def test_gap_overflows_to_inf(self, capsys, tmp_path, resource_file, command, key,
+                                  value):
+        # The gap 2e308 rounds to inf: the target's excited mass is 0 at beta,
+        # so cooling is unbounded and heating keeps beta.
+        target = tmp_path / "inf.json"
+        target.write_text(json.dumps({"energies": [-1e308, 1e308], "beta": 1.0}))
+        code, out, err = _run(capsys, [command, "-s", resource_file, "-t", str(target)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)[key] == value
+
 
 class TestSubcommands:
     def test_monotones_at_tiny_gap(self, capsys, resource_file):

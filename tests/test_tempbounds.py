@@ -37,6 +37,15 @@ def _free(g):
     return validate_state(g, g)
 
 
+def _searched_bounds(resource, target):
+    """(beta~_max, beta~_min) of the target by the general root search, which
+    `beta_max` and `beta_min` leave for the closed form on a 2-level target."""
+    boundary = compute_elbows(resource)
+    cool = tempbounds._searched_conditions(boundary, target, heating=False)
+    heat = tempbounds._searched_conditions(boundary, target, heating=True)
+    return min(b for _, b, _ in cool), max(b for _, b, _ in heat)
+
+
 # A free resource: the qubit of gap ln 4, then targets whose ground mass at
 # beta is within 1e-12 of 1 (qubits of gap 28, 40 and 800, and (0, 30, 31)).
 # A Gibbs state cools nothing, so every condition keeps beta rather than
@@ -241,11 +250,13 @@ class TestClosedForms:
 
 
 def _assert_matches_qubit_bounds(resource, E, beta):
-    """beta_max and beta_min of the target (0, E) equal the closed form."""
+    """beta_max and beta_min of the target (0, E) equal the closed form, and
+    the general root search on that target agrees with it."""
     target = GibbsContext((0.0, E), beta)
     bounds = qubit_beta_bounds(resource, E, beta)
     cool, heat = beta_max(resource, target), beta_min(resource, target)
-    for b, expected in zip((cool.beta_max, heat.beta_min), bounds):
+    assert (cool.beta_max, heat.beta_min) == bounds
+    for b, expected in zip(_searched_bounds(resource, target), bounds):
         assert b.kind == expected.kind
         assert b.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
 
@@ -323,12 +334,9 @@ class TestFarLevels:
         resource = validate_state((0.9, 0.1), (0.8, 0.2))
         target = GibbsContext((0.0, 5000.0), 1e-3)
         bmax, bmin = qubit_beta_bounds(resource, 5000.0, 1e-3)
-        assert beta_max(resource, target).beta_max.value == pytest.approx(
-            bmax.value, rel=1e-12
-        )
-        assert beta_min(resource, target).beta_min.value == pytest.approx(
-            bmin.value, rel=1e-12
-        )
+        searched_max, searched_min = _searched_bounds(resource, target)
+        assert searched_max.value == pytest.approx(bmax.value, rel=1e-12)
+        assert searched_min.value == pytest.approx(bmin.value, rel=1e-12)
 
 
 class TestQubitBetaBounds:
@@ -342,8 +350,7 @@ class TestQubitBetaBounds:
             beta = float(rng.uniform(0.2, 2.0))
             bmax, bmin = qubit_beta_bounds(resource, E, beta)
             ctx = GibbsContext((0.0, E), beta)
-            general_max = beta_max(resource, ctx).beta_max
-            general_min = beta_min(resource, ctx).beta_min
+            general_max, general_min = _searched_bounds(resource, ctx)
             if bmax.is_finite:
                 assert bmax.value == pytest.approx(general_max.value, rel=1e-9)
             else:

@@ -203,16 +203,29 @@ def test_overflowing_probe_fails_alike(monkeypatch):
 
 @pytest.mark.parametrize("E", [1e-36, 1e-50, 1e-300])
 def test_roots_past_old_doubling_cap(monkeypatch, E):
-    # The root 0.847/E lies far past beta + 2^119, where the doubling used to
-    # stop; it now runs to the end of the float range.
-    resource = validate_state((0.7, 0.3), (0.5, 0.5))
-    bmax, bmin = qubit_beta_bounds(resource, E, 1.0)
-    assert bmax.value > 2.0**119
+    # The roots lie far past beta + 2^119, where the doubling used to stop;
+    # it now runs to the end of the float range. On the levels (0, E, 2E),
+    # L_k(x) is L_k(x E) on (0, 1, 2), so each root is the one on (0, 1, 2)
+    # at beta = E, over E. The qubit (0, E), which `beta_max` and `beta_min`
+    # take in closed form, is searched the same way.
+    resource = validate_state((0.9, 0.1), (0.5, 0.5))
+    boundary = compute_elbows(resource)
+    bounds = qubit_beta_bounds(resource, E, 1.0)
+    assert bounds[0].value > 2.0**119
+    target = GibbsContext((0.0, E, 2.0 * E), 1.0)
+    scaled = _solve(monkeypatch, ONE_BY_ONE, resource, GibbsContext((0.0, 1.0, 2.0), E))
     for threshold in (ONE_BY_ONE, VECTOR):
-        target = GibbsContext((0.0, E), 1.0)
-        cool, heat = _solve(monkeypatch, threshold, resource, target)
-        assert cool.beta_max.value == pytest.approx(bmax.value, rel=1e-12)
-        assert heat.beta_min.value == pytest.approx(bmin.value, rel=1e-12)
+        for report, reference in zip(_solve(monkeypatch, threshold, resource, target), scaled):
+            assert len(report.per_condition) == 2
+            for (_, b, _), (_, b_ref, _) in zip(
+                report.per_condition, reference.per_condition
+            ):
+                assert abs(b.value) > 2.0**119
+                assert b.value == pytest.approx(b_ref.value / E, rel=1e-12)
+        qubit = GibbsContext((0.0, E), 1.0)
+        for heating, bound in zip((False, True), bounds):
+            ((_, b, _),) = tempbounds._searched_conditions(boundary, qubit, heating)
+            assert b.value == pytest.approx(bound.value, rel=1e-12)
 
 
 # ------------------------------------------------------- the sweep's brackets
