@@ -224,6 +224,14 @@ def gap_membership(
 
 @dataclass(frozen=True)
 class GapInterval:
+    """One interval of feasible gaps, lo < hi, with a closed flag per end.
+
+    An end found by a root is the midpoint of a sign-change bracket narrower
+    than ENDPOINT_RESOLUTION in E, and its flag is `gap_membership` at that
+    midpoint: it can flip with rounding and says nothing beyond that one
+    point's membership. An end at e_max is closed (the membership there
+    holds), and an end at 0 is open (E = 0 is no gap)."""
+
     lo: float
     hi: float
     lo_closed: bool
@@ -232,7 +240,9 @@ class GapInterval:
 
 @dataclass(frozen=True)
 class EnergyGapSet:
-    """Disjoint, sorted intervals of feasible energy gaps."""
+    """Disjoint, sorted intervals of feasible energy gaps. Each interval's
+    closed flags are `gap_membership` at its returned ends, no more
+    (`GapInterval`)."""
 
     intervals: tuple[GapInterval, ...]
     # w step of the n_grid-point grid: the eset CSV's spacing; gaps below

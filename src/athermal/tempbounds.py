@@ -40,14 +40,20 @@ of one root search toward goal_k = L + excess, in three steps:
   leaves the bracket is replaced by a bisection step, and the search stops
   once the step or the bracket is narrower than `_REL_WIDTH` relative.
 A probe costs O(d) for all rows together and a Newton step O(K d) for K
-open rows. The exact evaluations fork on the target's level count:
-- below `_VECTOR_MIN_LEVELS`, one row at a time in pure Python
-  (`_cooling_root`), O(d) interpreted operations each;
-- from there up, every open row at once in numpy (`_cooling_roots`), one
-  masked (K x d) array a step, which wins once d passes about 16 (see the
-  constant for the measured ladder).
-Both forms take the same steps and stop by the same rules, so their roots
-agree to rounding in the sums (tests/test_tempbounds_paths.py).
+open rows. The conditions fork on the target's level count:
+- below `_VECTOR_MIN_LEVELS`, one at a time in pure Python
+  (`_one_by_one_conditions`: `_condition`, then `_cooling_root`), O(d)
+  interpreted operations per evaluation;
+- from there up, in whole-array steps (`_whole_array_conditions`): the same
+  sweep, masses and rule, every alpha_k from one `alphas_at`, and every
+  open row stepped at once (`_cooling_roots`). Each Newton pass evaluates
+  the open rows from one flat array of K d exponents (`_log_odds_rows`):
+  `np.maximum.reduceat` shifts each row's head and tail by their own
+  largest exponent, `np.add.reduceat` sums their weights and first moments,
+  and the arrays are compacted only in a pass where some row closes.
+Both forms take the same steps and stop by the same rules, so their k, tags
+and alphas are identical and their roots agree to rounding in the sums
+(tests/test_tempbounds_paths.py).
 
 Heating is cooling mirrored: exp(-beta~ h) = exp(-(-beta~)(-h)), so it
 solves the energies -h (reversed) at -beta and negates the result, which
@@ -70,26 +76,30 @@ from .errors import (
     NonFiniteBeta,
     WrongDegeneracy,
 )
-from .majorization import TestingBoundary, _dominates, alpha_at, compute_elbows
+from .majorization import (
+    TestingBoundary, _dominates, alpha_at, alphas_at, compute_elbows,
+)
 
 _REL_WIDTH = 1e-13
 _MAX_ITERS = 200
 _MAX_DOUBLINGS = 1024  # offsets 2^0 .. 2^1023, the largest power of two a float holds
 
-# Targets with at least this many levels take the Newton steps of their
-# open conditions together in numpy (`_cooling_roots`), smaller ones one at
-# a time (`_cooling_root`); both bracket them from the same sweeps. Time of
-# one beta_max or beta_min call in ms against a 64-level resource, pure
-# Python / numpy, medians of 11 interleaved rounds over four targets per
-# size; 2-CPU x86-64 host, numpy 2.4, BLAS at one thread:
-#   d         2     4     8    16    24    32    64   128   400
-#   Python  0.07  0.14  0.27  0.51  1.02  1.50  4.02  13.1    95
-#   numpy   0.20  0.44  0.51  0.60  0.73  0.83  1.26   2.5    19
-# The forms break even near 16 levels (15 rounds at 16 and 20: 0.58 / 0.58
-# and 0.76 / 0.65); from 24 numpy wins by a quarter or more. This is not
-# `core._NUMPY_MIN_DIM`, which counts the levels of a state and breaks even
-# near 100: here numpy replaces O(K d) interpreted operations per Newton
-# step for K open conditions.
+# Targets with at least this many levels take their conditions in
+# whole-array steps (`_whole_array_conditions`), smaller ones one at a time
+# (`_one_by_one_conditions`); both bracket them from the same sweeps. Time
+# of one `_searched_conditions` call in ms against a 64-level resource,
+# cooling and heating alternately, medians of three runs of 11 interleaved
+# rounds over four targets per size; 2-CPU x86-64 host, numpy 2.4:
+#   d              2     4     8    16    24    32    64   128   400
+#   one by one   0.02  0.09  0.20  0.43  0.83  1.02  3.5    11     77
+#   whole-array  0.16  0.32  0.37  0.40  0.49  0.44  0.80  1.33   7.3
+# The forms break even near 16 levels (whole-array / one by one 0.83-1.18
+# at 16 and 1.15-1.44 at 12, over six runs); from 24 the whole-array form
+# takes 0.6 of the time or less. Below the switch a call imports no numpy,
+# whose import (about 0.12 s on that host) outweighs a gain under 0.1 ms a
+# call. This is not `core._NUMPY_MIN_DIM`, which counts the levels of a
+# state and breaks even near 100: here numpy replaces O(K d) interpreted
+# operations per Newton step for K open conditions.
 _VECTOR_MIN_LEVELS = 24
 
 
@@ -217,20 +227,38 @@ def _cooling_root(
     return x
 
 
-def _log_odds_rows(h, k, x):
-    """L_k and its slope at x, one row per condition: _log_odds on arrays
-    of k and x, with the head and the tail of each row under their own shift."""
+def _layout(k, d: int):
+    """(cuts, sizes) of the open rows' k for `_log_odds_rows`: row r fills
+    [r d, (r + 1) d) of the flat array, its head the first k_r entries and
+    its tail the rest, so `reduceat` at cuts = r d, r d + k_r, ... reduces
+    head, tail, head, tail, ..., whose sizes are k_r, d - k_r, ..."""
     import numpy as np
 
-    head = np.arange(len(h)) < k[:, None]
-    neg = -x
-    up = x >= 0.0
-    shift_h = neg * np.where(up, h[0], h[k - 1])
-    shift_t = neg * np.where(up, h[k], h[-1])
-    w = np.exp(neg[:, None] * h - np.where(head, shift_h[:, None], shift_t[:, None]))
-    w_head, w_tail = np.where(head, w, 0.0), np.where(head, 0.0, w)
-    zh, zt = w_head.sum(axis=1), w_tail.sum(axis=1)
-    return shift_h - shift_t + np.log(zh / zt), w_tail @ h / zt - w_head @ h / zh
+    cuts = np.arange(0, len(k) * d, d).repeat(2)
+    cuts[1::2] += k
+    sizes = np.empty_like(cuts)
+    sizes[::2], sizes[1::2] = k, d - k
+    return cuts, sizes
+
+
+def _log_odds_rows(flat, x, cuts, sizes):
+    """`_log_odds` of every open row at once: L_k and its slope at x, for
+    flat = h once per row and the rows' `_layout`. Each head and tail is
+    shifted by its largest exponent (np.maximum.reduceat), and
+    np.add.reduceat sums each part's weights and their first moments."""
+    import numpy as np
+
+    e = (-x).repeat(len(flat) // len(x))
+    e *= flat  # -x_r h_i, row after row
+    shift = np.maximum.reduceat(e, cuts)
+    e -= shift.repeat(sizes)
+    w = np.exp(e, out=e)
+    z = np.add.reduceat(w, cuts)
+    w *= flat
+    moment = np.add.reduceat(w, cuts)
+    zh, zt = z[::2], z[1::2]
+    value = shift[::2] - shift[1::2] + np.log(zh / zt)
+    return value, moment[1::2] / zt - moment[::2] / zh
 
 
 def _cooling_roots(
@@ -238,38 +266,43 @@ def _cooling_roots(
     starts: Sequence[float],
 ) -> list[float]:
     """_cooling_root for every k at once: the same brackets, starts and
-    safeguarded Newton steps, each row on its own bracket, one array
-    operation a step."""
+    safeguarded Newton steps, each row on its own bracket, one flat array a
+    step (`_log_odds_rows`)."""
     import numpy as np
 
     h, k, goal = np.array(energies), np.array(ks), np.array(goals)
     brackets = _brackets(_sweep_array, h - h[0], beta, ks, goals, starts)
-    lo, hi, x = map(np.array, zip(*brackets))
+    lo, hi, x = np.array(brackets).T
+    d = len(h)
+    flat, (cuts, sizes) = np.tile(h, len(k)), _layout(k, d)
     # x * h may still overflow inside a bracket when the energies lie far
     # from 0; the NaN it leaves fails every comparison, as on the scalar
     # path, which warns of nothing.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # L(lo) < goal <= L(hi) holds on every row, and the arrays keep only
-        # the rows still open.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # L(lo) < goal <= L(hi) holds on every row. The arrays (and the
+        # layout) keep only the rows still open, compacted in a pass that
+        # closes some.
         root, rows = np.empty(len(k)), np.arange(len(k))
         for _ in range(_MAX_ITERS):
-            value, slope = _log_odds_rows(h, k, x)
+            value, slope = _log_odds_rows(flat[: len(x) * d], x, cuts, sizes)
             rise = value >= goal
             lo, hi = np.where(rise, lo, x), np.where(rise, x, hi)
             mid = 0.5 * (lo + hi)
             width = _REL_WIDTH * np.maximum(1.0, np.abs(mid))
-            step = np.divide(
-                value - goal, slope, out=np.full(len(x), np.inf), where=slope > 0.0
-            )
+            step = np.where(slope > 0.0, (value - goal) / slope, np.inf)
             narrow = hi - lo < width
-            root[rows] = np.where(narrow, mid, x - step)  # open rows: overwritten
-            live = ~(narrow | (np.abs(step) < width))
-            rows, k, goal, lo, hi, mid, x, step = (
-                a[live] for a in (rows, k, goal, lo, hi, mid, x, step)
-            )
-            if not len(rows):
-                break
-            x = np.where((lo < x - step) & (x - step < hi), x - step, mid)
+            done = narrow | (np.abs(step) < width)
+            x = x - step
+            if done.any():
+                root[rows[done]] = np.where(narrow, mid, x)[done]
+                live = ~done
+                if not live.any():
+                    break
+                rows, k, goal, lo, hi, mid, x = (
+                    a[live] for a in (rows, k, goal, lo, hi, mid, x)
+                )
+                cuts, sizes = _layout(k, d)
+            x = np.where((lo < x) & (x < hi), x, mid)
         else:
             root[rows] = x
     return root.tolist()
@@ -332,6 +365,16 @@ def _searched_conditions(
     h, beta, d = target.energies, target.beta, target.ground_degeneracy()
     if heating:
         h, beta, d = tuple(-x for x in reversed(h)), -beta, target.top_degeneracy()
+    if len(h) >= _VECTOR_MIN_LEVELS:
+        return _whole_array_conditions(boundary, h, beta, d, heating)
+    return _one_by_one_conditions(boundary, h, beta, d, heating)
+
+
+def _one_by_one_conditions(
+    boundary: TestingBoundary, h: Sequence[float], beta: float, d: int, heating: bool
+) -> tuple[tuple[int, ExtendedBeta, float], ...]:
+    """The conditions on the (mirrored) energies h at beta, with d levels at
+    the bottom: `_condition` and `_cooling_root` on each in turn."""
     per, open_ks, goals, starts = [], [], [], []
     for k, L in enumerate(_sweep(h, beta), 1):
         alpha_k, excess = _condition(boundary, L, _mass(L), k / d if k < d else 1.0)
@@ -340,13 +383,10 @@ def _searched_conditions(
             goals.append(L + excess)
             starts.append(L)
         per.append((k, excess, alpha_k))
-    if open_ks and len(h) >= _VECTOR_MIN_LEVELS:
-        roots = _cooling_roots(h, beta, open_ks, goals, starts)
-    elif open_ks:
+    roots = []
+    if open_ks:
         rows = zip(open_ks, goals, _brackets(_sweep, h, beta, open_ks, goals, starts))
         roots = [_cooling_root(h, k, goal, *b) for k, goal, b in rows]
-    else:
-        roots = []
     roots, sign = iter(roots), (-1.0 if heating else 1.0)
     return tuple(
         (k, ExtendedBeta(sign * math.inf) if excess == math.inf
@@ -354,6 +394,48 @@ def _searched_conditions(
          alpha_k)
         for k, excess, alpha_k in per
     )
+
+
+def _whole_array_conditions(
+    boundary: TestingBoundary, h: Sequence[float], beta: float, d: int, heating: bool
+) -> tuple[tuple[int, ExtendedBeta, float], ...]:
+    """`_one_by_one_conditions` in whole-array steps, with `_cooling_roots`.
+
+    The masses come from the same `_sweep` and `_mass`, and `alphas_at`
+    takes the same elbow segments as `alpha_at`, so k, the tags and the
+    alphas are identical; only the far-level rows go through `_condition`.
+    The excess is taken with numpy's log, which may differ from the math
+    module's by an ulp: a goal by as much, and a root by rounding."""
+    import numpy as np
+
+    Ls = _sweep(h, beta)
+    ys = [_mass(L) for L in Ls]
+    L, y = np.array(Ls), np.array(ys)
+    ks = np.arange(1, len(h))
+    if len(boundary.xs) == 2:  # a diagonal boundary: a free resource
+        alpha, excess = y, np.zeros(len(y))
+    else:
+        alpha = alphas_at(boundary, y)
+        # the log of 0 at alpha = 1 (tagged below) and alpha = 0 (a far row)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            excess = np.log(alpha) - L - np.log1p(-alpha)
+        limit = np.minimum(ks / d, 1.0)
+        far = (y < sys.float_info.min) & (y < boundary.ys[1])
+        for i in np.flatnonzero(far).tolist():  # in logs, as `_condition` takes them
+            alpha[i], excess[i] = _condition(boundary, Ls[i], ys[i], limit[i])
+        excess[_dominates(alpha, limit)] = math.inf
+    searched = np.flatnonzero((excess > 0.0) & (excess < math.inf))
+    sign = -1.0 if heating else 1.0
+    betas = [ExtendedBeta.finite(sign * beta)] * len(ks)
+    for i in np.flatnonzero(excess == math.inf).tolist():
+        betas[i] = ExtendedBeta(sign * math.inf)
+    if len(searched):
+        open_ks = (searched + 1).tolist()
+        goals = (L[searched] + excess[searched]).tolist()
+        roots = _cooling_roots(h, beta, open_ks, goals, L[searched].tolist())
+        for i, root in zip(searched.tolist(), roots):
+            betas[i] = ExtendedBeta.finite(sign * root)
+    return tuple(zip(ks.tolist(), betas, alpha.tolist()))
 
 
 def beta_max(resource: AthermalityState, target: GibbsContext) -> CoolingReport:

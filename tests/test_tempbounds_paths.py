@@ -12,7 +12,10 @@ agree to 1e-12 relative (1e-12 absolute below |beta~| = 1).
 
 import functools
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,13 +98,46 @@ def test_switch_at_threshold(monkeypatch):
     calls = []
 
     def roots(energies, beta, ks, goals, starts):
-        calls.append(len(energies))
+        calls.append(("roots", len(energies)))
         return [beta + 1.0] * len(ks)
 
+    def spy(name):
+        real = getattr(tempbounds, name)
+
+        def setup(boundary, h, beta, d, heating):
+            calls.append((name, len(h)))
+            return real(boundary, h, beta, d, heating)
+
+        monkeypatch.setattr(tempbounds, name, setup)
+
     monkeypatch.setattr(tempbounds, "_cooling_roots", roots)
+    spy("_one_by_one_conditions")
+    spy("_whole_array_conditions")
     for levels in (_VECTOR_MIN_LEVELS - 1, _VECTOR_MIN_LEVELS):
         beta_max(_resource(64), _target(levels, 1, 1))
-    assert calls == [_VECTOR_MIN_LEVELS]
+    assert calls == [
+        ("_one_by_one_conditions", _VECTOR_MIN_LEVELS - 1),
+        ("_whole_array_conditions", _VECTOR_MIN_LEVELS),
+        ("roots", _VECTOR_MIN_LEVELS),
+    ]
+    # Below the switch both bounds load no numpy: a fresh interpreter, since
+    # this one has it loaded, on a resource from lists.
+    target, resource = _target(_VECTOR_MIN_LEVELS - 1, 2, 3), _resource(8)
+    code = (
+        "import sys\n"
+        "from athermal import GibbsContext, beta_max, beta_min, validate_state\n"
+        f"target = GibbsContext({target.energies!r}, {target.beta!r})\n"
+        f"resource = validate_state({resource.r.entries!r}, {resource.g.entries!r})\n"
+        "beta_max(resource, target), beta_min(resource, target)\n"
+        "print('numpy' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_doubling_cap_names_first_unbracketed(monkeypatch):
@@ -430,3 +466,53 @@ def test_sweep_masses_match_fsum():
                 swept = [tempbounds._mass(L) for L in tempbounds._sweep(h, beta)]
                 for y, ref in zip(swept, _fsum_masses(h, beta), strict=True):
                     assert abs(y - ref) <= _bound(h, beta) * ref
+
+
+# ----------------------------------------------------------- the flat rows
+#
+# `_log_odds_rows` evaluates every open row from one flat array; against
+# `_log_odds` row by row its value lies within `_bound`, since both sum at
+# most d weights whose exponents round as above. Each slope is a difference
+# of two weighted means of energies, mean = sum w_i h_i / sum w_i. With
+# H = |h_0| + |h_{d-1}|, which is at least every |h_i| and the span, an
+# exponent -x h_i minus its shift rounds by at most 2 eps |x| H and exp by
+# eps, so each weight is within eps (1 + 2 |x| H) relative, which moves a
+# mean by at most twice that times the span; the two sums of at most d terms
+# round by d eps relative to sum w_i |h_i| <= H sum w_i and to sum w_i, each
+# moving the mean by d eps H. Each mean is thus within
+# eps H (2 d + 2 + 4 |x| H) <= 6 eps d H (1 + |x| H) = 3 H `_bound` of its
+# value, a slope within twice that, and two evaluations within 12 H `_bound`.
+# On this ladder the largest differences seen are 0.02 of the value's bound
+# and 0.002 of the slope's.
+
+
+def _far_energies(levels):
+    """Energies from 0 to 1e296, degenerate at both ends, as in
+    test_overflowing_probe_fails_alike."""
+    middle = np.logspace(-300, 290, levels - 6).tolist()
+    return (0.0,) * 3 + tuple(middle) + (1e296,) * 3
+
+
+FLAT_XS = (-2.5, -0.3, 0.0, 0.7, 3.0)  # heating rows cross 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rows", ["one", "all"])
+@pytest.mark.parametrize("far", [False, True], ids=["near", "far"])
+@pytest.mark.parametrize("levels", (_VECTOR_MIN_LEVELS, 64, 400))
+def test_flat_rows_match_log_odds(levels, far, rows):
+    h = _far_energies(levels) if far else _target(levels, 3, 2).energies
+    if rows == "one":  # K = 1: each k and x alone
+        cases = [([k], [x]) for k in (1, 3, levels // 2, levels - 1) for x in FLAT_XS]
+    else:  # K = d - 1: every k, the xs in turn
+        ks = list(range(1, levels))
+        cases = [(ks, [FLAT_XS[(k + j) % len(FLAT_XS)] for k in ks]) for j in (0, 1)]
+    h_array, scale = np.array(h), abs(h[0]) + abs(h[-1])
+    for ks, xs in cases:
+        cuts, sizes = tempbounds._layout(np.array(ks), levels)
+        flat = np.tile(h_array, len(ks))
+        values, slopes = tempbounds._log_odds_rows(flat, np.array(xs), cuts, sizes)
+        for k, x, value, slope in zip(ks, xs, values.tolist(), slopes.tolist()):
+            exact_value, exact_slope = tempbounds._log_odds(h[:k], h[k:], x)
+            assert abs(value - exact_value) <= _bound(h, x)
+            assert abs(slope - exact_slope) <= 12.0 * scale * _bound(h, x)
