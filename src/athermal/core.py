@@ -29,17 +29,19 @@ NORMALIZATION_TOL = 1e-9
 # whose decision methods follow the target boundary's form. Smaller ones
 # stay in pure Python, where numpy's fixed cost per call loses. Time of one
 # full query from raw lists (validate 4 vectors, build 2 boundaries,
-# compare), pure Python / numpy, median of 9 interleaved rounds, two runs
-# averaged; plain ladders, 2-CPU x86-64 host, numpy 2.4:
-#   n                            32   64   80   96  128  256  2048  20000
-#   relatively_majorizes        0.4  0.8  0.9  1.0  1.1  2.3   8.1    8.9
-#   convertible_via_monotones   0.4  0.8  0.9  1.0  1.2  2.0   6.8    8.8
-# Both break even near 96: the numpy path's fixed cost per vector is a few
-# whole-array steps (`_validated_array`), about 2 us more than an `fsum`
-# over a 100-entry list. 100 keeps the n = 32 decide inputs and every
-# dim <= 64 solver, scan and CLI input on the pure-Python path; lowering it
-# would send 80-99-level states to numpy, where they do not gain, and to 64
-# or below `solve`'s 64-level resources, where they lose.
+# compare), pure Python / numpy, median of 9 interleaved rounds over four
+# pairs, two runs averaged; plain ladders, 2-CPU x86-64 host, numpy 2.4:
+#   n                            32    64    80    96   128   256  2048  20000
+#   relatively_majorizes       0.34  0.58  0.69  0.80  0.97  1.44   4.3    7.0
+#   convertible_via_monotones  0.35  0.56  0.68  0.77  0.97  1.52   4.4    6.6
+# Both break even near 150 (0.92-1.04 at 144, 1.02-1.13 at 160), up from
+# near 96 while validation looped over the entries and the comparison
+# bisected once per target elbow; now `fsum` and `min` check a vector and
+# one merge walk compares. 100 keeps the n = 32 decide inputs and every
+# dim <= 64 solver, scan and CLI input on the pure-Python path. No benchmark
+# input lies between 64 and 256 levels, so raising it would change no
+# measured query, and lowering it to 64 or below would send `solve`'s
+# 64-level resources to numpy, where they lose.
 _NUMPY_MIN_DIM = 100
 
 
@@ -65,7 +67,12 @@ class ProbabilityVector:
     0.3 us a vector on a 10 us qubit decision.
 
     Takes any sequence of numbers, such as a list, tuple or numpy array;
-    each entry is read as a float.
+    each entry is read as a float. Below the threshold the checks run at
+    builtin speed: the `math.fsum` total must lie within NORMALIZATION_TOL
+    of 1 (so every entry is finite) and `min` of the entries must be >= 0.
+    Only when one fails does a loop over the entries run, to name the first
+    non-finite or negative one; with none, the total is off (inf where it
+    overflows a float). The array path's failures end in the same loop.
     """
 
     _stored: tuple[float, ...]  # or a read-only numpy array
@@ -76,24 +83,29 @@ class ProbabilityVector:
         if len(raw) >= _NUMPY_MIN_DIM:
             a = _validated_array(raw)
             if a is not None:
-                object.__setattr__(self, "_stored", a)
-                object.__setattr__(self, "array", a)
+                kept = self.__dict__
+                kept["_stored"] = kept["array"] = a
                 return
         entries = tuple(map(float, raw))
-        for x in entries:
-            if not math.isfinite(x):
-                raise NonFiniteEntry(f"non-finite entry {x!r}")
-            if x < 0.0:
-                raise NegativeEntry(f"negative entry {x!r}")
-        total = math.fsum(entries)
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        try:
+            total = math.fsum(entries)
+        except (OverflowError, ValueError):  # past the float range, or inf - inf
+            total = math.inf
+        # A total within the tolerance is finite, so every entry is: NaN and
+        # inf fail the first test, a negative entry the second.
+        if not (abs(total - 1.0) <= NORMALIZATION_TOL and min(entries) >= 0.0):
+            for x in entries:
+                if not math.isfinite(x):
+                    raise NonFiniteEntry(f"non-finite entry {x!r}")
+                if x < 0.0:
+                    raise NegativeEntry(f"negative entry {x!r}")
             raise NormalizationOutOfTolerance(
                 f"entries sum to {total!r}, off by more than {NORMALIZATION_TOL}"
             )
         if total != 1.0:
-            entries = tuple(x / total for x in entries)
-        object.__setattr__(self, "_stored", entries)
-        object.__setattr__(self, "entries", entries)
+            entries = tuple([x / total for x in entries])
+        kept = self.__dict__
+        kept["_stored"] = kept["entries"] = entries
 
     @cached_property
     def entries(self) -> tuple[float, ...]:
@@ -252,15 +264,10 @@ class AthermalityState:
     g: ProbabilityVector
 
     def __post_init__(self):
-        if self.r.dim != self.g.dim:
-            raise DimensionMismatch(
-                f"population dim {self.r.dim} != Gibbs dim {self.g.dim}"
-            )
-        if self.g.dim >= _NUMPY_MIN_DIM:
-            rank_deficient = self.g.array.min() <= 0.0
-        else:
-            rank_deficient = any(x <= 0.0 for x in self.g.entries)
-        if rank_deficient:
+        r, g = self.r._stored, self.g._stored
+        if len(r) != len(g):
+            raise DimensionMismatch(f"population dim {len(r)} != Gibbs dim {len(g)}")
+        if (min(g) if type(g) is tuple else g.min()) <= 0.0:
             raise RankDeficientGibbs("Gibbs vector must be strictly positive")
 
     @property

@@ -57,7 +57,9 @@ and alphas are identical and their roots agree to rounding in the sums
 
 Heating is cooling mirrored: exp(-beta~ h) = exp(-(-beta~)(-h)), so it
 solves the energies -h (reversed) at -beta and negates the result, which
-may be negative (population inversion).
+may be negative (population inversion). Either way the search takes the
+energies less the lowest of them, which leaves every L_k unchanged, so
+targets far from energy 0 keep the precision of those near it.
 """
 
 from __future__ import annotations
@@ -365,6 +367,9 @@ def _searched_conditions(
     h, beta, d = target.energies, target.beta, target.ground_degeneracy()
     if heating:
         h, beta, d = tuple(-x for x in reversed(h)), -beta, target.top_degeneracy()
+    # L_k is unchanged by a common shift; from h - h_0 the exponents x h_i
+    # round to the spread of the energies, not to their distance from 0.
+    h = tuple(x - h[0] for x in h)
     if len(h) >= _VECTOR_MIN_LEVELS:
         return _whole_array_conditions(boundary, h, beta, d, heating)
     return _one_by_one_conditions(boundary, h, beta, d, heating)

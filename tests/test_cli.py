@@ -284,6 +284,36 @@ class TestInputErrors:
         assert _input_error(code, err)["code"] == "NonFiniteEntry"
         assert out == ""
 
+    @pytest.mark.parametrize("n", [2, 120])  # the scalar and the array validation
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("cool", ["-s", "{bad}", "-t", "{target}"]),
+            ("heat", ["-s", "{bad}", "-t", "{target}"]),
+            ("overlap", ["-s", "{bad}", "-t", "{target}"]),
+            ("monotones", ["-s", "{bad}", "-E", "1"]),
+            ("critical-energies", ["-s", "{bad}"]),
+            ("eset", ["-s", "{bad}", "--beta-tilde", "2"]),
+            ("convert", ["--from", "{bad}", "--to", "{bad}"]),
+            ("oracle", ["--from", "{bad}", "--to", "{bad}"]),
+        ],
+    )
+    def test_overflowing_population_total(
+        self, capsys, tmp_path, target_file, n, command, args
+    ):
+        # Finite populations whose sum overflows a float: off by inf.
+        bad = tmp_path / "overflow.json"
+        bad.write_text(
+            json.dumps({"energies": [float(i) for i in range(n)], "beta": 1.0,
+                        "populations": [1e308] * n})
+        )
+        argv = [command] + [a.format(bad=bad, target=target_file) for a in args]
+        code, out, err = _run(capsys, argv)
+        error = _input_error(code, err)
+        assert error["code"] == "NormalizationOutOfTolerance"
+        assert error["message"] == "entries sum to inf, off by more than 1e-09"
+        assert out == ""
+
     def test_eset_grid_above_cap(self, capsys, resource_file):
         code, out, err = _run(
             capsys,

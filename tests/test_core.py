@@ -35,6 +35,12 @@ class TestProbabilityVector:
         with pytest.raises(NormalizationOutOfTolerance):
             ProbabilityVector((0.5, 0.6))
 
+    @pytest.mark.parametrize("n", (2, 120))  # the scalar path, the array path
+    def test_overflowing_total_is_off_by_inf(self, n):
+        with pytest.raises(NormalizationOutOfTolerance) as info:
+            ProbabilityVector([1e308] * n)
+        assert str(info.value) == "entries sum to inf, off by more than 1e-09"
+
     def test_dim(self):
         assert ProbabilityVector((0.25, 0.25, 0.5)).dim == 3
 

@@ -12,6 +12,7 @@ from athermal import (
     critical_energies,
     lp_feasible,
     majorization,
+    monotones,
     relatively_majorizes,
     validate_state,
 )
@@ -275,3 +276,89 @@ class TestTestingBoundary:
     def test_rejects_unpinned_endpoints(self, xs, ys):
         with pytest.raises(ValueError, match=r"from \(0,0\) to \(1,1\)"):
             majorization.TestingBoundary(xs, ys)
+
+
+def _random_boundary(rng):
+    """A tuple boundary of 2-60 elbows: the diagonal, or that of a random
+    state of 1-59 levels, some with tied ratios and masses down to 1e-15."""
+    dim = int(rng.integers(1, 60))
+    g = rng.dirichlet(np.ones(dim))
+    if rng.random() < 0.1:
+        r = g  # the diagonal
+    else:
+        r = rng.dirichlet(np.ones(dim)) * 10.0 ** rng.uniform(-15.0, 0.0, dim)
+        tied = rng.random(dim) < 0.3
+        r[tied] = g[tied]
+        r /= r.sum()
+    b = compute_elbows(validate_state(r.tolist(), g.tolist()))
+    assert isinstance(b.ys, tuple) and 2 <= len(b.ys) <= 60
+    return b
+
+
+def _ascending_ordinates(rng, b):
+    """Sorted ordinates with repeats: b's own elbow ordinates, their float
+    neighbours, 0, 1, points in between and ones clamped at either end."""
+    pool = [0.0, 1.0, -1e-13, 1.0 + 1e-13]
+    for y in b.ys:
+        pool += [y, math.nextafter(y, -math.inf), math.nextafter(y, math.inf)]
+    pool += rng.random(8).tolist()
+    pool = [y for y in pool if -1e-13 <= y <= 1.0 + 1e-13]
+    m = int(rng.integers(1, 2 * len(b.ys) + 8))
+    return tuple(sorted(rng.choice(pool, m).tolist()))
+
+
+def _reference_shortfall(src, xs, ys):
+    """The first shortfall by one `alpha_at` bisection per point."""
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if alpha_at(src, y) < x - DOMINATION_SLACK:
+            return i
+    return None
+
+
+class TestFirstShortfallWalk:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_walk_alpha_is_alpha_at(self, seed, monkeypatch):
+        # With no slack, a point at alpha_at's value passes and one an ulp
+        # right of it fails exactly where the walk's alpha is that value.
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(majorization, "DOMINATION_SLACK", 0.0)
+        for _ in range(5):
+            src = _random_boundary(rng)
+            ys = _ascending_ordinates(rng, src)
+            alphas = [alpha_at(src, y) for y in ys]
+            assert majorization._first_shortfall(src, tuple(alphas), ys) is None
+            for i, a in enumerate(alphas):
+                xs = tuple(alphas[:i] + [math.nextafter(a, math.inf)] + alphas[i + 1:])
+                assert majorization._first_shortfall(src, xs, ys) == i
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_first_shortfall_is_reference(self, seed):
+        rng = np.random.default_rng([1, seed])
+        verdicts = set()
+        for round_ in range(10):
+            src = _random_boundary(rng)
+            ys = _ascending_ordinates(rng, src)
+            # abscissae around alpha, within the slack or, every other
+            # round, some of them past it
+            steps = [-1e-3, 0.0, DOMINATION_SLACK, 2 * DOMINATION_SLACK, 1e-3]
+            p = [0.4, 0.3, 0.3, 0.0, 0.0] if round_ % 2 else [0.4, 0.3, 0.2, 0.05, 0.05]
+            step = rng.choice(steps, len(ys), p=p)
+            xs = tuple(alpha_at(src, y) + s for y, s in zip(ys, step.tolist()))
+            i = majorization._first_shortfall(src, xs, ys)
+            assert i == _reference_shortfall(src, xs, ys)
+            verdicts.add(i is None)
+            # the 2-point call of monotones._ordinate_beside, around 1/2
+            tgt = _random_boundary(rng)
+            y, t = 0.5 + rng.uniform(-1e-12, 1e-12), monotones.DEGENERATE_PERTURBATION
+            while t > 1e-15:
+                pair = (y - t, y + t)
+                xs = tuple(alpha_at(tgt, b) for b in pair)
+                assert (majorization._first_shortfall(src, xs, pair)
+                        == _reference_shortfall(src, xs, pair))
+                t /= 2.0
+        assert verdicts == {True, False}
+
+    def test_out_of_range_ordinate_is_refused(self):
+        src = compute_elbows(validate_state((0.9, 0.1), (0.5, 0.5)))
+        with pytest.raises(YOutOfRange):
+            majorization._first_shortfall(src, (0.0, 0.5), (0.0, 1.5))

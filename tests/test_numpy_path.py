@@ -320,8 +320,9 @@ def _with(values, changes):
 
 
 def _bad_inputs(n):
-    """(r, g) pairs, each with one defect (two where the first must be named),
-    and one valid pair with an entry given as a string."""
+    """(r, g) pairs, each with one defect (two where the first must be named:
+    NaN before a negative entry, a negative entry before NaN, +inf before
+    -inf), and one valid pair with an entry given as a string."""
     flat = [1.0 / n] * n
     nan, inf = float("nan"), float("inf")
     return {
@@ -330,6 +331,9 @@ def _bad_inputs(n):
         "-inf": (_with(flat, {n - 1: -inf}), flat),
         "negative": (_with(flat, {1: -0.25, n - 1: nan}), flat),
         "sum": ([1.5 / n] * n, flat),
+        "sum_1e-6": (_with(flat, {0: 1.0 / n + 1e-6}), flat),
+        "overflow": ([1e308] * n, flat),
+        "+inf_-inf": (_with(flat, {1: inf, n - 1: -inf}), flat),
         "zero_gibbs": (flat, _with(flat, {0: 0.0, 1: 2.0 / n})),
         "length": (flat, flat[:-1]),
         "string": (_with([0.5 / (n - 1)] * n, {n - 1: "0.5"}), flat),
@@ -357,12 +361,22 @@ def _float_error(x):
 
 @pytest.mark.parametrize("n", (3, 5000))
 def test_validation_errors_match(monkeypatch, n):
+    bad = _bad_inputs(n)
     expected = {
         "nan": (NonFiniteEntry, "non-finite entry nan"),
         "+inf": (NonFiniteEntry, "non-finite entry inf"),
         "-inf": (NonFiniteEntry, "non-finite entry -inf"),
         "negative": (NegativeEntry, "negative entry -0.25"),
         "sum": (NormalizationOutOfTolerance, None),
+        "sum_1e-6": (
+            NormalizationOutOfTolerance,
+            f"entries sum to {math.fsum(bad['sum_1e-6'][0])!r}, off by more than 1e-09",
+        ),
+        "overflow": (
+            NormalizationOutOfTolerance, "entries sum to inf, off by more than 1e-09"
+        ),
+        # fsum raises ValueError on inf - inf: the loop names the first
+        "+inf_-inf": (NonFiniteEntry, "non-finite entry inf"),
         "zero_gibbs": (RankDeficientGibbs, "Gibbs vector must be strictly positive"),
         "length": (DimensionMismatch, f"lengths differ: {n} vs {n - 1}"),
         "string": None,  # valid
@@ -371,7 +385,7 @@ def test_validation_errors_match(monkeypatch, n):
         "none": _float_error(None),
         "nested": _float_error([]),
     }
-    for name, (r, g) in _bad_inputs(n).items():
+    for name, (r, g) in bad.items():
         scalar = _outcome(monkeypatch, PURE_PYTHON, r, g)
         vector = _outcome(monkeypatch, NUMPY, r, g)
         assert vector == scalar, name

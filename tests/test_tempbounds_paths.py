@@ -94,6 +94,23 @@ def test_paths_agree(monkeypatch, levels, ground, top, n):
     assert heat.beta_min <= ExtendedBeta.finite(target.beta) <= cool.beta_max
 
 
+@pytest.mark.parametrize("n", (8, 64))
+@pytest.mark.parametrize("offset", (1e4, 1e6, 1e8))
+@pytest.mark.parametrize("levels", (8, 64))  # one by one, whole-array
+def test_energy_offset_moves_no_root(levels, offset, n):
+    # L_k is unchanged by a common shift and the search takes h - h_0, so the
+    # energies h' = h + c, as stored, and h' - h'_0 give the same roots bit
+    # for bit (heating too: the mirror's differences h'_max - h'_i are exact).
+    base = _target(levels, 1, 1)
+    far = tuple(h + offset for h in base.energies)
+    moved = tuple(h - far[0] for h in far)
+    resource = _resource(n)
+    for solve in (beta_max, beta_min):
+        report = solve(resource, GibbsContext(far, base.beta))
+        assert report == solve(resource, GibbsContext(moved, base.beta))
+        assert sum(b.is_finite for _, b, _ in report.per_condition) > 0
+
+
 def test_switch_at_threshold(monkeypatch):
     calls = []
 
