@@ -262,7 +262,11 @@ def _cmd_critical_energies(args) -> tuple[int, dict]:
     return EXIT_OK, {
         "beta": ctx.beta,
         "degenerate": list(crit.degenerate_flags),
-        "entries": [{"E": E, "k": k, "kind": kind} for k, E, kind in crit.entries],
+        # E = logit(y) / beta overflows to inf at a beta near the subnormals
+        "entries": [
+            {"E": ExtendedBeta(E).to_json(), "k": k, "kind": kind}
+            for k, E, kind in crit.entries
+        ],
     }
 
 

@@ -170,18 +170,19 @@ def _root(f, lo: float, hi: float, tol: float) -> float:
     the step before is replaced by the midpoint. Newton steps that converge
     on one end leave the far end where it was, so a step shorter than
     max(tol/2, 1 ulp) is pushed to that length towards the far end, past the
-    root, and the far end closes in. With tol > 0, f may change by rounding
-    only over a span wider than tol, as the clearance does near e_max, and
-    there no step but the midpoint says anything: after k steps the bracket
-    is at most 2^(_SPARE_STEPS - k) of its first width, by a midpoint step
-    wherever another could leave it wider, so `_root` takes at most
-    _SPARE_STEPS + 1 steps more than bisection.
+    root, and the far end closes in. Where f changes by rounding only over
+    a span wider than tol (the clearance near e_max; the witness
+    construction's curves at ratios near 1, at tol = 0, where a push moves
+    one ulp), no step but the midpoint says anything: at every tol, after k
+    steps the bracket is at most 2^(_SPARE_STEPS - k) of its first width,
+    by a midpoint step wherever another could leave it wider, so `_root`
+    takes at most _SPARE_STEPS + 1 steps more than bisection.
     """
     f_lo, f_hi = f(lo)[0], f(hi)[0]
     lo_side = f_lo >= 0.0
     if (f_hi >= 0.0) == lo_side:
         return lo if abs(f_lo) <= abs(f_hi) else hi
-    cap = (hi - lo) * 2.0**_SPARE_STEPS if tol > 0.0 else math.inf
+    cap = (hi - lo) * 2.0**_SPARE_STEPS
     step = before = hi - lo  # lengths of the last step and of the one before
     x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
     if not lo < x < hi:

@@ -14,7 +14,7 @@ own largest exponent, so neither underflows.
 One rule (`_condition`) settles each condition of `beta_max`, `beta_min`
 and `qubit_beta_bounds` from L = L_k(beta) and the mass sigma(L) at beta,
 with L_1 = beta E for a qubit and every other L_k(beta) from one Python
-`_sweep` (so the two forms below share their alphas bit for bit). It is
+`_sweep` (so the two kernels below share their alphas bit for bit). It is
 tagged +inf when alpha_k reaches the limit of the k-level mass as
 beta~ -> +inf; it keeps beta when that mass already reaches alpha_k at beta,
 always so for a free resource (a Gibbs state cools nothing); else L_k must
@@ -40,19 +40,16 @@ of one root search toward goal_k = L + excess, in three steps:
   leaves the bracket is replaced by a bisection step, and the search stops
   once the step or the bracket is narrower than `_REL_WIDTH` relative.
 A probe costs O(d) for all rows together and a Newton step O(K d) for K
-open rows. The conditions fork on the target's level count:
-- below `_VECTOR_MIN_LEVELS`, one at a time in pure Python
-  (`_one_by_one_conditions`: `_condition`, then `_cooling_root`), O(d)
-  interpreted operations per evaluation;
-- from there up, in whole-array steps (`_whole_array_conditions`): the same
-  sweep, masses and rule, every alpha_k from one `alphas_at`, and every
-  open row stepped at once (`_cooling_roots`). Each Newton pass evaluates
-  the open rows from one flat array of K d exponents (`_log_odds_rows`):
-  `np.maximum.reduceat` shifts each row's head and tail by their own
-  largest exponent, `np.add.reduceat` sums their weights and first moments,
-  and the arrays are compacted only in a pass where some row closes.
-Both forms take the same steps and stop by the same rules, so their k, tags
-and alphas are identical and their roots agree to rounding in the sums
+open rows. `_searched_conditions` takes every target through the same
+steps (sweep at beta, rule, brackets, roots, report); the target's level
+count picks only the kernels for the rows and the roots:
+- below `_VECTOR_MIN_LEVELS`, `_condition` and `_cooling_root` per row,
+  O(d) interpreted operations per evaluation;
+- from there up, `_condition_rows` (every alpha_k from one `alphas_at`)
+  and `_cooling_roots` (each Newton pass on all open rows from one flat
+  array, `_log_odds_rows`).
+Both take the same steps and stop by the same rules, so k, the tags and
+the alphas are identical and the roots agree to rounding in the sums
 (tests/test_tempbounds_paths.py).
 
 Heating is cooling mirrored: exp(-beta~ h) = exp(-(-beta~)(-h)), so it
@@ -86,22 +83,22 @@ _REL_WIDTH = 1e-13
 _MAX_ITERS = 200
 _MAX_DOUBLINGS = 1024  # offsets 2^0 .. 2^1023, the largest power of two a float holds
 
-# Targets with at least this many levels take their conditions in
-# whole-array steps (`_whole_array_conditions`), smaller ones one at a time
-# (`_one_by_one_conditions`); both bracket them from the same sweeps. Time
-# of one `_searched_conditions` call in ms against a 64-level resource,
-# cooling and heating alternately, medians of three runs of 11 interleaved
-# rounds over four targets per size; 2-CPU x86-64 host, numpy 2.4:
+# Targets with at least this many levels take the array kernels
+# (`_condition_rows`, `_cooling_roots`), smaller ones the scalar kernels
+# (`_condition`, `_cooling_root`). Time of one `_searched_conditions` call
+# in ms against a 64-level resource, cooling and heating alternately,
+# medians of three runs of 11 interleaved rounds over four targets per
+# size; 2-CPU x86-64 host, numpy 2.4:
 #   d              2     4     8    16    24    32    64   128   400
-#   one by one   0.02  0.09  0.20  0.43  0.83  1.02  3.5    11     77
-#   whole-array  0.16  0.32  0.37  0.40  0.49  0.44  0.80  1.33   7.3
-# The forms break even near 16 levels (whole-array / one by one 0.83-1.18
-# at 16 and 1.15-1.44 at 12, over six runs); from 24 the whole-array form
-# takes 0.6 of the time or less. Below the switch a call imports no numpy,
-# whose import (about 0.12 s on that host) outweighs a gain under 0.1 ms a
-# call. This is not `core._NUMPY_MIN_DIM`, which counts the levels of a
-# state and breaks even near 100: here numpy replaces O(K d) interpreted
-# operations per Newton step for K open conditions.
+#   scalar       0.02  0.09  0.20  0.43  0.83  1.02  3.5    11     77
+#   array        0.16  0.32  0.37  0.40  0.49  0.44  0.80  1.33   7.3
+# The kernels break even near 16 levels (array / scalar 0.83-1.18 at 16
+# and 1.15-1.44 at 12, over six runs); from 24 the array kernels take 0.6
+# of the time or less. Below the switch a call imports no numpy, whose
+# import (about 0.12 s on that host) outweighs a gain under 0.1 ms a call.
+# This is not `core._NUMPY_MIN_DIM`, which counts the levels of a state and
+# breaks even near 100: here numpy replaces O(K d) interpreted operations
+# per Newton step for K open conditions.
 _VECTOR_MIN_LEVELS = 24
 
 
@@ -264,16 +261,15 @@ def _log_odds_rows(flat, x, cuts, sizes):
 
 
 def _cooling_roots(
-    energies: Sequence[float], beta: float, ks: Sequence[int], goals: Sequence[float],
-    starts: Sequence[float],
+    h, ks: Sequence[int], goals: Sequence[float],
+    brackets: Sequence[tuple[float, float, float]],
 ) -> list[float]:
-    """_cooling_root for every k at once: the same brackets, starts and
-    safeguarded Newton steps, each row on its own bracket, one flat array a
-    step (`_log_odds_rows`)."""
+    """_cooling_root for every k at once on the energies h, an array: each
+    row from its (lo, hi, start) by the same safeguarded Newton steps on its
+    own bracket, one flat array a step (`_log_odds_rows`)."""
     import numpy as np
 
-    h, k, goal = np.array(energies), np.array(ks), np.array(goals)
-    brackets = _brackets(_sweep_array, h - h[0], beta, ks, goals, starts)
+    k, goal = np.array(ks), np.array(goals)
     lo, hi, x = np.array(brackets).T
     d = len(h)
     flat, (cuts, sizes) = np.tile(h, len(k)), _layout(k, d)
@@ -341,6 +337,31 @@ def _condition(
     return alpha, log_ratio - math.log1p(-alpha)
 
 
+def _condition_rows(
+    boundary: TestingBoundary, Ls: Sequence[float], d: int
+) -> list[tuple[float, float]]:
+    """`_condition` of rows k = 1 .. len(Ls) in array steps, with d levels
+    at the bottom. The alphas and tags are `_condition`'s (the same `_mass`,
+    `alphas_at` takes `alpha_at`'s segments, far rows go through
+    `_condition`); numpy's log may move an excess by an ulp."""
+    import numpy as np
+
+    ys = [_mass(L) for L in Ls]
+    if len(boundary.xs) == 2:  # a diagonal boundary: a free resource
+        return [(y, 0.0) for y in ys]
+    L, y = np.array(Ls), np.array(ys)
+    alpha = alphas_at(boundary, y)
+    # the log of 0 at alpha = 1 (tagged below) and alpha = 0 (a far row)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        excess = np.log(alpha) - L - np.log1p(-alpha)
+    limit = np.minimum(np.arange(1, len(Ls) + 1) / d, 1.0)
+    far = (y < sys.float_info.min) & (y < boundary.ys[1])
+    for i in np.flatnonzero(far).tolist():  # in logs, as `_condition` takes them
+        alpha[i], excess[i] = _condition(boundary, Ls[i], ys[i], limit[i])
+    excess[_dominates(alpha, limit)] = math.inf
+    return list(zip(alpha.tolist(), excess.tolist()))
+
+
 def _conditions(
     resource: AthermalityState, target: GibbsContext, heating: bool
 ) -> tuple[tuple[int, ExtendedBeta, float], ...]:
@@ -361,28 +382,26 @@ def _conditions(
 def _searched_conditions(
     boundary: TestingBoundary, target: GibbsContext, heating: bool
 ) -> tuple[tuple[int, ExtendedBeta, float], ...]:
-    """`_conditions` by the root search, for a target of any level count;
-    `_conditions` hands it those of 3 or more, and the tests hold it against
-    the closed form on 2-level targets."""
+    """`_conditions` by the root search, for a target of any level count
+    (`_conditions` hands it 3 or more, the tests 2 as well, against the
+    closed form). The size switch picks only the row and root kernels."""
     h, beta, d = target.energies, target.beta, target.ground_degeneracy()
     if heating:
         h, beta, d = tuple(-x for x in reversed(h)), -beta, target.top_degeneracy()
     # L_k is unchanged by a common shift; from h - h_0 the exponents x h_i
     # round to the spread of the energies, not to their distance from 0.
     h = tuple(x - h[0] for x in h)
+    Ls = _sweep(h, beta)
     if len(h) >= _VECTOR_MIN_LEVELS:
-        return _whole_array_conditions(boundary, h, beta, d, heating)
-    return _one_by_one_conditions(boundary, h, beta, d, heating)
+        import numpy as np
 
-
-def _one_by_one_conditions(
-    boundary: TestingBoundary, h: Sequence[float], beta: float, d: int, heating: bool
-) -> tuple[tuple[int, ExtendedBeta, float], ...]:
-    """The conditions on the (mirrored) energies h at beta, with d levels at
-    the bottom: `_condition` and `_cooling_root` on each in turn."""
+        rows, sweep, hs = _condition_rows(boundary, Ls, d), _sweep_array, np.array(h)
+    else:
+        rows, sweep, hs = None, _sweep, h
     per, open_ks, goals, starts = [], [], [], []
-    for k, L in enumerate(_sweep(h, beta), 1):
-        alpha_k, excess = _condition(boundary, L, _mass(L), k / d if k < d else 1.0)
+    for k, L in enumerate(Ls, 1):
+        alpha_k, excess = rows[k - 1] if rows is not None else _condition(
+            boundary, L, _mass(L), k / d if k < d else 1.0)
         if 0.0 < excess < math.inf:
             open_ks.append(k)
             goals.append(L + excess)
@@ -390,8 +409,11 @@ def _one_by_one_conditions(
         per.append((k, excess, alpha_k))
     roots = []
     if open_ks:
-        rows = zip(open_ks, goals, _brackets(_sweep, h, beta, open_ks, goals, starts))
-        roots = [_cooling_root(h, k, goal, *b) for k, goal, b in rows]
+        found = _brackets(sweep, hs, beta, open_ks, goals, starts)
+        if rows is not None:
+            roots = _cooling_roots(hs, open_ks, goals, found)
+        else:
+            roots = [_cooling_root(h, k, goal, *b) for k, goal, b in zip(open_ks, goals, found)]
     roots, sign = iter(roots), (-1.0 if heating else 1.0)
     return tuple(
         (k, ExtendedBeta(sign * math.inf) if excess == math.inf
@@ -399,48 +421,6 @@ def _one_by_one_conditions(
          alpha_k)
         for k, excess, alpha_k in per
     )
-
-
-def _whole_array_conditions(
-    boundary: TestingBoundary, h: Sequence[float], beta: float, d: int, heating: bool
-) -> tuple[tuple[int, ExtendedBeta, float], ...]:
-    """`_one_by_one_conditions` in whole-array steps, with `_cooling_roots`.
-
-    The masses come from the same `_sweep` and `_mass`, and `alphas_at`
-    takes the same elbow segments as `alpha_at`, so k, the tags and the
-    alphas are identical; only the far-level rows go through `_condition`.
-    The excess is taken with numpy's log, which may differ from the math
-    module's by an ulp: a goal by as much, and a root by rounding."""
-    import numpy as np
-
-    Ls = _sweep(h, beta)
-    ys = [_mass(L) for L in Ls]
-    L, y = np.array(Ls), np.array(ys)
-    ks = np.arange(1, len(h))
-    if len(boundary.xs) == 2:  # a diagonal boundary: a free resource
-        alpha, excess = y, np.zeros(len(y))
-    else:
-        alpha = alphas_at(boundary, y)
-        # the log of 0 at alpha = 1 (tagged below) and alpha = 0 (a far row)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            excess = np.log(alpha) - L - np.log1p(-alpha)
-        limit = np.minimum(ks / d, 1.0)
-        far = (y < sys.float_info.min) & (y < boundary.ys[1])
-        for i in np.flatnonzero(far).tolist():  # in logs, as `_condition` takes them
-            alpha[i], excess[i] = _condition(boundary, Ls[i], ys[i], limit[i])
-        excess[_dominates(alpha, limit)] = math.inf
-    searched = np.flatnonzero((excess > 0.0) & (excess < math.inf))
-    sign = -1.0 if heating else 1.0
-    betas = [ExtendedBeta.finite(sign * beta)] * len(ks)
-    for i in np.flatnonzero(excess == math.inf).tolist():
-        betas[i] = ExtendedBeta(sign * math.inf)
-    if len(searched):
-        open_ks = (searched + 1).tolist()
-        goals = (L[searched] + excess[searched]).tolist()
-        roots = _cooling_roots(h, beta, open_ks, goals, L[searched].tolist())
-        for i, root in zip(searched.tolist(), roots):
-            betas[i] = ExtendedBeta.finite(sign * root)
-    return tuple(zip(ks.tolist(), betas, alpha.tolist()))
 
 
 def beta_max(resource: AthermalityState, target: GibbsContext) -> CoolingReport:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -590,6 +594,24 @@ class TestSubcommands:
         assert doc["entries"][0]["kind"] == "cooling"
         assert doc["entries"][0]["E"] == pytest.approx(LN4)
 
+    def test_critical_energies_overflowing_gap_is_strict_json(self, capsys, tmp_path):
+        # logit(y) / beta overflows at beta = 1e-320: each E is infinite,
+        # and printed as "+inf" like every other infinity, not as Infinity
+        state = tmp_path / "state.json"
+        state.write_text(
+            json.dumps(
+                {"energies": [0, 1, 2], "beta": 1e-320, "populations": [0.7, 0.2, 0.1]}
+            )
+        )
+        code, out, _ = _run(capsys, ["critical-energies", "-s", str(state)])
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert [e["E"] for e in doc["entries"]] == ["+inf", "+inf"]
+
     def test_eset_two_interval_pattern(self, capsys, tmp_path):
         state = tmp_path / "witness.json"
         state.write_text(
@@ -665,6 +687,24 @@ class TestSubcommands:
         )
         assert code2 == 0
         assert len(json.loads(out2)["intervals"]) >= 2
+
+    @pytest.mark.parametrize("a", ["1.0000000001", "0.9999999999"])
+    def test_gap_example_near_one_ends(self, capsys, tmp_path, a):
+        # In a child process with a timeout: at these ratios the witness
+        # construction's root solver once ran without end.
+        out_path = tmp_path / "witness.json"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "athermal.cli", "gap-example", "--a", a,
+             "--out", str(out_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == json.loads(out_path.read_text())
+        code, out, _ = _run(capsys, ["eset", "-s", str(out_path), "--beta-tilde", a])
+        assert code == 0
+        assert len(json.loads(out)["intervals"]) == 2
 
     def test_oracle_exit_codes(self, capsys, resource_file, target_file):
         code, out, _ = _run(

@@ -18,6 +18,7 @@ from athermal import (
     gap_set,
     validate_state,
 )
+from athermal import esets
 from athermal.errors import (
     BisectionError,
     InvalidGrid,
@@ -289,6 +290,31 @@ class TestConstructGapExample:
         # the curve underflows there; no arithmetic error escapes
         with pytest.raises(BisectionError):
             construct_gap_example(a)
+
+    @pytest.mark.parametrize("a", [1.0 - 1e-10, 1.0 + 1e-10, 1.0 - 1e-11])
+    def test_ratio_near_one_ends(self, monkeypatch, a):
+        # Near a = 1 the construction's curves change only by rounding over
+        # much of each root's bracket, and both roots run to adjacent floats
+        # (tol = 0): there pushes of one ulp each kept `_root` going without
+        # end. The spare-step budget holds at every tol, so each root costs
+        # at most 66 evaluations here; the spy stops a runaway long before.
+        real = esets._root
+
+        def counted(f, lo, hi, tol):
+            calls = 0
+
+            def g(x):
+                nonlocal calls
+                calls += 1
+                if calls > 10_000:
+                    raise AssertionError(f"_root still open after {calls - 1} evaluations")
+                return f(x)
+
+            return real(g, lo, hi, tol)
+
+        monkeypatch.setattr(esets, "_root", counted)
+        resource = construct_gap_example(a)
+        assert len(gap_set(resource, 1.0, a).intervals) == 2
 
     def test_rejects_trivial_and_nonpositive(self):
         with pytest.raises(TrivialRatio):

@@ -1,10 +1,11 @@
-"""The size-switched root search of `beta_max`/`beta_min`: one condition at a
-time below `tempbounds._VECTOR_MIN_LEVELS` target levels, all open conditions
-in one numpy pass from there up, both from the brackets of one shared sweep
-per probe.
+"""The root search of `beta_max`/`beta_min` and its two kernels: below
+`tempbounds._VECTOR_MIN_LEVELS` target levels each condition by `_condition`
+and each root by `_cooling_root`, from there up all rows by
+`_condition_rows` and all open roots by `_cooling_roots`, both from the
+brackets of one shared sweep per probe.
 
 Each case solves the same resource and target twice, once with the switch
-forced onto each path. Both paths share the settled conditions and every
+forced onto each kernel pair. Both share the settled conditions and every
 alpha_k, so k, the tags and the alphas must be identical; the roots come
 from the same steps on differently summed log-odds, so finite beta~ must
 agree to 1e-12 relative (1e-12 absolute below |beta~| = 1).
@@ -96,7 +97,7 @@ def test_paths_agree(monkeypatch, levels, ground, top, n):
 
 @pytest.mark.parametrize("n", (8, 64))
 @pytest.mark.parametrize("offset", (1e4, 1e6, 1e8))
-@pytest.mark.parametrize("levels", (8, 64))  # one by one, whole-array
+@pytest.mark.parametrize("levels", (8, 64))  # scalar, array kernels
 def test_energy_offset_moves_no_root(levels, offset, n):
     # L_k is unchanged by a common shift and the search takes h - h_0, so the
     # energies h' = h + c, as stored, and h' - h'_0 give the same roots bit
@@ -112,31 +113,31 @@ def test_energy_offset_moves_no_root(levels, offset, n):
 
 
 def test_switch_at_threshold(monkeypatch):
-    calls = []
-
-    def roots(energies, beta, ks, goals, starts):
-        calls.append(("roots", len(energies)))
-        return [beta + 1.0] * len(ks)
+    # The switch picks only the kernels: below it `_condition` per row and
+    # `_cooling_root` per open row, from it up `_condition_rows` and
+    # `_cooling_roots` (no far row here, so no `_condition` either).
+    kernels = ("_condition", "_cooling_root", "_condition_rows", "_cooling_roots")
+    called = set()
 
     def spy(name):
         real = getattr(tempbounds, name)
 
-        def setup(boundary, h, beta, d, heating):
-            calls.append((name, len(h)))
-            return real(boundary, h, beta, d, heating)
+        def kernel(*args):
+            called.add(name)
+            return real(*args)
 
-        monkeypatch.setattr(tempbounds, name, setup)
+        monkeypatch.setattr(tempbounds, name, kernel)
 
-    monkeypatch.setattr(tempbounds, "_cooling_roots", roots)
-    spy("_one_by_one_conditions")
-    spy("_whole_array_conditions")
-    for levels in (_VECTOR_MIN_LEVELS - 1, _VECTOR_MIN_LEVELS):
+    for name in kernels:
+        spy(name)
+    expected = {
+        _VECTOR_MIN_LEVELS - 1: {"_condition", "_cooling_root"},
+        _VECTOR_MIN_LEVELS: {"_condition_rows", "_cooling_roots"},
+    }
+    for levels, names in expected.items():
+        called.clear()
         beta_max(_resource(64), _target(levels, 1, 1))
-    assert calls == [
-        ("_one_by_one_conditions", _VECTOR_MIN_LEVELS - 1),
-        ("_whole_array_conditions", _VECTOR_MIN_LEVELS),
-        ("roots", _VECTOR_MIN_LEVELS),
-    ]
+        assert called == names
     # Below the switch both bounds load no numpy: a fresh interpreter, since
     # this one has it loaded, on a resource from lists.
     target, resource = _target(_VECTOR_MIN_LEVELS - 1, 2, 3), _resource(8)
@@ -533,3 +534,73 @@ def test_flat_rows_match_log_odds(levels, far, rows):
             exact_value, exact_slope = tempbounds._log_odds(h[:k], h[k:], x)
             assert abs(value - exact_value) <= _bound(h, x)
             assert abs(slope - exact_slope) <= 12.0 * scale * _bound(h, x)
+
+
+# ------------------------------------------------------ the condition rows
+#
+# From `_VECTOR_MIN_LEVELS` target levels up, `_condition_rows` gives every
+# row's (alpha_k, excess) where `_condition` gives one. The masses and
+# `alphas_at` are `_condition`'s, and far rows go through `_condition`, so
+# alphas and tags are identical. An open row's excess is
+# (ln alpha - L) - ln(1 - alpha) in both, but with numpy's logs: each log
+# may differ from the math module's by an ulp, at most eps times it, and
+# each of the two subtractions rounds to half an ulp of its result, which
+# is at most 3 M for M = max(|ln alpha|, |L|, |ln(1 - alpha)|). The two
+# excesses thus lie within eps (M + M + 2 M + 3 M) < 8 eps M. On this
+# ladder the largest difference seen is 0.21 of that bound.
+
+
+def _far_target(levels, ground, top):
+    """A target whose top block of `top` levels sits 700-900 above the rest,
+    at a beta for which those levels' masses fall below the smallest normal
+    float: the far rows of the heating side."""
+    rng = np.random.default_rng([levels, ground, top, 700])
+    h = np.sort(rng.uniform(0.0, 3.0, levels))
+    h[:ground] = 0.0
+    h[levels - top :] = float(rng.uniform(700.0, 900.0))
+    return GibbsContext(tuple(h.tolist()), float(rng.uniform(1.5, 2.5)))
+
+
+def _rows_both_ways(boundary, h, beta, d):
+    h = tuple(x - h[0] for x in h)
+    Ls = tempbounds._sweep(h, beta)
+    rows = tempbounds._condition_rows(boundary, Ls, d)
+    scalar = [
+        tempbounds._condition(boundary, L, tempbounds._mass(L), k / d if k < d else 1.0)
+        for k, L in enumerate(Ls, 1)
+    ]
+    return Ls, rows, scalar
+
+
+@pytest.mark.parametrize("free", [False, True], ids=["resource", "free"])
+@pytest.mark.parametrize("n", RESOURCE_LEVELS)
+@pytest.mark.parametrize("ground, top", DEGENERACIES)
+@pytest.mark.parametrize("far", [False, True], ids=["near", "far"])
+@pytest.mark.parametrize("levels", (_VECTOR_MIN_LEVELS, 40, 64))
+def test_condition_rows_match_condition(levels, far, ground, top, n, free):
+    target = (_far_target if far else _target)(levels, ground, top)
+    resource = _resource(n)
+    if free:
+        resource = validate_state(resource.g.entries, resource.g.entries)
+    boundary = compute_elbows(resource)
+    kinds = set()
+    for heating in (False, True):
+        h, beta = _mirror(target, heating)
+        d = top if heating else ground
+        Ls, rows, scalar = _rows_both_ways(boundary, h, beta, d)
+        assert len(rows) == len(scalar) == levels - 1
+        for L, (alpha, excess), (alpha_ref, excess_ref) in zip(Ls, rows, scalar):
+            assert alpha == alpha_ref
+            kind = "tag" if excess_ref == math.inf else "met" if excess_ref <= 0.0 else "open"
+            assert kind == ("tag" if excess == math.inf else "met" if excess <= 0.0 else "open")
+            kinds.add(kind)
+            if tempbounds._mass(L) < sys.float_info.min:  # far: `_condition` in both
+                kinds.add("far")
+                assert excess == excess_ref
+            elif kind == "open":
+                scale = max(abs(math.log(alpha)), abs(L), abs(math.log1p(-alpha)))
+                assert abs(excess - excess_ref) <= 8.0 * sys.float_info.epsilon * scale
+    if free:
+        assert kinds <= {"met", "far"}
+    else:
+        assert "open" in kinds and ("far" in kinds) == far
