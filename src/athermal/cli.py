@@ -107,12 +107,6 @@ def load_state(path: str) -> tuple[AthermalityState, GibbsContext]:
     has_dm = "density_matrix" in doc
     if has_pop and has_dm:
         raise AthermalError(f"{path}: give populations or density_matrix, not both")
-    if has_pop:
-        populations = ctx.apply_permutation(
-            _numbers(path, "populations", doc["populations"])
-        )
-        g = gibbs_vector(ctx.energies, ctx.beta).entries
-        return validate_state(populations, g), ctx
     if has_dm:
         import numpy as np
 
@@ -135,26 +129,24 @@ def load_state(path: str) -> tuple[AthermalityState, GibbsContext]:
         perm = list(ctx.permutation)
         rho = DensityMatrix(m[np.ix_(perm, perm)])
         return to_quasiclassical(rho, ctx), ctx
+    if has_pop:
+        populations = ctx.apply_permutation(
+            _numbers(path, "populations", doc["populations"])
+        )
     g = gibbs_vector(ctx.energies, ctx.beta).entries
-    return validate_state(g, g), ctx  # free Gibbs state
+    return validate_state(populations if has_pop else g, g), ctx  # or the free state
 
 
 def render_boundary(
-    states: Sequence[AthermalityState], fmt: str, labels: Sequence[str] | None = None
+    states: Sequence[AthermalityState], fmt: str, labels: Sequence[str]
 ) -> bytes:
-    """Boundary polylines of one or more states, as SVG or CSV."""
-    if not states:
-        raise AthermalError("at least one state required")
-    if labels is None:
-        labels = [f"state{i}" for i in range(len(states))]
+    """Boundary polylines of the states, one per label: CSV for "csv", else SVG."""
     boundaries = [compute_elbows(s) for s in states]
     if fmt == "csv":
         rows = []
         for label, b in zip(labels, boundaries):
             rows.extend(f"{label},{x:.17g},{y:.17g}\n" for x, y in b.elbows)
         return "".join(rows).encode()
-    if fmt != "svg":
-        raise AthermalError(f"unsupported boundary format {fmt!r}")
 
     def px(x: float, y: float) -> str:
         return f"{x * 600.0:.2f},{(1.0 - y) * 600.0:.2f}"
@@ -185,7 +177,7 @@ def _write_out(path: str, data: bytes) -> None:
         raise AthermalError(f"cannot write {path}: {exc}") from exc
 
 
-def _side_file(args, states, labels=None) -> None:
+def _side_file(args, states, labels) -> None:
     if args.out:
         _write_out(args.out, render_boundary(states, args.format, labels))
 
@@ -233,12 +225,14 @@ def _cmd_convert(args) -> tuple[int, dict]:
     doc = {"convertible": failed is None}
     if failed is not None:
         k, E_k, kind = failed
-        mono = cooling_monotone if kind == "cooling" else heating_monotone
-        doc["witness"] = {
-            "E": E_k, "k": k, "kind": kind,
-            "lhs": ExtendedBeta(mono(source, beta, E_k)).to_json(),
-            "rhs": ExtendedBeta(mono(target, beta, E_k)).to_json(),
-        }
+        witness = {"E": ExtendedBeta(E_k).to_json(), "k": k, "kind": kind}
+        # E = logit(y) / beta overflows to inf at a beta near the subnormals:
+        # a gap with no float value has no monotone to compare
+        if math.isfinite(E_k):
+            mono = cooling_monotone if kind == "cooling" else heating_monotone
+            witness["lhs"] = ExtendedBeta(mono(source, beta, E_k)).to_json()
+            witness["rhs"] = ExtendedBeta(mono(target, beta, E_k)).to_json()
+        doc["witness"] = witness
     _side_file(args, [source, target], ["from", "to"])
     return (EXIT_OK if failed is None else EXIT_INFEASIBLE), doc
 

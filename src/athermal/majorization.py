@@ -15,10 +15,10 @@ on the path of the target's form, with identical verdicts:
   O(n log n), and one pass; evaluating it at one ordinate is a bisection
   over the stored elbows (`alpha_at`), O(log n). Deciding domination at
   all m target elbows is one merge walk along their ascending ordinates,
-  O(n + m), with `alpha_at`'s segment rule and formula. It has no fixed
-  cost per call, so at n = 32 a full decision takes a third of the time it
-  takes in numpy; it stays the path of every small input, including the
-  qubit and dim <= 64 solver layers.
+  which lie in [0, 1], O(n + m), with `alpha_at`'s segment rule and
+  formula. It has no fixed cost per call, so at n = 32 a full decision
+  takes a third of the time it takes in numpy; it stays the path of every
+  small input, including the qubit and dim <= 64 solver layers.
 - numpy, from the threshold up, unless a chain of near-tied ratios drifts
   (`_elbows_by_numpy`). The same sort, prefix sums and merge rule in
   whole-array steps, and `np.interp` (`alphas_at`) at the compared
@@ -265,28 +265,25 @@ def relatively_majorizes(
 def _first_shortfall(src: TestingBoundary, xs, ys) -> int | None:
     """Index of the first point (xs[i], ys[i]) that the boundary `src` misses
     by more than DOMINATION_SLACK, or None: the one comparison, behind the
-    verdict and `convert`'s witness. The ordinates ys ascend. Numpy arrays
-    take one `alphas_at`. Tuples take one merge walk along ys that stops at
-    the first shortfall: its segment index k only moves forward and ends on
-    `alpha_at`'s segment, the last elbow with ordinate at most y, whose
-    formula it applies, so each alpha is `alpha_at`'s bit for bit."""
+    verdict and `convert`'s witness. The ordinates ys ascend in [0, 1], none
+    clamped. Numpy arrays take one `alphas_at`. Tuples take one merge walk
+    along ys to the first shortfall: its segment index k only moves forward
+    and ends on `alpha_at`'s segment, the last elbow with ordinate at most y,
+    whose formula it applies, so each alpha is `alpha_at`'s bit for bit."""
     if not isinstance(xs, tuple):
         short = ~_dominates(alphas_at(src, ys), xs)
         return int(short.argmax()) if short.any() else None
     sx, sy = src._tuples
     last, k = len(sy) - 1, 0
     for i, (x, y) in enumerate(zip(xs, ys)):
-        if not 0.0 <= y <= 1.0:  # clamped or refused, as `alpha_at` does
-            alpha = alpha_at(src, y)
+        while k < last and sy[k + 1] <= y:
+            k += 1
+        y0 = sy[k]
+        if y == y0:  # also at y = 1: sy[last] is 1
+            alpha = sx[k]
         else:
-            while k < last and sy[k + 1] <= y:
-                k += 1
-            y0 = sy[k]
-            if y == y0:  # also past the last elbow: sy[last] is 1
-                alpha = sx[k]
-            else:
-                x0 = sx[k]
-                alpha = x0 + (sx[k + 1] - x0) / (sy[k + 1] - y0) * (y - y0)
+            x0 = sx[k]
+            alpha = x0 + (sx[k + 1] - x0) / (sy[k + 1] - y0) * (y - y0)
         # `_dominates` inline: a call per elbow cost 2.3 us on a 45 us
         # decision at n = 32 (+5%; 60 seeded pairs, min of 15, 2-CPU x86-64).
         if alpha < x - DOMINATION_SLACK:

@@ -52,11 +52,12 @@ Both take the same steps and stop by the same rules, so k, the tags and
 the alphas are identical and the roots agree to rounding in the sums
 (tests/test_tempbounds_paths.py).
 
-Heating is cooling mirrored: exp(-beta~ h) = exp(-(-beta~)(-h)), so it
-solves the energies -h (reversed) at -beta and negates the result, which
-may be negative (population inversion). Either way the search takes the
-energies less the lowest of them, which leaves every L_k unchanged, so
-targets far from energy 0 keep the precision of those near it.
+Heating is cooling mirrored, in the closed form as in the search:
+exp(-beta~ h) = exp(-(-beta~)(-h)), so it solves the energies -h (reversed)
+at -beta and negates the result, which may be negative (population
+inversion). Either way the search takes the energies less the lowest of
+them, which leaves every L_k unchanged, so targets far from energy 0 keep
+the precision of those near it.
 """
 
 from __future__ import annotations
@@ -141,8 +142,6 @@ def _sweep(h: Sequence[float], x: float) -> list[float]:
     top with q_i = exp(-x (h_{i+1} - h_i)) <= 1, and
     L_k = x (h_k - h_0) + ln(W_k / T_k). For x < 0 it is that pass on the
     mirror, L_k(x; h) = -L_{d-k}(-x; -h reversed)."""
-    if len(h) == 2:  # each sum is one weight, and L_1 is linear
-        return [x * (h[1] - h[0])]
     if x < 0.0:
         return [-v for v in reversed(_sweep([-e for e in reversed(h)], -x))]
     q = [math.exp(x * (a - b)) for a, b in zip(h, h[1:])]
@@ -273,9 +272,9 @@ def _cooling_roots(
     lo, hi, x = np.array(brackets).T
     d = len(h)
     flat, (cuts, sizes) = np.tile(h, len(k)), _layout(k, d)
-    # x * h may still overflow inside a bracket when the energies lie far
-    # from 0; the NaN it leaves fails every comparison, as on the scalar
-    # path, which warns of nothing.
+    # A slope may round to 0 (far levels; np.where masks its step), and the
+    # first moments overflow where the energies span most of the float
+    # range: the scalar path meets the same values and warns of nothing.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # L(lo) < goal <= L(hi) holds on every row. The arrays (and the
         # layout) keep only the rows still open, compacted in a pass that
@@ -374,8 +373,8 @@ def _conditions(
     boundary = compute_elbows(resource)
     if len(target.energies) == 2:  # L_1 is linear: `_qubit_root`'s closed form
         E = target.energies[1] - target.energies[0]
-        bt, alpha = _qubit_root(boundary, target.beta, E, -1.0 if heating else 1.0)
-        return ((1, ExtendedBeta(bt), alpha),)
+        bt, alpha = _qubit_root(boundary, -target.beta if heating else target.beta, E)
+        return ((1, ExtendedBeta(0.0 - bt if heating else bt), alpha),)
     return _searched_conditions(boundary, target, heating)
 
 
@@ -440,13 +439,13 @@ def qubit_beta_bounds(
 ) -> tuple[ExtendedBeta, ExtendedBeta]:
     """Closed-form (beta~_max, beta~_min) for a qubit target with gap E.
 
-    The one condition of each side has the linear L_1 = beta~ E (-beta~ E on
-    the heating mirror), so its root is beta +- excess / E (`_qubit_root`)."""
+    The one condition of each side has the linear L_1 = beta~ E, so its root
+    is beta + excess / E (`_qubit_root`), on the mirror -beta for beta~_min."""
     _check_gap(E)
     _check_beta(beta)
     boundary = compute_elbows(resource)
-    return (ExtendedBeta(_qubit_root(boundary, beta, E, 1.0)[0]),
-            ExtendedBeta(_qubit_root(boundary, beta, E, -1.0)[0]))
+    return (ExtendedBeta(_qubit_root(boundary, beta, E)[0]),
+            ExtendedBeta(0.0 - _qubit_root(boundary, -beta, E)[0]))
 
 
 def _qubit_side(
@@ -456,27 +455,26 @@ def _qubit_side(
     sign = +1, beta~_min for sign = -1; the other side is not settled."""
     _check_gap(E)
     _check_beta(beta)
-    return _qubit_root(compute_elbows(resource), beta, E, sign)[0]
+    return sign * _qubit_root(compute_elbows(resource), sign * beta, E)[0]
 
 
 def _qubit_root(
-    boundary: TestingBoundary, beta: float, E: float, sign: float
+    boundary: TestingBoundary, beta: float, E: float
 ) -> tuple[float, float]:
-    """(beta~, alpha_1) of the gap-E qubit's condition on the side of sign:
-    with w = exp(-beta E), the mass at beta is 1 / (1 + w) cooling and
-    w / (1 + w) heating (`_mass` of L = +-beta E), and the root is
-    beta + sign * excess / E, the tag sign * inf for an infinite excess, or
-    beta where the condition is met there (excess <= 0). beta E is kept apart
-    from the excess: it may overflow where a far level's excess, in which it
-    cancels, does not."""
-    L, w = sign * (beta * E), math.exp(-beta * E)
-    z = 1.0 + w
-    alpha, excess = _condition(boundary, L, (1.0 if sign > 0.0 else w) / z, 1.0)
+    """(beta~, alpha_1) of the gap-E qubit's cooling condition: the mass at
+    beta is `_mass(beta E)`, the root beta + excess / E, the tag +inf for an
+    infinite excess, or beta where the condition is met there (excess <= 0).
+    beta E is kept apart from the excess: it may overflow where a far level's
+    excess, in which it cancels, does not. Heating is the mirror,
+    -_qubit_root(boundary, -beta, E): the float beta - excess / E but at a
+    root of exactly 0, which the bounds keep +0.0 as 0.0 - root."""
+    L = beta * E
+    alpha, excess = _condition(boundary, L, _mass(L), 1.0)
     if excess <= 0.0:
         return beta, alpha
     if excess == math.inf:  # also where E = inf, and excess / E is NaN
-        return sign * math.inf, alpha
-    value = beta + sign * excess / E
+        return math.inf, alpha
+    value = beta + excess / E
     # a log-odds of order 1 over a gap near the subnormal range overflows
     if not math.isfinite(value):
         raise GapTooSmall(f"energy gap {E!r} too small: beta~ overflows a float")

@@ -210,6 +210,18 @@ class TestInputErrors:
         assert _input_error(code, err)["code"] == "InvalidDensityMatrix"
         assert out == ""
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_energy_literal(self, capsys, tmp_path, target_file, literal):
+        # Python's json reads these literals; the energies must not accept them
+        bad = tmp_path / "state.json"
+        bad.write_text(
+            f'{{"energies": [0.0, {literal}], "beta": 1.0, "populations": [0.5, 0.5]}}'
+        )
+        code, out, err = _run(capsys, ["cool", "-s", str(bad), "-t", target_file])
+        assert "non-finite energy" in _input_error(code, err)["message"]
+        assert len(err.splitlines()) == 1
+        assert out == ""
+
     def test_density_matrix_of_wrong_size(self, capsys, tmp_path, target_file):
         bad = self._state(
             tmp_path,
@@ -611,6 +623,27 @@ class TestSubcommands:
 
         doc = json.loads(out, parse_constant=reject)
         assert [e["E"] for e in doc["entries"]] == ["+inf", "+inf"]
+
+    def test_convert_witness_at_overflowing_gap(self, capsys, tmp_path):
+        # the failed check's gap logit(y) / beta overflows at beta = 1e-320:
+        # the witness names it "+inf", and no monotone is taken at it
+        paths = []
+        for name, pops in (("from", [0.5, 0.3, 0.2]), ("to", [0.9, 0.05, 0.05])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(
+                json.dumps({"energies": [0, 1, 2], "beta": 1e-320, "populations": pops})
+            )
+            paths.append(str(path))
+        code, out, err = _run(capsys, ["convert", "--from", paths[0], "--to", paths[1]])
+        assert (code, err) == (3, "")
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc == {
+            "convertible": False, "witness": {"E": "+inf", "k": 1, "kind": "heating"},
+        }
 
     def test_eset_two_interval_pattern(self, capsys, tmp_path):
         state = tmp_path / "witness.json"

@@ -44,6 +44,16 @@ class TestProbabilityVector:
     def test_dim(self):
         assert ProbabilityVector((0.25, 0.25, 0.5)).dim == 3
 
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionMismatch):
+            ProbabilityVector([])
+
+    def test_equality_with_a_non_vector(self):
+        p = ProbabilityVector((0.25, 0.75))
+        assert p.__eq__((0.25, 0.75)) is NotImplemented
+        assert p != (0.25, 0.75)
+        assert p == ProbabilityVector([0.25, 0.75])
+
     def test_array_below_numpy_threshold(self):
         p = ProbabilityVector((0.25, 0.25, 0.5))
         a = p.array
@@ -81,6 +91,14 @@ class TestValidateState:
     def test_rejects_mismatched_dims(self):
         with pytest.raises(DimensionMismatch):
             validate_state((0.9, 0.1), (0.5, 0.3, 0.2))
+
+    def test_rejects_empty_lists(self):
+        with pytest.raises(DimensionMismatch, match="non-empty"):
+            validate_state([], [])
+
+    def test_state_of_vectors_of_different_lengths(self):
+        with pytest.raises(DimensionMismatch, match="population dim 2 != Gibbs dim 3"):
+            AthermalityState(ProbabilityVector((0.9, 0.1)), ProbabilityVector((0.5, 0.3, 0.2)))
 
     def test_rejects_zero_gibbs_entry(self):
         with pytest.raises(RankDeficientGibbs):

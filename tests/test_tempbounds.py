@@ -12,6 +12,7 @@ from athermal import (
     GibbsContext,
     beta_max,
     beta_min,
+    heating_monotone,
     max_ground_overlap,
     qubit_beta_bounds,
     qubit_energy_change,
@@ -374,6 +375,17 @@ class TestQubitBetaBounds:
                 assert cool.per_condition[0][:2] == (1, cool.beta_max)
                 assert heat.per_condition[0][:2] == (1, heat.beta_min)
                 assert (cool.beta_max, heat.beta_min) == (bmax, bmin)  # floats: bits
+
+    @pytest.mark.parametrize("E, beta", [(1.0, 1.0), (0.5, 2.0), (3.0, 0.3)])
+    def test_heating_root_at_zero_is_positive(self, E, beta):
+        # The maximally mixed state heats its own qubit to beta~ = 0 exactly;
+        # the heating mirror negates that root to +0.0, as beta - excess / E
+        # gives it, not to -0.0, which the CLI would print as "-0.0".
+        resource = validate_state((0.5, 0.5), gibbs_vector((0.0, E), beta).entries)
+        heat = beta_min(resource, GibbsContext((0.0, E), beta))
+        for b in (qubit_beta_bounds(resource, E, beta)[1], heat.beta_min):
+            assert math.copysign(1.0, b) == 1.0 and b == 0.0
+        assert heating_monotone(resource, beta, E) == beta
 
     @pytest.mark.parametrize("E", [5e-324, 1e-310])
     def test_subnormal_two_level_target_overflows(self, E):

@@ -604,3 +604,20 @@ def test_condition_rows_match_condition(levels, far, ground, top, n, free):
         assert kinds <= {"met", "far"}
     else:
         assert "open" in kinds and ("far" in kinds) == far
+
+
+def test_narrow_bracket_returns_its_midpoint():
+    # A bracket already narrower than _REL_WIDTH relative ends the search at
+    # its first evaluation, before any Newton step, on both root kernels: the
+    # midpoint of the bracket that evaluation leaves. Here L_k(x) lies about
+    # 100 ulps below the goal, the midpoint of L_k at the bracket's ends, so
+    # both kernels move lo to x.
+    h, k = (0.0, 0.4, 1.1, 1.7, 2.2), 2
+    lo, hi = 1e6, 1e6 + 5e-8  # 5e-14 relative
+    x = lo + 1e-8
+    goal = 0.5 * (tempbounds._log_odds(h[:k], h[k:], lo)[0]
+                  + tempbounds._log_odds(h[:k], h[k:], hi)[0])
+    assert tempbounds._log_odds(h[:k], h[k:], x)[0] < goal
+    mid = 0.5 * (x + hi)
+    assert tempbounds._cooling_root(h, k, goal, lo, hi, x) == mid
+    assert tempbounds._cooling_roots(np.array(h), [k], [goal], [(lo, hi, x)]) == [mid]
