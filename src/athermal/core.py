@@ -34,14 +34,12 @@ NORMALIZATION_TOL = 1e-9
 #   n                            32    64    80    96   128   256  2048  20000
 #   relatively_majorizes       0.34  0.58  0.69  0.80  0.97  1.44   4.3    7.0
 #   convertible_via_monotones  0.35  0.56  0.68  0.77  0.97  1.52   4.4    6.6
-# Both break even near 150 (0.92-1.04 at 144, 1.02-1.13 at 160), up from
-# near 96 while validation looped over the entries and the comparison
-# bisected once per target elbow; now `fsum` and `min` check a vector and
-# one merge walk compares. 100 keeps the n = 32 decide inputs and every
-# dim <= 64 solver, scan and CLI input on the pure-Python path. No benchmark
-# input lies between 64 and 256 levels, so raising it would change no
-# measured query, and lowering it to 64 or below would send `solve`'s
-# 64-level resources to numpy, where they lose.
+# Both break even near 150 (0.92-1.04 at 144, 1.02-1.13 at 160), with
+# `fsum` and `min` checking a vector and one merge walk comparing. 100 keeps
+# the n = 32 decide inputs and every dim <= 64 solver, scan and CLI input on
+# the pure-Python path. No benchmark input lies between 64 and 256 levels,
+# so raising it would change no measured query, and lowering it to 64 or
+# below would send `solve`'s 64-level resources to numpy, where they lose.
 _NUMPY_MIN_DIM = 100
 
 
@@ -218,7 +216,7 @@ class GibbsContext:
 
     energies: tuple[float, ...]
     beta: float
-    permutation: tuple[int, ...] = field(default=(), compare=False)
+    permutation: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         if len(self.energies) < 1:

@@ -216,8 +216,6 @@ def gap_membership(
     """True iff a gap-E qubit can be driven from beta to beta_tilde."""
     _check_gap(E)
     _check_beta(beta)
-    if beta_tilde == beta:
-        return True
     # w = exp(-beta*E) may underflow to 0, where the curve is still finite
     x, y = _curve_xy(beta_tilde / beta, math.exp(-beta * E))
     return _dominates(alpha_at(compute_elbows(resource), y), x)
@@ -354,11 +352,6 @@ def gap_set(
     end in that span is one within rounding.
     """
     e_max, w_min, step = _grid_span(beta, e_max, n_grid)
-    if beta_tilde == beta:
-        return EnergyGapSet(
-            (GapInterval(0.0, e_max, lo_closed=False, hi_closed=True),), step
-        )
-
     a = beta_tilde / beta
     boundary = compute_elbows(resource)
     tuples = isinstance(boundary.xs, tuple)

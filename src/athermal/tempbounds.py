@@ -38,7 +38,8 @@ of one root search toward goal_k = L + excess, in three steps:
 - Safeguarded Newton from there. Each pass evaluates the row exactly
   (`_log_odds`: value and slope) and narrows its bracket; a step that
   leaves the bracket is replaced by a bisection step, and the search stops
-  once the step or the bracket is narrower than `_REL_WIDTH` relative.
+  once the step or the bracket is narrower than `_REL_WIDTH` relative to
+  the root, or to beta if that is larger (a heating root may lie at 0).
 A probe costs O(d) for all rows together and a Newton step O(K d) for K
 open rows. `_searched_conditions` takes every target through the same
 steps (sweep at beta, rule, brackets, roots, report); the target's level
@@ -202,10 +203,11 @@ def _brackets(
 
 
 def _cooling_root(
-    h: Sequence[float], k: int, goal: float, lo: float, hi: float, x: float
+    h: Sequence[float], beta: float, k: int, goal: float, lo: float, hi: float,
+    x: float,
 ) -> float:
     """The beta~ in (lo, hi] at which L_k reaches goal = logit(alpha_k),
-    by safeguarded Newton from x inside the bracket."""
+    by safeguarded Newton from x inside the bracket of a search from beta."""
     head, tail = h[:k], h[k:]
     # L(lo) < goal <= L(hi) holds throughout.
     for _ in range(_MAX_ITERS):
@@ -215,7 +217,7 @@ def _cooling_root(
         else:
             lo = x
         mid = 0.5 * (lo + hi)
-        width = _REL_WIDTH * max(1.0, abs(mid))
+        width = _REL_WIDTH * max(abs(beta), abs(mid))
         if hi - lo < width:
             return mid
         step = (value - goal) / slope if slope > 0.0 else math.inf
@@ -260,7 +262,7 @@ def _log_odds_rows(flat, x, cuts, sizes):
 
 
 def _cooling_roots(
-    h, ks: Sequence[int], goals: Sequence[float],
+    h, beta: float, ks: Sequence[int], goals: Sequence[float],
     brackets: Sequence[tuple[float, float, float]],
 ) -> list[float]:
     """_cooling_root for every k at once on the energies h, an array: each
@@ -285,7 +287,7 @@ def _cooling_roots(
             rise = value >= goal
             lo, hi = np.where(rise, lo, x), np.where(rise, x, hi)
             mid = 0.5 * (lo + hi)
-            width = _REL_WIDTH * np.maximum(1.0, np.abs(mid))
+            width = _REL_WIDTH * np.maximum(abs(beta), np.abs(mid))
             step = np.where(slope > 0.0, (value - goal) / slope, np.inf)
             narrow = hi - lo < width
             done = narrow | (np.abs(step) < width)
@@ -410,9 +412,11 @@ def _searched_conditions(
     if open_ks:
         found = _brackets(sweep, hs, beta, open_ks, goals, starts)
         if rows is not None:
-            roots = _cooling_roots(hs, open_ks, goals, found)
+            roots = _cooling_roots(hs, beta, open_ks, goals, found)
         else:
-            roots = [_cooling_root(h, k, goal, *b) for k, goal, b in zip(open_ks, goals, found)]
+            roots = [
+                _cooling_root(h, beta, k, goal, *b) for k, goal, b in zip(open_ks, goals, found)
+            ]
     roots, sign = iter(roots), (-1.0 if heating else 1.0)
     return tuple(
         (k, ExtendedBeta(sign * math.inf) if excess == math.inf
@@ -495,20 +499,14 @@ def max_ground_overlap(
     return alpha_at(compute_elbows(resource), y)
 
 
-def _excited_occupancy(beta: float, E: float) -> float:
-    x = beta * E
-    if x > 700.0:
-        return 0.0
-    return 1.0 / (1.0 + math.exp(x))
-
-
 def qubit_energy_change(E: float, beta: float, beta_tilde: float) -> float:
     """Mean-energy change of a gap-E qubit driven from beta to beta_tilde.
 
     beta_tilde may be negative or infinite: the limits of population
-    inversion (-inf) and of cooling (+inf)."""
+    inversion (-inf) and of cooling (+inf). The excited occupancy at each
+    inverse temperature b is the mass `_mass(-b E)`."""
     _check_gap(E)
     _check_beta(beta)
     if math.isnan(beta_tilde):
         raise NonFiniteBeta(f"beta_tilde must not be NaN, got {beta_tilde!r}")
-    return (_excited_occupancy(beta_tilde, E) - _excited_occupancy(beta, E)) * E
+    return (_mass(-beta_tilde * E) - _mass(-beta * E)) * E

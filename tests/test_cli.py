@@ -439,6 +439,17 @@ class TestFarLevels:
 
 
 class TestSubcommands:
+    def test_main_exits_with_the_run_code(self, capsys, monkeypatch, resource_file, target_file):
+        # the console script's entry point: argv from sys.argv, code by SystemExit
+        argv = ["athermal", "cool", "-s", resource_file, "-t", target_file]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert json.loads(out)["beta_max"] == pytest.approx(math.log(9.0) / LN4, rel=1e-12)
+
     def test_monotones_at_tiny_gap(self, capsys, resource_file):
         code, out, _ = _run(capsys, ["monotones", "-s", resource_file, "-E", "1e-300"])
         assert code == 0

@@ -78,6 +78,11 @@ class TestGibbsContext:
     def test_ground_degeneracy(self):
         assert GibbsContext((0.0, 0.0, 1.0), 1.0).ground_degeneracy() == 2
 
+    def test_permutation_is_derived_not_passed(self):
+        # the sorting permutation comes from the energies alone
+        with pytest.raises(TypeError):
+            GibbsContext((0.0, 1.0), 1.0, (1, 0))
+
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(AthermalError):
             GibbsContext((0.0, 1.0), 0.0)

@@ -46,6 +46,22 @@ def _free(g):
     return validate_state(g, g)
 
 
+def _dirichlet(n, seed):
+    rng = np.random.default_rng(seed)
+    return validate_state(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)))
+
+
+# States for beta~ = beta, where the curve is the diagonal x = y, inside
+# every boundary: a free qubit, a pure state, a Dirichlet state and one of
+# 150 levels, whose boundary takes the numpy form.
+SAME_TEMPERATURE_STATES = {
+    "free": _free((0.8, 0.2)),
+    "pure": validate_state((1.0, 0.0, 0.0), (0.5, 0.3, 0.2)),
+    "dirichlet": _dirichlet(6, 6),
+    "150-levels": _dirichlet(150, 150),
+}
+
+
 # A membership gap narrower than one cell of a 10 000-point grid in w: at
 # beta~ = 1.5 the curve leaves this resource's region near E = 9.71 and
 # re-enters near E = 22.77.
@@ -110,8 +126,13 @@ class TestFaPoint:
 
 
 class TestGapMembership:
-    def test_same_temperature_always_true(self):
-        assert gap_membership(_free((0.8, 0.2)), 1.0, 1.0, 2.5)
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("name", SAME_TEMPERATURE_STATES)
+    def test_same_temperature_always_true(self, name, beta):
+        resource = SAME_TEMPERATURE_STATES[name]
+        # gaps up to one where exp(-beta*E) underflows to 0
+        for E in (1e-300, 1e-3 / beta, 2.5 / beta, 800.0 / beta, 1e308):
+            assert gap_membership(resource, beta, beta, E)
 
     def test_free_resource_false_otherwise(self):
         assert not gap_membership(_free((0.8, 0.2)), 1.0, 2.0, 1.0)
@@ -162,11 +183,17 @@ class TestGapMembership:
 
 
 class TestGapSet:
-    def test_same_temperature_full_interval(self):
-        out = gap_set(_free((0.8, 0.2)), 1.0, 1.0, e_max=5.0)
-        assert len(out.intervals) == 1
-        iv = out.intervals[0]
-        assert (iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) == (0.0, 5.0, False, True)
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("name", SAME_TEMPERATURE_STATES)
+    def test_same_temperature_full_interval(self, name, beta):
+        resource = SAME_TEMPERATURE_STATES[name]
+        if name == "150-levels":
+            assert isinstance(compute_elbows(resource).xs, np.ndarray)
+        for e_max in (5.0 / beta, None):
+            out = gap_set(resource, beta, beta, e_max=e_max)
+            top, _, step = esets._grid_span(beta, e_max, esets.DEFAULT_N_GRID)
+            assert out.intervals == (GapInterval(0.0, top, False, True),)
+            assert out.resolution == step
 
     @pytest.mark.parametrize("beta_tilde", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_target(self, beta_tilde):

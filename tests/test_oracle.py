@@ -273,6 +273,21 @@ class TestLpFeasible:
         assert x.min() >= 0.0
         assert np.sum(b - A @ x) == pytest.approx(optimum, abs=1e-12)
 
+    def test_unbounded_under_dantzigs_rule(self):
+        # [constraint row | rhs] over the objective row, x0 basic: the
+        # largest reduced cost enters x1, whose column no row blocks
+        t = np.array([[1.0, -1.0, 1.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(BisectionError, match="unbounded"):
+            oracle._phase_one(t, np.array([0]))
+
+    def test_unbounded_under_blands_rule(self):
+        # x1 enters first at rhs 0: one pivot without progress, n_rows of
+        # them for this one row, so Bland's rule enters x2 next, the smallest
+        # improving column, which no row blocks
+        t = np.array([[1.0, 1.0, -1.0, 0.0], [0.0, 2.0, 1.0, 0.0]])
+        with pytest.raises(BisectionError, match="unbounded"):
+            oracle._phase_one(t, np.array([0]))
+
     @pytest.mark.parametrize("masses, seed", [(cold_gibbs, 30), (small_masses, 12)])
     def test_feasible_verdicts_meet_the_tolerance_at_extreme_masses(self, masses, seed):
         # a feasible verdict's vertex meets every constraint within tol, and

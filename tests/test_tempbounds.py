@@ -485,6 +485,15 @@ class TestQubitEnergyChange:
         assert abs(qubit_energy_change(1e-8, 1.0, 2.0)) < 1e-8
         assert abs(qubit_energy_change(5000.0, 1.0, 2.0)) == 0.0
 
+    def test_occupancy_beyond_beta_e_700(self):
+        # e^-705 is a normal float: the excited occupancy at beta E = 705 is
+        # the mass sigma(-705), not 0
+        E = 705.0
+        change = qubit_energy_change(E, 1.0, 2.0)
+        assert change != 0.0
+        assert change == (tempbounds._mass(-2.0 * E) - tempbounds._mass(-E)) * E
+        assert change == pytest.approx(-E * math.exp(-E), rel=1e-12)
+
     @pytest.mark.parametrize("E", [-1.0, 0.0, math.inf, math.nan])
     def test_rejects_bad_gap(self, E):
         with pytest.raises(NonPositiveGap):

@@ -112,6 +112,27 @@ def test_energy_offset_moves_no_root(levels, offset, n):
         assert sum(b.is_finite for _, b, _ in report.per_condition) > 0
 
 
+@pytest.mark.parametrize("threshold", (ONE_BY_ONE, VECTOR), ids=("scalar", "array"))
+def test_roots_far_below_one_are_relative(monkeypatch, threshold):
+    # A root stops at a width relative to it, never below _REL_WIDTH |beta|,
+    # not at an absolute one: energies up to 1e307 at beta = 1e-308 and the
+    # same target rescaled to energies in [0, 3] (beta up by the same factor)
+    # have every root at the same beta~ h, within 1e-12 relative.
+    resource = validate_state([0.6, 0.3, 0.1] + [0.0] * 27, [1 / 30] * 30)
+    scale = 1e307 / 3
+    tiny = GibbsContext(tuple(1e307 / 29 * i for i in range(30)), 1e-308)
+    twin = GibbsContext(tuple(3 / 29 * i for i in range(30)), 1e-308 * scale)
+    _force(monkeypatch, threshold)
+    for solve in (beta_max, beta_min):
+        per, per_twin = solve(resource, tiny).per_condition, solve(resource, twin).per_condition
+        assert [(k, b.kind) for k, b, _ in per] == [(k, b.kind) for k, b, _ in per_twin]
+        roots = [(b.value, b_twin.value / scale)
+                 for (_, b, _), (_, b_twin, _) in zip(per, per_twin) if b.is_finite]
+        assert any(abs(root) != tiny.beta for root, _ in roots)  # some searched
+        for root, rescaled in roots:
+            assert root == pytest.approx(rescaled, rel=1e-12, abs=0.0)
+
+
 def test_switch_at_threshold(monkeypatch):
     # The switch picks only the kernels: below it `_condition` per row and
     # `_cooling_root` per open row, from it up `_condition_rows` and
@@ -619,5 +640,6 @@ def test_narrow_bracket_returns_its_midpoint():
                   + tempbounds._log_odds(h[:k], h[k:], hi)[0])
     assert tempbounds._log_odds(h[:k], h[k:], x)[0] < goal
     mid = 0.5 * (x + hi)
-    assert tempbounds._cooling_root(h, k, goal, lo, hi, x) == mid
-    assert tempbounds._cooling_roots(np.array(h), [k], [goal], [(lo, hi, x)]) == [mid]
+    beta = 1.0  # the search's start, below the bracket: the width is relative
+    assert tempbounds._cooling_root(h, beta, k, goal, lo, hi, x) == mid
+    assert tempbounds._cooling_roots(np.array(h), beta, [k], [goal], [(lo, hi, x)]) == [mid]
