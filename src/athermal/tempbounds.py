@@ -12,10 +12,10 @@ which rises with slope <h>_{i>=k} - <h>_{i<k} > 0. Each sum is shifted by its
 own largest exponent, so neither underflows.
 
 One rule (`_condition`) settles each condition of `beta_max`, `beta_min`
-and `qubit_beta_bounds` from L = L_k(beta) and the mass sigma(L) at beta,
-with L_1 = beta E for a qubit and every other L_k(beta) from one Python
-`_sweep` (so the two kernels below share their alphas bit for bit). It is
-tagged +inf when alpha_k reaches the limit of the k-level mass as
+and `qubit_beta_bounds`, whatever the target's size, from L = L_k(beta),
+the mass sigma(L) at beta and alpha_k, the boundary at that mass, with
+L_1 = beta E for a qubit and every other L_k(beta) from one Python `_sweep`.
+It is tagged +inf when alpha_k reaches the limit of the k-level mass as
 beta~ -> +inf; it keeps beta when that mass already reaches alpha_k at beta,
 always so for a free resource (a Gibbs state cools nothing); else L_k must
 rise by excess = logit(alpha_k) - L. A qubit's L_1 is linear, so its root
@@ -42,16 +42,15 @@ of one root search toward goal_k = L + excess, in three steps:
   the root, or to beta if that is larger (a heating root may lie at 0).
 A probe costs O(d) for all rows together and a Newton step O(K d) for K
 open rows. `_searched_conditions` takes every target through the same
-steps (sweep at beta, rule, brackets, roots, report); the target's level
-count picks only the kernels for the rows and the roots:
-- below `_VECTOR_MIN_LEVELS`, `_condition` and `_cooling_root` per row,
-  O(d) interpreted operations per evaluation;
-- from there up, `_condition_rows` (every alpha_k from one `alphas_at`)
-  and `_cooling_roots` (each Newton pass on all open rows from one flat
-  array, `_log_odds_rows`).
-Both take the same steps and stop by the same rules, so k, the tags and
-the alphas are identical and the roots agree to rounding in the sums
-(tests/test_tempbounds_paths.py).
+steps (sweep at beta, alphas, rule, brackets, roots, report); the target's
+level count picks only how the alphas are evaluated and the root kernel:
+- below `_VECTOR_MIN_LEVELS`, `alpha_at` per row and `_cooling_root` per
+  open row, O(d) interpreted operations per evaluation;
+- from there up, one `alphas_at` over every row's mass and `_cooling_roots`
+  (each Newton pass on all open rows from one flat array, `_log_odds_rows`).
+`alphas_at` takes `alpha_at`'s segment and formula, so k, the alphas, the
+tags and the goals are identical on both sides, and the roots agree to
+rounding in the sums (tests/test_tempbounds_paths.py).
 
 Heating is cooling mirrored, in the closed form as in the search:
 exp(-beta~ h) = exp(-(-beta~)(-h)), so it solves the energies -h (reversed)
@@ -85,22 +84,22 @@ _REL_WIDTH = 1e-13
 _MAX_ITERS = 200
 _MAX_DOUBLINGS = 1024  # offsets 2^0 .. 2^1023, the largest power of two a float holds
 
-# Targets with at least this many levels take the array kernels
-# (`_condition_rows`, `_cooling_roots`), smaller ones the scalar kernels
-# (`_condition`, `_cooling_root`). Time of one `_searched_conditions` call
-# in ms against a 64-level resource, cooling and heating alternately,
+# Targets with at least this many levels evaluate every alpha_k by one
+# `alphas_at` and take the root kernel `_cooling_roots`, smaller ones
+# `alpha_at` per row and `_cooling_root`. Time of one `_searched_conditions`
+# call in ms against a 64-level resource, cooling and heating alternately,
 # medians of three runs of 11 interleaved rounds over four targets per
 # size; 2-CPU x86-64 host, numpy 2.4:
 #   d              2     4     8    16    24    32    64   128   400
-#   scalar       0.02  0.09  0.20  0.43  0.83  1.02  3.5    11     77
-#   array        0.16  0.32  0.37  0.40  0.49  0.44  0.80  1.33   7.3
-# The kernels break even near 16 levels (array / scalar 0.83-1.18 at 16
-# and 1.15-1.44 at 12, over six runs); from 24 the array kernels take 0.6
-# of the time or less. Below the switch a call imports no numpy, whose
-# import (about 0.12 s on that host) outweighs a gain under 0.1 ms a call.
-# This is not `core._NUMPY_MIN_DIM`, which counts the levels of a state and
-# breaks even near 100: here numpy replaces O(K d) interpreted operations
-# per Newton step for K open conditions.
+#   scalar       0.04  0.11  0.21  0.48  0.78  1.19  3.4    11     89
+#   array        0.13  0.32  0.34  0.42  0.51  0.62  0.87  1.6    7.5
+# The sides break even between 12 and 16 levels (array / scalar 1.15-1.30
+# at 12, 0.83-0.90 at 16); from 24 the array side takes 0.7 of the time or
+# less. Below the switch a call imports no numpy, whose import (0.12 s on
+# that host) outweighs a gain under 0.1 ms a call. This is not
+# `core._NUMPY_MIN_DIM`, which counts the levels of a state and breaks even
+# near 100: here numpy replaces O(K d) interpreted operations per Newton
+# step for K open conditions.
 _VECTOR_MIN_LEVELS = 24
 
 
@@ -316,51 +315,25 @@ def _mass(L: float) -> float:
 
 
 def _condition(
-    boundary: TestingBoundary, L: float, y: float, limit: float
+    boundary: TestingBoundary, L: float, y: float, alpha: float, limit: float
 ) -> tuple[float, float]:
-    """(alpha_k, excess) for the k-level mass y = sigma(L) at beta, whose
-    limit as beta~ -> +inf is `limit`: L_k reaches logit(alpha_k) at
-    L + excess. excess is +inf for the tag and <= 0 where the condition is
-    met at beta. A far level, a mass below the first elbow ordinate y1 and
-    the smallest normal float (it underflows once beta*gap passes about 708),
-    is taken in logs: alpha_k = (x1/y1) y on the first segment and
-    ln y = L + ln(1 - y), so ln(alpha_k) - L = ln(x1/y1) + ln(1 - y)."""
+    """(alpha_k, excess) for the k-level mass y = sigma(L) at beta, with
+    alpha = alpha_at(boundary, y) and `limit` the mass's limit as
+    beta~ -> +inf: L_k reaches logit(alpha_k) at L + excess, excess +inf for
+    the tag and <= 0 where the condition is met at beta. A far level, a mass
+    below the first elbow ordinate y1 and the smallest normal float (beta*gap
+    past about 708), is taken in logs: alpha_k = (x1/y1) y on the first
+    segment and ln y = L + ln(1 - y), so ln(alpha_k) - L = ln(x1/y1) + ln(1 - y)."""
     if len(boundary.xs) == 2:  # a diagonal boundary: a free resource
         return y, 0.0
     if y < sys.float_info.min and y < boundary.ys[1]:  # far level: in logs
         log_ratio = math.log(boundary.xs[1] / boundary.ys[1]) + math.log1p(-y)
         alpha = math.exp(log_ratio + L)
     else:
-        alpha = alpha_at(boundary, y)
         log_ratio = math.log(alpha) - L
     if _dominates(alpha, limit):
         return alpha, math.inf
     return alpha, log_ratio - math.log1p(-alpha)
-
-
-def _condition_rows(
-    boundary: TestingBoundary, Ls: Sequence[float], d: int
-) -> list[tuple[float, float]]:
-    """`_condition` of rows k = 1 .. len(Ls) in array steps, with d levels
-    at the bottom. The alphas and tags are `_condition`'s (the same `_mass`,
-    `alphas_at` takes `alpha_at`'s segments, far rows go through
-    `_condition`); numpy's log may move an excess by an ulp."""
-    import numpy as np
-
-    ys = [_mass(L) for L in Ls]
-    if len(boundary.xs) == 2:  # a diagonal boundary: a free resource
-        return [(y, 0.0) for y in ys]
-    L, y = np.array(Ls), np.array(ys)
-    alpha = alphas_at(boundary, y)
-    # the log of 0 at alpha = 1 (tagged below) and alpha = 0 (a far row)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        excess = np.log(alpha) - L - np.log1p(-alpha)
-    limit = np.minimum(np.arange(1, len(Ls) + 1) / d, 1.0)
-    far = (y < sys.float_info.min) & (y < boundary.ys[1])
-    for i in np.flatnonzero(far).tolist():  # in logs, as `_condition` takes them
-        alpha[i], excess[i] = _condition(boundary, Ls[i], ys[i], limit[i])
-    excess[_dominates(alpha, limit)] = math.inf
-    return list(zip(alpha.tolist(), excess.tolist()))
 
 
 def _conditions(
@@ -385,7 +358,7 @@ def _searched_conditions(
 ) -> tuple[tuple[int, ExtendedBeta, float], ...]:
     """`_conditions` by the root search, for a target of any level count
     (`_conditions` hands it 3 or more, the tests 2 as well, against the
-    closed form). The size switch picks only the row and root kernels."""
+    closed form). The size switch picks only the alpha and root kernels."""
     h, beta, d = target.energies, target.beta, target.ground_degeneracy()
     if heating:
         h, beta, d = tuple(-x for x in reversed(h)), -beta, target.top_degeneracy()
@@ -393,16 +366,17 @@ def _searched_conditions(
     # round to the spread of the energies, not to their distance from 0.
     h = tuple(x - h[0] for x in h)
     Ls = _sweep(h, beta)
+    ys = list(map(_mass, Ls))
     if len(h) >= _VECTOR_MIN_LEVELS:
         import numpy as np
 
-        rows, sweep, hs = _condition_rows(boundary, Ls, d), _sweep_array, np.array(h)
+        alphas, sweep, hs = alphas_at(boundary, ys).tolist(), _sweep_array, np.array(h)
     else:
-        rows, sweep, hs = None, _sweep, h
+        alphas, sweep, hs = None, _sweep, h
     per, open_ks, goals, starts = [], [], [], []
-    for k, L in enumerate(Ls, 1):
-        alpha_k, excess = rows[k - 1] if rows is not None else _condition(
-            boundary, L, _mass(L), k / d if k < d else 1.0)
+    for k, (L, y) in enumerate(zip(Ls, ys), 1):
+        alpha = alpha_at(boundary, y) if alphas is None else alphas[k - 1]
+        alpha_k, excess = _condition(boundary, L, y, alpha, k / d if k < d else 1.0)
         if 0.0 < excess < math.inf:
             open_ks.append(k)
             goals.append(L + excess)
@@ -411,18 +385,18 @@ def _searched_conditions(
     roots = []
     if open_ks:
         found = _brackets(sweep, hs, beta, open_ks, goals, starts)
-        if rows is not None:
+        if alphas is not None:
             roots = _cooling_roots(hs, beta, open_ks, goals, found)
         else:
             roots = [
                 _cooling_root(h, beta, k, goal, *b) for k, goal, b in zip(open_ks, goals, found)
             ]
-    roots, sign = iter(roots), (-1.0 if heating else 1.0)
+    roots = iter(roots)
+    # the mirror as 0.0 - b, so that a heating root of exactly 0 reads +0.0
     return tuple(
-        (k, ExtendedBeta(sign * math.inf) if excess == math.inf
-            else ExtendedBeta.finite(sign * (beta if excess <= 0.0 else next(roots))),
-         alpha_k)
+        (k, ExtendedBeta(0.0 - b if heating else b), alpha_k)
         for k, excess, alpha_k in per
+        for b in [math.inf if excess == math.inf else beta if excess <= 0.0 else next(roots)]
     )
 
 
@@ -473,7 +447,8 @@ def _qubit_root(
     -_qubit_root(boundary, -beta, E): the float beta - excess / E but at a
     root of exactly 0, which the bounds keep +0.0 as 0.0 - root."""
     L = beta * E
-    alpha, excess = _condition(boundary, L, _mass(L), 1.0)
+    y = _mass(L)
+    alpha, excess = _condition(boundary, L, y, alpha_at(boundary, y), 1.0)
     if excess <= 0.0:
         return beta, alpha
     if excess == math.inf:  # also where E = inf, and excess / E is NaN

@@ -376,16 +376,28 @@ class TestQubitBetaBounds:
                 assert heat.per_condition[0][:2] == (1, heat.beta_min)
                 assert (cool.beta_max, heat.beta_min) == (bmax, bmin)  # floats: bits
 
-    @pytest.mark.parametrize("E, beta", [(1.0, 1.0), (0.5, 2.0), (3.0, 0.3)])
-    def test_heating_root_at_zero_is_positive(self, E, beta):
-        # The maximally mixed state heats its own qubit to beta~ = 0 exactly;
-        # the heating mirror negates that root to +0.0, as beta - excess / E
-        # gives it, not to -0.0, which the CLI would print as "-0.0".
-        resource = validate_state((0.5, 0.5), gibbs_vector((0.0, E), beta).entries)
-        heat = beta_min(resource, GibbsContext((0.0, E), beta))
-        for b in (qubit_beta_bounds(resource, E, beta)[1], heat.beta_min):
+    @pytest.mark.parametrize(
+        "E, beta, levels",
+        [pytest.param(E, beta, 2, id=f"{E}-{beta}") for E, beta in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.3))]
+        + [pytest.param(1.0, 0.5, d, id=f"{d}-levels") for d in (4, 24, 64)],
+    )
+    def test_heating_root_at_zero_is_positive(self, E, beta, levels):
+        # The maximally mixed state heats its own qubit to beta~ = 0 exactly,
+        # and its own equally spaced target to about 0 at the middle row
+        # k = d/2, whose L_k(0) = ln 1: exactly 0 with glibc's and numpy's
+        # x86-64 logs (scalar kernel at 4 levels, array at 24 and 64). The
+        # heating mirror negates a root of exactly 0 to +0.0, as
+        # beta - excess / E gives it, not to -0.0, which the CLI would print
+        # as "-0.0".
+        energies = tuple(E * i for i in range(levels))
+        resource = validate_state((1.0 / levels,) * levels, gibbs_vector(energies, beta).entries)
+        heat = beta_min(resource, GibbsContext(energies, beta))
+        for b in [b for _, b, _ in heat.per_condition if b == 0.0] + [heat.beta_min]:
+            assert math.copysign(1.0, b) == 1.0
+        if levels == 2:
+            b = qubit_beta_bounds(resource, E, beta)[1]
             assert math.copysign(1.0, b) == 1.0 and b == 0.0
-        assert heating_monotone(resource, beta, E) == beta
+            assert heating_monotone(resource, beta, E) == beta
 
     @pytest.mark.parametrize("E", [5e-324, 1e-310])
     def test_subnormal_two_level_target_overflows(self, E):

@@ -1,11 +1,11 @@
-"""The root search of `beta_max`/`beta_min` and its two kernels: below
-`tempbounds._VECTOR_MIN_LEVELS` target levels each condition by `_condition`
-and each root by `_cooling_root`, from there up all rows by
-`_condition_rows` and all open roots by `_cooling_roots`, both from the
-brackets of one shared sweep per probe.
+"""The root search of `beta_max`/`beta_min` and its two kernels. Every row
+is settled by `_condition`; below `tempbounds._VECTOR_MIN_LEVELS` target
+levels its alpha_k comes from `alpha_at` and each root from `_cooling_root`,
+from there up every alpha_k from one `alphas_at` and all open roots from
+`_cooling_roots`, both from the brackets of one shared sweep per probe.
 
 Each case solves the same resource and target twice, once with the switch
-forced onto each kernel pair. Both share the settled conditions and every
+forced onto each side. Both settle every row by the same rule from the same
 alpha_k, so k, the tags and the alphas must be identical; the roots come
 from the same steps on differently summed log-odds, so finite beta~ must
 agree to 1e-12 relative (1e-12 absolute below |beta~| = 1).
@@ -134,10 +134,10 @@ def test_roots_far_below_one_are_relative(monkeypatch, threshold):
 
 
 def test_switch_at_threshold(monkeypatch):
-    # The switch picks only the kernels: below it `_condition` per row and
-    # `_cooling_root` per open row, from it up `_condition_rows` and
-    # `_cooling_roots` (no far row here, so no `_condition` either).
-    kernels = ("_condition", "_cooling_root", "_condition_rows", "_cooling_roots")
+    # The switch picks only how the alphas are evaluated and the root kernel:
+    # below it `alpha_at` per row and `_cooling_root` per open row, from it
+    # up one `alphas_at` and `_cooling_roots`; `_condition` settles every row.
+    kernels = ("_condition", "alpha_at", "alphas_at", "_cooling_root", "_cooling_roots")
     called = set()
 
     def spy(name):
@@ -152,8 +152,8 @@ def test_switch_at_threshold(monkeypatch):
     for name in kernels:
         spy(name)
     expected = {
-        _VECTOR_MIN_LEVELS - 1: {"_condition", "_cooling_root"},
-        _VECTOR_MIN_LEVELS: {"_condition_rows", "_cooling_roots"},
+        _VECTOR_MIN_LEVELS - 1: {"_condition", "alpha_at", "_cooling_root"},
+        _VECTOR_MIN_LEVELS: {"_condition", "alphas_at", "_cooling_roots"},
     }
     for levels, names in expected.items():
         called.clear()
@@ -559,16 +559,11 @@ def test_flat_rows_match_log_odds(levels, far, rows):
 
 # ------------------------------------------------------ the condition rows
 #
-# From `_VECTOR_MIN_LEVELS` target levels up, `_condition_rows` gives every
-# row's (alpha_k, excess) where `_condition` gives one. The masses and
-# `alphas_at` are `_condition`'s, and far rows go through `_condition`, so
-# alphas and tags are identical. An open row's excess is
-# (ln alpha - L) - ln(1 - alpha) in both, but with numpy's logs: each log
-# may differ from the math module's by an ulp, at most eps times it, and
-# each of the two subtractions rounds to half an ulp of its result, which
-# is at most 3 M for M = max(|ln alpha|, |L|, |ln(1 - alpha)|). The two
-# excesses thus lie within eps (M + M + 2 M + 3 M) < 8 eps M. On this
-# ladder the largest difference seen is 0.21 of that bound.
+# `_condition` settles every row on both sides of the switch, from alpha_k by
+# `alpha_at` below it and by one `alphas_at` from it up. `alphas_at` takes
+# `alpha_at`'s segment and formula, so each row's alpha_k, its class (tag,
+# met or open) and the goal L + excess it hands to `_brackets` are the same
+# floats bit for bit, far rows (taken in logs) and free resources included.
 
 
 def _far_target(levels, ground, top):
@@ -582,15 +577,28 @@ def _far_target(levels, ground, top):
     return GibbsContext(tuple(h.tolist()), float(rng.uniform(1.5, 2.5)))
 
 
-def _rows_both_ways(boundary, h, beta, d):
-    h = tuple(x - h[0] for x in h)
-    Ls = tempbounds._sweep(h, beta)
-    rows = tempbounds._condition_rows(boundary, Ls, d)
-    scalar = [
-        tempbounds._condition(boundary, L, tempbounds._mass(L), k / d if k < d else 1.0)
-        for k, L in enumerate(Ls, 1)
-    ]
-    return Ls, rows, scalar
+def _rows(monkeypatch, threshold, resource, target):
+    """Per side, cooling then heating, every row's (k, class, alpha_k, goal)
+    with the floats as hex: the goal of an open row as handed to
+    `_brackets`, None for a settled one."""
+    _force(monkeypatch, threshold)
+    real, goals = tempbounds._brackets, {}
+
+    def brackets(sweep, h, beta, ks, row_goals, starts):
+        goals.update(zip(ks, row_goals))
+        return real(sweep, h, beta, ks, row_goals, starts)
+
+    monkeypatch.setattr(tempbounds, "_brackets", brackets)
+    sides = []
+    for solve in (beta_max, beta_min):
+        goals.clear()
+        sides.append([
+            (k, "tag" if not b.is_finite else "open" if k in goals else "met",
+             float.hex(alpha), float.hex(goals[k]) if k in goals else None)
+            for k, b, alpha in solve(resource, target).per_condition
+        ])
+    monkeypatch.setattr(tempbounds, "_brackets", real)
+    return sides
 
 
 @pytest.mark.parametrize("free", [False, True], ids=["resource", "free"])
@@ -598,29 +606,20 @@ def _rows_both_ways(boundary, h, beta, d):
 @pytest.mark.parametrize("ground, top", DEGENERACIES)
 @pytest.mark.parametrize("far", [False, True], ids=["near", "far"])
 @pytest.mark.parametrize("levels", (_VECTOR_MIN_LEVELS, 40, 64))
-def test_condition_rows_match_condition(levels, far, ground, top, n, free):
+def test_condition_rows_match_condition(monkeypatch, levels, far, ground, top, n, free):
     target = (_far_target if far else _target)(levels, ground, top)
     resource = _resource(n)
     if free:
         resource = validate_state(resource.g.entries, resource.g.entries)
-    boundary = compute_elbows(resource)
-    kinds = set()
+    sides = _rows(monkeypatch, VECTOR, resource, target)
+    assert sides == _rows(monkeypatch, ONE_BY_ONE, resource, target)
+    assert [len(side) for side in sides] == [levels - 1] * 2
+    kinds = {kind for side in sides for _, kind, _, _ in side}
     for heating in (False, True):
         h, beta = _mirror(target, heating)
-        d = top if heating else ground
-        Ls, rows, scalar = _rows_both_ways(boundary, h, beta, d)
-        assert len(rows) == len(scalar) == levels - 1
-        for L, (alpha, excess), (alpha_ref, excess_ref) in zip(Ls, rows, scalar):
-            assert alpha == alpha_ref
-            kind = "tag" if excess_ref == math.inf else "met" if excess_ref <= 0.0 else "open"
-            assert kind == ("tag" if excess == math.inf else "met" if excess <= 0.0 else "open")
-            kinds.add(kind)
-            if tempbounds._mass(L) < sys.float_info.min:  # far: `_condition` in both
-                kinds.add("far")
-                assert excess == excess_ref
-            elif kind == "open":
-                scale = max(abs(math.log(alpha)), abs(L), abs(math.log1p(-alpha)))
-                assert abs(excess - excess_ref) <= 8.0 * sys.float_info.epsilon * scale
+        Ls = tempbounds._sweep(tuple(x - h[0] for x in h), beta)
+        if any(tempbounds._mass(L) < sys.float_info.min for L in Ls):
+            kinds.add("far")
     if free:
         assert kinds <= {"met", "far"}
     else:
