@@ -318,12 +318,13 @@ def _condition(
     boundary: TestingBoundary, L: float, y: float, alpha: float, limit: float
 ) -> tuple[float, float]:
     """(alpha_k, excess) for the k-level mass y = sigma(L) at beta, with
-    alpha = alpha_at(boundary, y) and `limit` the mass's limit as
+    `alpha` the caller's alpha_at(boundary, y) and `limit` the mass's limit as
     beta~ -> +inf: L_k reaches logit(alpha_k) at L + excess, excess +inf for
-    the tag and <= 0 where the condition is met at beta. A far level, a mass
+    the tag and <= 0 where the condition is met at beta. Two rows ignore
+    `alpha`: a free resource's, whose alpha_k is y, and a far level's, a mass
     below the first elbow ordinate y1 and the smallest normal float (beta*gap
-    past about 708), is taken in logs: alpha_k = (x1/y1) y on the first
-    segment and ln y = L + ln(1 - y), so ln(alpha_k) - L = ln(x1/y1) + ln(1 - y)."""
+    past about 708), taken in logs: alpha_k = (x1/y1) y on the first segment
+    and ln y = L + ln(1 - y), so ln(alpha_k) - L = ln(x1/y1) + ln(1 - y)."""
     if len(boundary.xs) == 2:  # a diagonal boundary: a free resource
         return y, 0.0
     if y < sys.float_info.min and y < boundary.ys[1]:  # far level: in logs
@@ -381,8 +382,8 @@ def _searched_conditions(
             open_ks.append(k)
             goals.append(L + excess)
             starts.append(L)
-        per.append((k, excess, alpha_k))
-    roots = []
+        # a met row keeps beta; an open row's beta is replaced by its root
+        per.append([k, math.inf if excess == math.inf else beta, alpha_k])
     if open_ks:
         found = _brackets(sweep, hs, beta, open_ks, goals, starts)
         if alphas is not None:
@@ -391,13 +392,10 @@ def _searched_conditions(
             roots = [
                 _cooling_root(h, beta, k, goal, *b) for k, goal, b in zip(open_ks, goals, found)
             ]
-    roots = iter(roots)
+        for k, root in zip(open_ks, roots):
+            per[k - 1][1] = root
     # the mirror as 0.0 - b, so that a heating root of exactly 0 reads +0.0
-    return tuple(
-        (k, ExtendedBeta(0.0 - b if heating else b), alpha_k)
-        for k, excess, alpha_k in per
-        for b in [math.inf if excess == math.inf else beta if excess <= 0.0 else next(roots)]
-    )
+    return tuple((k, ExtendedBeta(0.0 - b if heating else b), a) for k, b, a in per)
 
 
 def beta_max(resource: AthermalityState, target: GibbsContext) -> CoolingReport:

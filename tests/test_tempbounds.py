@@ -392,12 +392,16 @@ class TestQubitBetaBounds:
         energies = tuple(E * i for i in range(levels))
         resource = validate_state((1.0 / levels,) * levels, gibbs_vector(energies, beta).entries)
         heat = beta_min(resource, GibbsContext(energies, beta))
-        for b in [b for _, b, _ in heat.per_condition if b == 0.0] + [heat.beta_min]:
-            assert math.copysign(1.0, b) == 1.0
         if levels == 2:
-            b = qubit_beta_bounds(resource, E, beta)[1]
-            assert math.copysign(1.0, b) == 1.0 and b == 0.0
+            for b in (qubit_beta_bounds(resource, E, beta)[1], heat.beta_min):
+                assert math.copysign(1.0, b) == 1.0 and b == 0.0
             assert heating_monotone(resource, beta, E) == beta
+        else:
+            # the case under test happens: the middle row's root is exactly 0
+            assert heat.per_condition[levels // 2 - 1][:2] == (levels // 2, 0.0)
+            for b in [b for _, b, _ in heat.per_condition if b == 0.0]:
+                assert math.copysign(1.0, b) == 1.0
+            assert 0.0 <= heat.beta_min < 1e-13  # the max of roots near 0
 
     @pytest.mark.parametrize("E", [5e-324, 1e-310])
     def test_subnormal_two_level_target_overflows(self, E):
