@@ -25,8 +25,7 @@ from .errors import AthermalError, BisectionError, DimensionMismatch, InvalidGri
 from .esets import (
     DEFAULT_N_GRID,
     MAX_GRID,
-    _clearance,
-    _scan_grid,
+    _scan,
     construct_gap_example,
     fa_point,
     gap_set,
@@ -268,15 +267,7 @@ def _cmd_eset(args) -> tuple[int, dict]:
     state, ctx = load_state(args.state)
     result = gap_set(state, ctx.beta, args.beta_tilde, args.e_max, args.grid)
     if args.out and args.format == "csv":
-        import numpy as np
-
-        ws = _scan_grid(ctx.beta, args.e_max, args.grid)[::-1]  # ascending in E
-        # beta~ = beta: every gap is feasible, at zero clearance
-        clearance, member = np.zeros_like(ws), np.ones(len(ws), dtype=bool)
-        if args.beta_tilde != ctx.beta:
-            a = args.beta_tilde / ctx.beta
-            clearance, member = _clearance(compute_elbows(state), a, ws)
-        rows = zip(-np.log(ws) / ctx.beta, clearance, member)
+        rows = zip(*_scan(state, ctx.beta, args.beta_tilde, args.e_max, args.grid))
         csv = "".join(f"{E:.17g},{c:.17g},{int(m)}\n" for E, c, m in rows)
         _write_out(args.out, csv.encode())
     else:

@@ -60,9 +60,9 @@ ENDPOINT_RESOLUTION = 1e-10  # bracket width in E of each interval end
 _TANGENT_EPS = 1e-9
 # Steps `_root` may spend beyond bisection's count before it only bisects.
 _SPARE_STEPS = 8
-# Points per block of the vector clearance (64 KiB float arrays). Whole-grid
-# temporaries above glibc's 128 KiB mmap threshold can be handed back to the
-# OS and faulted in again on every scan, depending on the heap's layout.
+# Points per block of `_scan` (64 KiB float arrays). Whole-grid temporaries
+# above glibc's 128 KiB mmap threshold can be handed back to the OS and
+# faulted in again on every scan, depending on the heap's layout.
 _SCAN_BLOCK = 8192
 
 
@@ -111,31 +111,13 @@ def fa_point(a: float, w: float) -> tuple[float, float]:
     return _curve_xy(a, w)
 
 
-def _clearance(
-    boundary: TestingBoundary, a: float, ws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(clearance, member) at every point of the array ws: the signed
-    clearance alpha - x of the curve point inside the resource boundary, and
-    `_dominates` there, sampled by the `eset` CSV."""
-    import numpy as np
-
-    clearance = np.empty_like(ws)
-    member = np.empty(len(ws), dtype=bool)
-    for k in range(0, len(ws), _SCAN_BLOCK):
-        xs, ys = _curve_xy(a, ws[k : k + _SCAN_BLOCK])
-        alphas = alphas_at(boundary, ys)
-        clearance[k : k + _SCAN_BLOCK] = alphas - xs
-        member[k : k + _SCAN_BLOCK] = _dominates(alphas, xs)
-    return clearance, member
-
-
 def _grid_span(
     beta: float, e_max: float | None, n_grid: int
 ) -> tuple[float, float, float]:
     """(e_max, w_min, step) of the n_grid-point grid ascending in
     w = exp(-beta*E) from w_min = exp(-beta*e_max) in steps of
-    (1 - w_min)/n_grid, so E descends to one step short of 0. The default
-    e_max puts w_min at DEFAULT_W_MIN."""
+    (1 - w_min)/n_grid, so E descends to one step short of 0: `gap_set`'s
+    span and `_scan`'s points. The default e_max puts w_min at DEFAULT_W_MIN."""
     _check_beta(beta)
     if e_max is None:
         e_max = -math.log(DEFAULT_W_MIN) / beta
@@ -149,12 +131,29 @@ def _grid_span(
     return e_max, w_min, (1.0 - w_min) / n_grid
 
 
-def _scan_grid(beta: float, e_max: float | None, n_grid: int) -> np.ndarray:
-    """The grid of `_grid_span` as an array, ascending in w."""
+def _scan(
+    resource: AthermalityState,
+    beta: float,
+    beta_tilde: float,
+    e_max: float | None,
+    n_grid: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `eset` CSV's columns (E, clearance alpha - x, `_dominates`) at the
+    points of the `_grid_span` grid, ascending in E."""
     import numpy as np
 
     _, w_min, step = _grid_span(beta, e_max, n_grid)
-    return w_min + step * np.arange(n_grid)
+    a = beta_tilde / beta
+    boundary = compute_elbows(resource)
+    ws = (w_min + step * np.arange(n_grid))[::-1]
+    clearance = np.empty(n_grid)
+    member = np.empty(n_grid, dtype=bool)
+    for k in range(0, n_grid, _SCAN_BLOCK):
+        xs, ys = _curve_xy(a, ws[k : k + _SCAN_BLOCK])
+        alphas = alphas_at(boundary, ys)
+        clearance[k : k + _SCAN_BLOCK] = alphas - xs
+        member[k : k + _SCAN_BLOCK] = _dominates(alphas, xs)
+    return -np.log(ws) / beta, clearance, member
 
 
 def _root(f, lo: float, hi: float, tol: float) -> float:

@@ -324,11 +324,11 @@ def _condition(
     `alpha`: a free resource's, whose alpha_k is y, and a far level's, a mass
     below the first elbow ordinate y1 and the smallest normal float (beta*gap
     past about 708), taken in logs: alpha_k = (x1/y1) y on the first segment
-    and ln y = L + ln(1 - y), so ln(alpha_k) - L = ln(x1/y1) + ln(1 - y)."""
+    and ln y = L + ln(1 - y), so ln(alpha_k) - L = ln x1 - ln y1 + ln(1 - y)."""
     if len(boundary.xs) == 2:  # a diagonal boundary: a free resource
         return y, 0.0
     if y < sys.float_info.min and y < boundary.ys[1]:  # far level: in logs
-        log_ratio = math.log(boundary.xs[1] / boundary.ys[1]) + math.log1p(-y)
+        log_ratio = math.log(boundary.xs[1]) - math.log(boundary.ys[1]) + math.log1p(-y)
         alpha = math.exp(log_ratio + L)
     else:
         log_ratio = math.log(alpha) - L

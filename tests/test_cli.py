@@ -424,6 +424,38 @@ class TestFarLevels:
         else:
             assert set(json.loads(err)) == {"error"}
 
+    # The top level's Gibbs mass, about 1e-310, is subnormal, and so is the
+    # resource's first elbow ordinate y1: x1/y1 overflows.
+    SUBNORMAL_GIBBS = {
+        "energies": [0.6931471805599453, 0.6931471805599453, 713.8013788281542],
+        "beta": 1.0,
+        "populations": [0.3333333333333333] * 3,
+    }
+
+    @pytest.mark.parametrize(
+        "energies, expected",
+        [([0, 720], 0.0101341053065284226), ([0, 360, 720], None)],
+    )
+    def test_subnormal_gibbs_resource_heats(self, capsys, tmp_path, energies, expected):
+        state, target = tmp_path / "state.json", tmp_path / "target.json"
+        state.write_text(json.dumps(self.SUBNORMAL_GIBBS))
+        target.write_text(json.dumps({"energies": energies, "beta": 1.0}))
+        code, out, err = _run(capsys, ["heat", "-s", str(state), "-t", str(target)])
+        assert (code, err) == (0, "")
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert isinstance(doc["beta_min"], float) and 0.0 < doc["beta_min"] < 1.0
+        assert all(0.0 <= row["alpha"] <= 1.0 for row in doc["per_condition"])
+        if expected is not None:
+            assert doc["beta_min"] == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_subnormal_gibbs_resource_monotones(self, capsys, tmp_path):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(self.SUBNORMAL_GIBBS))
+        code, out, err = _run(capsys, ["monotones", "-s", str(state), "-E", "720"])
+        assert (code, err) == (0, "")
+        (entry,) = json.loads(out, parse_constant=_reject_constant)["entries"]
+        assert entry["heating"] == pytest.approx(1.0 - 0.0101341053065284226, rel=1e-13)
+
     @pytest.mark.parametrize(
         "command, key, value", [("cool", "beta_max", "+inf"), ("heat", "beta_min", 1.0)]
     )
@@ -899,18 +931,36 @@ class TestOutputContracts:
         assert {m for _, _, m in rows} == {"0", "1"}
 
     def test_eset_csv_same_temperature(self, capsys, tmp_path, resource_file):
-        csv = tmp_path / "scan.csv"
-        code, _, _ = _run(
-            capsys,
-            [
-                "eset", "-s", resource_file, "--beta-tilde", "1.0", "--grid", "100",
-                "--out", str(csv), "--format", "csv",
-            ],
+        """At beta~ = beta the curve is the diagonal x = y: every row is a
+        member, at clearance alpha(y) - y, which is 0 only for a free state."""
+        free = tmp_path / "free.json"
+        free.write_text(
+            json.dumps({"energies": [0.0, 0.0], "beta": 1.0, "populations": [0.5, 0.5]})
         )
-        assert code == 0
-        rows = csv.read_text().strip().splitlines()
-        assert len(rows) == 100
-        assert all(row.endswith(",0,1") for row in rows)
+        scans = {}
+        for name, path in (("resource", resource_file), ("free", str(free))):
+            csv = tmp_path / f"{name}.csv"
+            code, _, _ = _run(
+                capsys,
+                [
+                    "eset", "-s", path, "--beta-tilde", "1.0", "--grid", "100",
+                    "--out", str(csv), "--format", "csv",
+                ],
+            )
+            assert code == 0
+            rows = csv.read_text().strip().splitlines()
+            assert len(rows) == 100
+            assert all(row.endswith(",1") for row in rows)
+            state, ctx = load_state(path)
+            boundary = majorization.compute_elbows(state)
+            _, w_min, step = esets._grid_span(ctx.beta, None, 100)
+            ws = (w_min + step * np.arange(100))[::-1]  # ascending in E
+            ys = ws / (1.0 + ws)
+            clearance = np.interp(ys, boundary.ys, boundary.xs) - ys
+            assert [float(row.split(",")[1]) for row in rows] == clearance.tolist()
+            scans[name] = rows
+        assert all(row.endswith(",0,1") for row in scans["free"])
+        assert not any(row.endswith(",0,1") for row in scans["resource"])
 
 
 # The side-file formats each subcommand writes, its default first.

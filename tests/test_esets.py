@@ -32,11 +32,10 @@ from athermal.esets import (
     MAX_GRID,
     _SCAN_BLOCK,
     _SPARE_STEPS,
-    _clearance,
     _curve_dxdy,
     _curve_xy,
     _root,
-    _scan_grid,
+    _scan,
     _tangent_point,
 )
 from athermal.majorization import DOMINATION_SLACK
@@ -213,18 +212,19 @@ class TestGapSet:
             gap_set(resource, 1.0, 2.0, n_grid=MAX_GRID + 1)
 
     def test_blocked_clearance_matches_whole_grid(self):
-        boundary = compute_elbows(construct_gap_example(0.5))
-        ws = _scan_grid(1.0, None, 3 * _SCAN_BLOCK + 5)
+        resource = construct_gap_example(0.5)
+        boundary = compute_elbows(resource)
+        n_grid = 3 * _SCAN_BLOCK + 5
+        _, w_min, step = esets._grid_span(1.0, None, n_grid)
+        ws = (w_min + step * np.arange(n_grid))[::-1]  # ascending in E
         for a in (0.5, 2.0, -1.0):
-            for grid in (ws, ws[::-1]):  # the eset CSV scans ascending in E
-                xs, ys = _curve_xy(a, grid)
-                alphas = np.interp(ys, boundary.ys, boundary.xs)
-                clearance, member = _clearance(boundary, a, grid)
-                np.testing.assert_array_equal(clearance, alphas - xs)
-                np.testing.assert_array_equal(
-                    member, alphas >= xs - DOMINATION_SLACK
-                )
-                assert member.any() and not member.all()
+            E, clearance, member = _scan(resource, 1.0, a, None, n_grid)
+            xs, ys = _curve_xy(a, ws)
+            alphas = np.interp(ys, boundary.ys, boundary.xs)
+            np.testing.assert_array_equal(E, -np.log(ws))
+            np.testing.assert_array_equal(clearance, alphas - xs)
+            np.testing.assert_array_equal(member, alphas >= xs - DOMINATION_SLACK)
+            assert member.any() and not member.all()
 
     def test_narrow_membership_gap_is_found(self):
         out = gap_set(NARROW_GAP, 1.0, 1.5)
@@ -492,15 +492,14 @@ def test_ends_match_a_fine_scan():
         g = np.exp(-beta * rng.uniform(0.0, 4.0, dim))
         a = float(rng.uniform(-3.0, 3.0))
         resource = validate_state(r / r.sum(), g / g.sum())
-        ws = _scan_grid(beta, None, n_grid)
-        _, member = _clearance(compute_elbows(resource), a, ws)
+        E, _, member = _scan(resource, beta, beta * a, None, n_grid)
         out = gap_set(resource, beta, beta * a, n_grid=n_grid)
         e_max = -math.log(1e-10) / beta
         ends = np.array(
             [e for iv in out.intervals for e in (iv.lo, iv.hi) if 0.0 < e < e_max]
         )
         for k in np.flatnonzero(member[1:] != member[:-1]):
-            cell_hi, cell_lo = -np.log(ws[k : k + 2]) / beta  # E descends with w
+            cell_lo, cell_hi = E[k : k + 2]  # E ascends
             near = (ends >= cell_lo - ENDPOINT_RESOLUTION) & (
                 ends <= cell_hi + ENDPOINT_RESOLUTION
             )

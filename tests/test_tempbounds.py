@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -330,6 +331,26 @@ class TestFarLevels:
                 assert (k, b.kind, alpha) == (k_ref, b_ref.kind, alpha_ref)
                 if b.is_finite:
                     assert b.value == pytest.approx(b_ref.value, rel=1e-12, abs=1e-12)
+
+    def test_subnormal_first_elbow_ordinate(self):
+        # The top level's Gibbs mass 1e-310 is subnormal: the first elbow is
+        # (x1, y1) = (1/3, 1e-310), where x1/y1 overflows, and the far row
+        # takes ln x1 - ln y1. Heating the qubit (0, 720) at beta = 1 ends
+        # where its excited mass reaches alpha = x1 m/y1, m that mass at beta:
+        # at beta~ = ln((1 - alpha)/alpha)/720.
+        resource = validate_state((1 / 3,) * 3, (0.5, 0.5 - 1e-310, 1e-310))
+        boundary = compute_elbows(resource)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            m = Decimal(-720).exp() / (1 + Decimal(-720).exp())
+            alpha = Decimal(boundary.xs[1]) * m / Decimal(boundary.ys[1])
+            expected = ((1 - alpha) / alpha).ln() / 720
+        heat = beta_min(resource, GibbsContext((0.0, 720.0), 1.0))
+        ((k, b, alpha_k),) = heat.per_condition
+        assert k == 1 and 0.0 <= alpha_k <= 1.0
+        assert alpha_k == pytest.approx(float(alpha), rel=1e-13, abs=0.0)
+        assert b.value == pytest.approx(float(expected), rel=1e-13, abs=0.0)
+        _assert_matches_qubit_bounds(resource, 720.0, 1.0)
 
     def test_two_level_matches_closed_form(self):
         resource = validate_state((0.9, 0.1), (0.8, 0.2))
