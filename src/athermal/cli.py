@@ -6,7 +6,8 @@ its side file, if --out is given (boundary plots as CSV / SVG; scans as
 CSV), and returns its exit code and document; `run` is the one writer of
 stdout and stderr. A result goes to stdout as a single JSON document (sorted
 keys; infinities as "+inf"/"-inf"), an error to stderr as
-{"error": {"code", "message"}}, and nothing else is printed.
+{"error": {"code", "message"}}, and nothing else is printed. State files are
+read on every call; the 128 latest (path, bytes) pairs keep their validated state.
 
 Exit codes: 0 ok, 2 invalid input, 3 infeasible request, 4 numeric failure.
 """
@@ -14,7 +15,9 @@ Exit codes: 0 ok, 2 invalid input, 3 infeasible request, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import math
 import sys
@@ -55,17 +58,12 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str) -> bytes:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    # ValueError: bytes that are not UTF-8, or text that is not JSON;
-    # RecursionError: JSON nested deeper than the parser's stack
-    except (OSError, ValueError, RecursionError) as exc:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
         raise AthermalError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise AthermalError(f"{path}: expected a JSON object")
-    return doc
 
 
 def _number(path: str, key: str, value) -> float:
@@ -83,25 +81,33 @@ def _numbers(path: str, key: str, value) -> list[float]:
     return [_number(path, key, x) for x in value]
 
 
-def _context(path: str, doc: dict) -> GibbsContext:
-    if "energies" not in doc or "beta" not in doc:
-        raise AthermalError(f"{path}: 'energies' and 'beta' are required")
-    return GibbsContext(
-        tuple(_numbers(path, "energies", doc["energies"])),
-        _number(path, "beta", doc["beta"]),
-    )
-
-
 def load_target(path: str) -> GibbsContext:
     """Read a target file: only its energies and beta are used, so its Gibbs
     vector need not be full rank."""
-    return _context(path, _load_json(path))
+    return _load(path, _read(path), "target")
 
 
 def load_state(path: str) -> tuple[AthermalityState, GibbsContext]:
     """Read a state file: energies + beta, plus populations xor a matrix."""
-    doc = _load_json(path)
-    ctx = _context(path, doc)
+    return _load(path, _read(path), "state")
+
+
+@functools.lru_cache
+def _load(path: str, data: bytes, kind: str):  # load_target or load_state on bytes
+    try:  # decoded as open(path, encoding="utf-8") does, with universal newlines
+        doc = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON; too deep
+        raise AthermalError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise AthermalError(f"{path}: expected a JSON object")
+    if "energies" not in doc or "beta" not in doc:
+        raise AthermalError(f"{path}: 'energies' and 'beta' are required")
+    ctx = GibbsContext(
+        tuple(_numbers(path, "energies", doc["energies"])),
+        _number(path, "beta", doc["beta"]),
+    )
+    if kind == "target":
+        return ctx
     has_pop = "populations" in doc
     has_dm = "density_matrix" in doc
     if has_pop and has_dm:
@@ -322,6 +328,15 @@ def _cmd_curve(args) -> tuple[int, dict]:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error is an input error, in JSON
         raise UsageError(f"{self.prog}: {message}")
+
+    def _parse_optional(self, arg_string):
+        # argparse takes -1e-05 and -inf for options; what float() reads (a sign,
+        # then a digit, a point, inf or nan) is a value, and no option reads so
+        if arg_string[1:2].isdigit() or arg_string[1:2] in ".iInN":
+            with contextlib.suppress(ValueError):
+                float(arg_string)
+                return None
+        return super()._parse_optional(arg_string)
 
 
 @functools.cache

@@ -31,6 +31,7 @@ on the path of the target's form, with identical verdicts:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -219,7 +220,11 @@ def alpha_at(boundary: TestingBoundary, y: float) -> float:
     if y == y0:
         return xs[k]
     x0 = xs[k]
-    return x0 + (xs[k + 1] - x0) / (ys[k + 1] - y0) * (y - y0)
+    dx = xs[k + 1] - x0
+    slope = dx / (ys[k + 1] - y0)
+    if slope == math.inf:  # a subnormal height: dx times the quotient stays finite
+        return x0 + dx * ((y - y0) / (ys[k + 1] - y0))
+    return x0 + slope * (y - y0)
 
 
 def alphas_at(boundary: TestingBoundary, ys):
@@ -227,11 +232,18 @@ def alphas_at(boundary: TestingBoundary, ys):
 
     One `np.interp`: it takes the same elbow segment as `alpha_at` and
     evaluates the same slope * (y - y0) + x0, so each entry is bit-identical
-    wherever the platform does not fuse that multiply-add.
+    wherever the platform does not fuse that multiply-add. On a segment of
+    subnormal height the slope overflows and np.interp gives no finite value;
+    those entries are `alpha_at`'s.
     """
     import numpy as np
 
-    return np.interp(ys, boundary.ys, boundary.xs)
+    alphas = np.interp(ys, boundary.ys, boundary.xs)
+    if not np.isfinite(alphas).all():
+        alphas, ys = np.array(alphas), np.asarray(ys, dtype=float)
+        bad = ~np.isfinite(alphas)
+        alphas[bad] = [alpha_at(boundary, y) for y in ys[bad].tolist()]
+    return alphas
 
 
 def _margin(alpha, x):
@@ -283,7 +295,12 @@ def _first_shortfall(src: TestingBoundary, xs, ys) -> int | None:
             alpha = sx[k]
         else:
             x0 = sx[k]
-            alpha = x0 + (sx[k + 1] - x0) / (sy[k + 1] - y0) * (y - y0)
+            dx = sx[k + 1] - x0
+            slope = dx / (sy[k + 1] - y0)
+            if slope == math.inf:  # `alpha_at`'s form for a subnormal height
+                alpha = x0 + dx * ((y - y0) / (sy[k + 1] - y0))
+            else:
+                alpha = x0 + slope * (y - y0)
         # `_dominates` inline: a call per elbow cost 2.3 us on a 45 us
         # decision at n = 32 (+5%; 60 seeded pairs, min of 15, 2-CPU x86-64).
         if alpha < x - DOMINATION_SLACK:

@@ -98,7 +98,10 @@ def _gap_of_ordinate(beta: float, y: float) -> tuple[float, str]:
     y = float(y)  # not a numpy scalar: those are slow in scalar arithmetic
     if y > 0.5:
         return math.log(y / (1.0 - y)) / beta, "cooling"
-    return math.log((1.0 - y) / y) / beta, "heating"
+    odds = (1.0 - y) / y
+    if odds == math.inf:  # a subnormal y: the odds overflow, their log does not
+        return (math.log1p(-y) - math.log(y)) / beta, "heating"
+    return math.log(odds) / beta, "heating"
 
 
 def _failed_check(

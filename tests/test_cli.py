@@ -349,11 +349,58 @@ class TestInputErrors:
         assert out == ""
 
     def test_usage_error_is_json(self, capsys, resource_file):
-        # argparse reads -1e300 as an option, so --beta-tilde has no value
+        # --e-max is an option, so --beta-tilde has no value
         code, _, err = _run(
-            capsys, ["eset", "-s", resource_file, "--beta-tilde", "-1e300"]
+            capsys, ["eset", "-s", resource_file, "--beta-tilde", "--e-max", "3"]
         )
-        assert _input_error(code, err)["code"] == "UsageError"
+        error = _input_error(code, err)
+        assert error == {
+            "code": "UsageError",
+            "message": "athermal eset: argument --beta-tilde: expected one argument",
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eset", "-s", "{R}", "--beta-tilde", "-1e-05"],
+            ["eset", "-s", "{R}", "--beta-tilde", "-1e300"],
+            ["eset", "-s", "{R}", "--beta-tilde", "-inf"],
+            ["eset", "-s", "{R}", "--beta-tilde", "-nan"],
+            ["curve", "--a", "-2e0", "--grid", "4"],
+            ["oracle", "--from", "{R}", "--to", "{R}", "--tol", "-1E-3"],
+            ["monotones", "-s", "{R}", "-E", "-1.5e0"],
+        ],
+    )
+    def test_negative_value_in_any_float_notation(self, capsys, resource_file, argv):
+        # argparse's own test of a negative number takes -1 and -.5 but not
+        # -1e-05 or -inf; given as --option=value they always parsed
+        argv = [a.replace("{R}", resource_file) for a in argv]
+        spaced = _run(capsys, argv)
+        joined = _run(capsys, [*argv[:-2], f"{argv[-2]}={argv[-1]}"])
+        assert spaced == joined
+        if spaced[0] != 0:
+            assert _input_error(spaced[0], spaced[2])["code"] != "UsageError"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cool", "-s", "{R}", "-t", "{R}", "-x"], "unrecognized arguments: -x"),
+            (["cool", "-s", "{R}", "-t"], "argument --target/-t: expected one argument"),
+            (["curve", "--a", "-2e0", "-"], "unrecognized arguments: -"),
+            (["curve", "--a", "--", "2"], "argument --a: expected one argument"),
+            (["eset", "-s", "{R}", "--beta-tilde", "-1e-05x"],
+             "argument --beta-tilde: expected one argument"),
+        ],
+    )
+    def test_usage_messages_of_other_argv(self, capsys, resource_file, argv, message):
+        # a parse error is reported by the subcommand's parser, an extra
+        # argument by the top-level one
+        prog = "athermal" if message.startswith("unrec") else f"athermal {argv[0]}"
+        message = f"{prog}: {message}"
+        argv = [a.replace("{R}", resource_file) for a in argv]
+        code, out, err = _run(capsys, argv)
+        assert _input_error(code, err) == {"code": "UsageError", "message": message}
+        assert out == ""
 
     @pytest.mark.parametrize("a", ["1e-300", "1e300"])
     def test_gap_example_extreme_ratio(self, capsys, a):
@@ -455,6 +502,41 @@ class TestFarLevels:
         assert (code, err) == (0, "")
         (entry,) = json.loads(out, parse_constant=_reject_constant)["entries"]
         assert entry["heating"] == pytest.approx(1.0 - 0.0101341053065284226, rel=1e-13)
+
+    # A target whose first elbow ordinate, 2.5e-311, is subnormal too: its
+    # odds (1 - y1)/y1 overflow. From SUBNORMAL_GIBBS, whose slope x1/y1
+    # overflows, the source reaches 1/12 there, short of the target's 1/4.
+    SUBNORMAL_TARGET = {
+        "energies": [715.187673189274, 0.6931471805599453, 0.6931471805599453],
+        "beta": 1.0,
+        "populations": [0.25, 0.375, 0.375],
+    }
+
+    def test_subnormal_segment_convert(self, capsys, tmp_path):
+        source, target = tmp_path / "source.json", tmp_path / "target.json"
+        source.write_text(json.dumps(self.SUBNORMAL_GIBBS))
+        target.write_text(json.dumps(self.SUBNORMAL_TARGET))
+        argv = ["convert", "--from", str(source), "--to", str(target)]
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (3, "")
+        doc = json.loads(out, parse_constant=_reject_constant)
+        witness = doc.pop("witness")
+        assert doc == {"convertible": False}
+        assert (witness["k"], witness["kind"]) == (1, "heating")
+        assert witness["E"] == pytest.approx(715.1876731892742, rel=1e-15)
+        assert witness["lhs"] == pytest.approx(0.9966471803658117, rel=1e-13)
+        assert witness["rhs"] == pytest.approx(0.998463882516642, rel=1e-13)
+        assert witness["lhs"] < witness["rhs"]
+
+    def test_subnormal_segment_critical_energy(self, capsys, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(self.SUBNORMAL_TARGET))
+        code, out, err = _run(capsys, ["critical-energies", "-s", str(target)])
+        assert (code, err) == (0, "")
+        doc = json.loads(out, parse_constant=_reject_constant)
+        (entry,) = doc["entries"]
+        assert (entry["k"], entry["kind"]) == (1, "heating")
+        assert entry["E"] == pytest.approx(715.1876731892742, rel=1e-15)
 
     @pytest.mark.parametrize(
         "command, key, value", [("cool", "beta_max", "+inf"), ("heat", "beta_min", 1.0)]

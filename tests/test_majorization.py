@@ -10,6 +10,9 @@ from athermal import (
     compute_elbows,
     convertible_via_monotones,
     critical_energies,
+    gap_membership,
+    gap_set,
+    gibbs_vector,
     lp_feasible,
     majorization,
     monotones,
@@ -203,6 +206,58 @@ class TestAlphaAt:
     def test_majorizes_ordinate(self, state, y):
         b = compute_elbows(state)
         assert alpha_at(b, y) >= y - 1e-12
+
+
+class TestSubnormalSegment:
+    """A first segment 1e-310 high: its slope x1/y1 overflows to inf, where
+    x1 * (y / y1) stays finite. The source reaches 1/12 at the target's first
+    elbow ordinate 2.5e-311, short of the target's 1/4."""
+
+    LN2 = 0.6931471805599453
+
+    def _pair(self):
+        e = (self.LN2, self.LN2, 713.8013788281542)
+        source = validate_state((1 / 3,) * 3, gibbs_vector(e, 1.0).entries)
+        e = (715.187673189274, self.LN2, self.LN2)
+        target = validate_state((0.25, 0.375, 0.375), gibbs_vector(e, 1.0).entries)
+        return source, target
+
+    def test_alpha_on_the_segment(self):
+        source, target = self._pair()
+        b = compute_elbows(source)
+        (x1, y1), y = b.interior()[0], compute_elbows(target).ys[1]
+        assert 0.0 < y < y1 < 2.2250738585072014e-308
+        assert x1 / y1 == math.inf
+        assert alpha_at(b, y) == x1 * (y / y1) == pytest.approx(1 / 12, rel=1e-12)
+        assert alpha_at(b, y1) == x1 and alpha_at(b, 0.0) == 0.0
+
+    def test_verdict_and_witness(self):
+        source, target = self._pair()
+        assert relatively_majorizes(source, target) is False
+        assert convertible_via_monotones(source, target, 1.0) is False
+        k, E, kind = monotones._failed_check(source, target, 1.0)
+        assert (k, kind) == (1, "heating")
+        assert E == pytest.approx(715.1876731892742, rel=1e-15)
+        assert critical_energies(target, 1.0).entries == ((k, E, kind),)
+
+    def test_gap_set_past_the_far_level(self):
+        # At beta~ = -1 the elbows of gaps past 713.8 fall on the segment: its
+        # infinite slope let them all in, and cut the first interval at 1e-4
+        source, _ = self._pair()
+        assert not any(gap_membership(source, 1.0, -1.0, E) for E in (713.9, 730.0))
+        (interval,) = gap_set(source, 1.0, -1.0, e_max=740.0).intervals
+        assert interval.lo == 0.0
+        assert interval.hi == pytest.approx(math.log(1.5), rel=1e-9)
+
+    def test_gap_of_a_subnormal_ordinate(self):
+        for y in (2.5e-311, 5e-324, 1e-308):
+            E, kind = monotones._gap_of_ordinate(1.0, y)
+            assert kind == "heating"
+            assert E == pytest.approx(math.log1p(-y) - math.log(y), rel=1e-15)
+        # where the odds are finite the formula is log((1 - y) / y), as before
+        y = 3e-308
+        expected = math.log((1.0 - y) / y) / 2.0
+        assert monotones._gap_of_ordinate(2.0, y) == (expected, "heating")
 
 
 class TestRelativelyMajorizes:

@@ -19,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from athermal import (
+    alpha_at,
     compute_elbows,
     convertible_via_monotones,
     gap_set,
+    gibbs_vector,
     relatively_majorizes,
     validate_state,
 )
@@ -246,6 +248,40 @@ def test_gap_sets_identical_with_elbows_sharing_an_ordinate(monkeypatch):
             results.append([gap_set(state, 1.0, a) for a in (0.5, -0.5, -2.0, 1.5, 3.0)])
     assert results[0] == results[1]
     assert all(len(out.intervals) == 1 for out in results[0])
+
+
+@pytest.mark.parametrize("n", (_NUMPY_MIN_DIM, 2048))
+def test_subnormal_first_segment(monkeypatch, n):
+    """The source's first segment is 1e-310 high and a third wide, so its
+    slope overflows: np.interp gives inf on it, and `alphas_at` takes
+    `alpha_at`'s quotient form there. Both paths find the target's first
+    elbow, ordinate 2.5e-311, out of reach, with the same finite gap."""
+    e = math.log(n - 1)
+    src = ([2.0 / 3.0 / (n - 1)] * (n - 1) + [1.0 / 3.0],
+           gibbs_vector([e] * (n - 1) + [713.8013788281542], 1.0).entries)
+    tgt = ([0.25] + [0.75 / (n - 1)] * (n - 1),
+           gibbs_vector([715.187673189274] + [e] * (n - 1), 1.0).entries)
+    runs = []
+    for threshold in (PURE_PYTHON, NUMPY):
+        _force(monkeypatch, threshold)
+        runs.append(_chain(src, tgt, 1.0))
+    (vectors, elbows, verdicts, witness), (vectors_np, elbows_np, *rest) = runs
+    for a, b in zip(vectors + elbows, vectors_np + elbows_np):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert rest == [verdicts, witness] and verdicts == (False, False)
+    k, E, kind = witness
+    assert (k, kind) == (1, "heating") and 715.18 < E < 715.19
+
+    b = compute_elbows(validate_state(*src))
+    y1 = float(b.ys[1])
+    assert isinstance(b.ys, np.ndarray) and float(b.xs[1]) / y1 == math.inf
+    ys = np.array([0.0, y1 / 4, y1 / 2, np.nextafter(y1, 0.0), y1, 0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alphas = majorization.alphas_at(b, ys)
+        one = majorization.alphas_at(b, y1 / 4)
+    assert alphas.tolist() == [alpha_at(b, y) for y in ys.tolist()]
+    assert float(one) == alpha_at(b, y1 / 4) == pytest.approx(1 / 12, rel=1e-12)
 
 
 @pytest.mark.parametrize("case", ["plain", "half"])
