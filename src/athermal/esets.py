@@ -55,7 +55,7 @@ MAX_GRID = 1_000_000
 # Default depth: beyond w = 1e-10 the qubit Gibbs vector is numerically pure
 # and membership no longer changes.
 DEFAULT_W_MIN = 1e-10
-ENDPOINT_RESOLUTION = 1e-10  # bracket width in E of each interval end
+ENDPOINT_RESOLUTION = 1e-10  # bracket width in beta*E of each interval end
 
 _TANGENT_EPS = 1e-9
 # Steps `_root` may spend beyond bisection's count before it only bisects.
@@ -225,8 +225,8 @@ class GapInterval:
     """One interval of feasible gaps, lo < hi, with a closed flag per end.
 
     An end found by a root is the midpoint of a sign-change bracket narrower
-    than ENDPOINT_RESOLUTION in E, and its flag is `gap_membership` at that
-    midpoint: it can flip with rounding and says nothing beyond that one
+    than ENDPOINT_RESOLUTION in beta*E, and its flag is `gap_membership` at
+    that midpoint: it can flip with rounding and says nothing beyond that one
     point's membership. An end at e_max is closed (the membership there
     holds), and an end at 0 is open (E = 0 is no gap)."""
 
@@ -342,13 +342,14 @@ def gap_set(
     changes at most twice: once if it differs at the two ends, twice only if
     `_turns` and the clearance's extremum, found by `_root` on its slope, has
     the other membership. Each change is bracketed by `_root` to
-    ENDPOINT_RESOLUTION in E by Newton steps on the exact slopes in E of
-    the module docstring, and the end it gives is the midpoint of that
-    bracket, closed iff feasible there. Every step decides by the sign of
-    `_margin`, the rule of `gap_membership`; no grid is built. Where the
-    margin changes by rounding only, over a span wider than the resolution
-    (at the absolute DOMINATION_SLACK, near e_max), `_root` bisects, and any
-    end in that span is one within rounding.
+    ENDPOINT_RESOLUTION in beta*E by Newton steps on the exact slopes in E
+    of the module docstring, and the end it gives is the midpoint of that
+    bracket, closed iff feasible there; energies times 2^s at beta times
+    2^-s give every end times 2^s, bit for bit. Every step decides by the
+    sign of `_margin`, the rule of `gap_membership`; no grid is built.
+    Where the margin changes by rounding only, over a span wider than the
+    resolution (at the absolute DOMINATION_SLACK, near e_max), `_root`
+    bisects, and any end in that span is one within rounding.
     """
     e_max, w_min, step = _grid_span(beta, e_max, n_grid)
     a = beta_tilde / beta
@@ -408,12 +409,12 @@ def gap_set(
         s = float(slopes[k])
         f, ends = crossing(s), [E_p, E_q]
         if inside[k] == inside[k + 1]:  # `_turns`: the extremum, at slope 0
-            E_e = _root(turn(s), E_q, E_p, ENDPOINT_RESOLUTION)
+            E_e = _root(turn(s), E_q, E_p, ENDPOINT_RESOLUTION / beta)
             if (f(E_e)[0] >= 0.0) == inside[k]:
                 continue
             ends.insert(1, E_e)
         for hi, lo in zip(ends, ends[1:]):
-            E = _root(f, lo, hi, ENDPOINT_RESOLUTION)
+            E = _root(f, lo, hi, ENDPOINT_RESOLUTION / beta)
             roots.append((E, f(E)[0] >= 0.0))
 
     # w ascending means E descending: each change ends or starts an interval
@@ -442,49 +443,33 @@ def _curve_height(x: float, a: float) -> tuple[float, float]:
     return h, c * h * (1.0 - h) / (x * (1.0 - x))
 
 
-def _sign_change(f, lo: float, hi: float) -> float:
-    """`_root` of f on [lo, hi] to the last float; the ends must differ in
-    sign."""
+def _meets(a: float, c: float, m: float, b: float, lo: float, hi: float) -> float:
+    """The x in [lo, hi] at which the scaled curve c h(x) meets the line
+    m x + b, the `_root` of c h(x) - (b + m x) to the last float, whose slope
+    is c h'(x) - m; the ends must lie on either side of that crossing."""
+    def f(x: float) -> tuple[float, float]:
+        h, dh = _curve_height(x, a)
+        return c * h - (b + m * x), c * dh - m
+
     if (f(lo)[0] >= 0.0) == (f(hi)[0] >= 0.0):
         raise BisectionError("no sign change on the given bracket")
     return _root(f, lo, hi, 0.0)
 
 
-def _tangent_point(a: float) -> float:
-    """Abscissa x0 in (0, 1/2) at which a line through (1, 1) touches the
-    curve, for 0 < a < 1. Tangency h'(x) = (1 - h)/(1 - x) is, by the slope
-    of `_curve_height`, c h(x) = x with c = 1/a: the root of c h(x) - x,
-    whose slope is c h'(x) - 1."""
-    c = 1.0 / a
-
-    def tangency(x: float) -> tuple[float, float]:
-        h, dh = _curve_height(x, a)
-        return c * h - x, c * dh - 1.0
-
-    return _sign_change(tangency, _TANGENT_EPS, 0.5 - _TANGENT_EPS)
-
-
 def _construct_heating_example(a: float) -> AthermalityState:
     """Tangent-line construction for 0 < a < 1 (heating branch)."""
-    x0 = _tangent_point(a)
+    # a line through (1, 1) touches the curve (h' = (1 - h)/(1 - x)) where h/a = x
+    x0 = _meets(a, 1.0 / a, 1.0, 0.0, _TANGENT_EPS, 0.5 - _TANGENT_EPS)
     slope = (1.0 - _curve_height(x0, a)[0]) / (1.0 - x0)  # of the tangent
     c_half = (1.0 - slope) / 2.0  # half the tangent's ordinate at x = 0
-
-    def lowered(x: float) -> float:
-        return c_half + (1.0 - c_half) * x
-
-    def gap(x: float) -> tuple[float, float]:
-        """The curve minus the lowered line, and its slope."""
-        h, dh = _curve_height(x, a)
-        return h - lowered(x), dh - (1.0 - c_half)
-
-    x4 = -c_half / (1.0 - c_half)  # x-intercept of the lowered line
-    x2 = _sign_change(gap, x4, x0)
+    m = 1.0 - c_half  # the slope of the lowered line
+    x4 = -c_half / m  # x-intercept of the lowered line
+    x2 = _meets(a, 1.0, m, c_half, x4, x0)
     x1 = 0.5 * (x2 - x4)
-    y1 = lowered(x1)
+    y1 = c_half + m * x1
     if y1 <= 0.0:
         x1 = 0.5 * (x2 + x4)
-        y1 = lowered(x1)
+        y1 = c_half + m * x1
     return validate_state((x1, 1.0 - x1), (y1, 1.0 - y1))
 
 

@@ -24,17 +24,18 @@ the monotones and `beta_max`/`beta_min` on any 2-level target take it alike
 and agree bit for bit, and a gap so small that the root overflows a float
 raises GapTooSmall there too. The conditions of larger targets are the rows
 of one root search toward goal_k = L + excess, in three steps:
-- Brackets. One sweep per probe x = beta + 2^j gives L_k(x) for every k at
-  once in O(d) for d levels, from prefix and suffix sums of exp(-x h_i)
-  (`_sweep`: running sums in Python, for x < 0 on the mirror below;
-  `_sweep_array`: `np.logaddexp.accumulate`). A row's bracket ends at the
-  first probe where its L_k reaches goal_k and starts at the probe before
-  it, or at beta, where L_k is the rule's start. The doubling runs to the
-  end of the float range: it stops, naming the first unbracketed row, once
-  x (h_max - h_min) overflows.
+- Brackets. One sweep per probe x = beta + |beta| 2^j gives L_k(x) for
+  every k at once in O(d) for d levels, from prefix and suffix sums of
+  exp(-x h_i) (`_sweep`: running sums in Python, for x < 0 on the mirror
+  below; `_sweep_array`: `np.logaddexp.accumulate`). A row's bracket ends
+  at the first probe where its L_k reaches goal_k and starts at the probe
+  before it, or at beta, where L_k is the rule's start. The doubling runs
+  to the end of the float range: it stops, naming the first unbracketed
+  row, once x (h_max - h_min) overflows. The probes scale with beta, so
+  (2^s h, 2^-s beta) gives every root times 2^-s, bit for bit.
 - Secant start. The search hands each row the secant point of its bracket
   as it brackets it, from the sweep's L_k at both ends; the midpoint if
-  that point is not strictly inside.
+  that point is not in (lo, hi].
 - Safeguarded Newton from there. Each pass evaluates the row exactly
   (`_log_odds`: value and slope) and narrows its bracket; a step that
   leaves the bracket is replaced by a bisection step, and the search stops
@@ -82,7 +83,6 @@ from .majorization import (
 
 _REL_WIDTH = 1e-13
 _MAX_ITERS = 200
-_MAX_DOUBLINGS = 1024  # offsets 2^0 .. 2^1023, the largest power of two a float holds
 
 # Targets with at least this many levels evaluate every alpha_k by one
 # `alphas_at` and take the root kernel `_cooling_roots`, smaller ones
@@ -174,31 +174,30 @@ def _brackets(
     starts: Sequence[float],
 ) -> list[tuple[float, float, float]]:
     """(lo, hi, start) per row, from L_k(beta) = starts and the sweeps: hi is
-    the first probe beta + 2^j at which L_k reaches the goal, lo the probe
-    before it, or beta, and start the secant point of the bracket from L_k at
-    both ends, or its midpoint if that point is not strictly inside. The
-    doubling runs to the end of the float range, where x (h_max - h_min)
-    overflows and no sweep is finite."""
+    the first probe beta + |beta| 2^j at which L_k reaches the goal, lo the
+    probe before it, or beta, and start the secant point of the bracket from
+    L_k at both ends (hi if L_k(hi) is the goal), or its midpoint if that
+    point is not inside. The doubling runs to the end of the float range,
+    where x (h_max - h_min) overflows and no sweep is finite."""
     n = len(ks)
-    span, found, offset = float(h[-1] - h[0]), [None] * n, 1.0
+    span, found, offset = float(h[-1] - h[0]), [None] * n, abs(beta)
     rows = list(zip(range(n), ks, goals, [beta] * n, starts))  # (r, k, goal, lo, L(lo))
-    for _ in range(_MAX_DOUBLINGS):
+    while True:
         x = beta + offset
         if not math.isfinite(x * span):
-            break
+            raise BisectionError(f"no bracket for condition k={rows[0][1]}")
         at_x, rest = sweep(h, x), []
         for r, k, goal, lo, at_lo in rows:
             v = at_x[k - 1]
             if v >= goal:
                 t = (goal - at_lo) / (v - at_lo) if at_lo < goal else 0.5
                 start = lo + (x - lo) * t
-                found[r] = (lo, x, start if lo < start < x else 0.5 * (lo + x))
+                found[r] = (lo, x, start if lo < start <= x else 0.5 * (lo + x))
             else:  # NaN too
                 rest.append((r, k, goal, x, v))
         if not rest:
             return found
         rows, offset = rest, 2.0 * offset
-    raise BisectionError(f"no bracket for condition k={rows[0][1]}")
 
 
 def _cooling_root(

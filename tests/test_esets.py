@@ -32,11 +32,12 @@ from athermal.esets import (
     MAX_GRID,
     _SCAN_BLOCK,
     _SPARE_STEPS,
+    _TANGENT_EPS,
     _curve_dxdy,
     _curve_xy,
+    _meets,
     _root,
     _scan,
-    _tangent_point,
 )
 from athermal.majorization import DOMINATION_SLACK
 
@@ -551,13 +552,14 @@ def _tangent_point_reference(a: float, x: float) -> Decimal:
 
 
 def test_tangent_point_matches_a_decimal_reference():
-    """The witness's tangency root x0, found on c h(x) = x, is within 16
-    ulps of a 60-digit reference on a seeded grid of 203 ratios a in
-    (0.05, 0.97). The largest error on this grid is 12.5 ulps; the root of
-    the earlier form h'(x) - (1 - h)/(1 - x) was up to 20.6 ulps off. Near
-    a = 1 the root is ill-conditioned (c h'(x0) - 1 tends to 0)."""
+    """The witness's tangency root x0, the crossing of c h(x) with the line
+    x, c = 1/a, is within 16 ulps of a 60-digit reference on a seeded grid
+    of 203 ratios a in (0.05, 0.97). The largest error on this grid is 12.5
+    ulps; the root of the earlier form h'(x) - (1 - h)/(1 - x) was up to
+    20.6 ulps off. Near a = 1 the root is ill-conditioned (c h'(x0) - 1
+    tends to 0)."""
     rng = np.random.default_rng(203)
     for a in rng.uniform(0.05, 0.97, 203).tolist():
-        x0 = _tangent_point(a)
+        x0 = _meets(a, 1.0 / a, 1.0, 0.0, _TANGENT_EPS, 0.5 - _TANGENT_EPS)
         error = abs(Decimal(x0) - _tangent_point_reference(a, x0))
         assert error <= 16 * Decimal(math.ulp(x0)), a

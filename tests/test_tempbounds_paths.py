@@ -179,20 +179,19 @@ def test_switch_at_threshold(monkeypatch):
     assert proc.stdout.split() == ["False"]
 
 
-def test_doubling_cap_names_first_unbracketed(monkeypatch):
-    # One probe at beta + 1 brackets only the conditions whose root lies
-    # within 1 of beta; here the first few do and a later one does not.
-    resource, target = _resource(8), _target(64, 3, 2)
-    first = min(
-        k for k, b, _ in beta_min(resource, target).per_condition
-        if b.is_finite and target.beta - b.value > 1.0
-    )
-    assert first > 1
-    monkeypatch.setattr(tempbounds, "_MAX_DOUBLINGS", 1)
-    for threshold in (ONE_BY_ONE, VECTOR):
-        _force(monkeypatch, threshold)
-        with pytest.raises(BisectionError, match=f"condition k={first}$"):
-            beta_min(resource, target)
+def test_overflow_stop_names_first_unbracketed():
+    # The doubling stops where x (h_max - h_min) overflows and names the
+    # first row still open. On a triply degenerate ground, L_1 and L_2 tend
+    # to ln(1/2) and ln 2 from below as x grows: the first goal is met on
+    # the way, the second lies past its limit and is never met.
+    h = (0.0, 0.0, 0.0, 1.0, 2.0)
+    goals = [math.log(0.5) - 0.1, math.log(2.0) + 0.1]
+    starts = tempbounds._sweep(h, 1.0)[:2]
+    for sweep, hs in ((tempbounds._sweep, h), (tempbounds._sweep_array, np.array(h))):
+        found = tempbounds._brackets(sweep, hs, 1.0, [1], goals[:1], starts[:1])
+        assert found[0][1] < 8.0
+        with pytest.raises(BisectionError, match="condition k=2$"):
+            tempbounds._brackets(sweep, hs, 1.0, [1, 2], goals, starts)
 
 
 def test_free_resource_keeps_beta(monkeypatch):
@@ -225,8 +224,8 @@ def _mirror(target, heating):
 
 def _exact_bracket(h, beta, k, goal):
     """The doubling bracket (lo, hi) of L_k = goal and the exact L_k at
-    both ends, from `_log_odds` at beta and at every probe beta + 2^j."""
-    lo, offset = beta, 1.0
+    both ends, from `_log_odds` at beta and at every probe beta + |beta| 2^j."""
+    lo, offset = beta, abs(beta)
     at_lo, _ = tempbounds._log_odds(h[:k], h[k:], beta)
     while True:
         x = beta + offset
@@ -256,7 +255,7 @@ def test_no_newton_step_returns_secant_point(monkeypatch):
             goal = math.log(alpha) - math.log1p(-alpha)
             lo, hi, at_lo, at_hi = _exact_bracket(h, beta, k, goal)
             secant = lo + (hi - lo) * (goal - at_lo) / (at_hi - at_lo)
-            assert lo < sign * b.value < hi
+            assert lo < sign * b.value <= hi
             assert sign * b.value == pytest.approx(secant, rel=1e-12)
             searched += 1
         assert searched
@@ -371,8 +370,8 @@ def _check_brackets(h, beta, ks, goals, starts):
             at_hi = swept_at(hi)[k - 1]
             assert at_lo < goal <= at_hi
             secant = lo + (hi - lo) * ((goal - at_lo) / (at_hi - at_lo))
-            assert start == (secant if lo < secant < hi else 0.5 * (lo + hi))
-            x, offset = beta, 1.0
+            assert start == (secant if lo < secant <= hi else 0.5 * (lo + hi))
+            x, offset = beta, abs(beta)
             while x < max(hi, exact[1]):  # every probe either bracket passed
                 x = beta + offset
                 swept = swept_at(x)[k - 1]
@@ -408,18 +407,6 @@ def test_sweep_brackets_at_the_degenerate_limit(monkeypatch):
     h, beta, ks, goals, starts = _open_rows(monkeypatch, resource, target, False)
     assert 1 in ks
     _check_brackets(h, beta, ks, goals, starts)
-
-
-def test_heating_probes_cross_zero(monkeypatch):
-    # Heating solves the mirror from -beta: with beta = 2.5 the probes
-    # -1.5, -0.5 are negative and 1.5, 5.5, ... positive, and some rows are
-    # bracketed across x = 0, where the scalar sweep turns to its own mirror
-    # (back to the target's energies, at x > 0) for the negative probes.
-    base = _target(64, 2, 3)
-    target = GibbsContext(base.energies, 2.5)
-    h, beta, ks, goals, starts = _open_rows(monkeypatch, _resource(64), target, True)
-    for found in _check_brackets(h, beta, ks, goals, starts):
-        assert any(lo < 0.0 < hi for lo, hi, _ in found)
 
 
 # ------------------------------------------------------ the sweep's mirror
@@ -472,6 +459,23 @@ def test_sweep_below_zero_matches_fsum():
     for h, x in cases:
         for swept, ref in zip(tempbounds._sweep(h, x), _fsum_log_odds(h, x), strict=True):
             assert abs(swept - ref) <= _bound(h, x)
+
+
+def test_heating_starts_sweep_below_zero(monkeypatch):
+    # Heating solves the mirror from -beta: each open row starts from L_k of
+    # the sweep at x = -2.5 < 0, which `_sweep` takes on its own mirror (back
+    # to the target's energies, at x > 0). The probes -beta + beta 2^j that
+    # follow are 0, 2.5, 7.5, ...: none is negative.
+    target = GibbsContext(_target(64, 2, 3).energies, 2.5)
+    h, beta, ks, goals, starts = _open_rows(monkeypatch, _resource(64), target, True)
+    assert beta == -2.5 and ks
+    swept, ref = tempbounds._sweep(h, beta), _fsum_log_odds(h, beta)
+    for k, start in zip(ks, starts):
+        assert start == swept[k - 1]
+        assert abs(start - ref[k - 1]) <= _bound(h, beta)
+    for found in _check_brackets(h, beta, ks, goals, starts):
+        assert all(lo == beta or lo >= 0.0 for lo, _, _ in found)
+        assert all(hi >= 0.0 for _, hi, _ in found)
 
 
 # ------------------------------------------------- the sweep's k-level masses
