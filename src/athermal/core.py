@@ -31,16 +31,24 @@ NORMALIZATION_TOL = 1e-9
 # full query from raw lists (validate 4 vectors, build 2 boundaries,
 # compare), pure Python / numpy, median of 9 interleaved rounds over four
 # pairs, two runs averaged; plain ladders, 2-CPU x86-64 host, numpy 2.4:
-#   n                            32    64    80    96   128   256  2048  20000
-#   relatively_majorizes       0.34  0.58  0.69  0.80  0.97  1.44   4.3    7.0
-#   convertible_via_monotones  0.35  0.56  0.68  0.77  0.97  1.52   4.4    6.6
-# Both break even near 150 (0.92-1.04 at 144, 1.02-1.13 at 160), with
-# `fsum` and `min` checking a vector and one merge walk comparing. 100 keeps
-# the n = 32 decide inputs and every dim <= 64 solver, scan and CLI input on
-# the pure-Python path. No benchmark input lies between 64 and 256 levels,
-# so raising it would change no measured query, and lowering it to 64 or
-# below would send `solve`'s 64-level resources to numpy, where they lose.
+#   n                           32   64   80   96  100  112  128  144  160  256  2048
+#   relatively_majorizes      0.39 0.67 0.79 0.90 0.95 1.00 1.08 1.16 1.34 1.98  7.1
+#   convertible_via_monotones 0.40 0.67 0.79 0.88 0.95 1.01 1.08 1.18 1.34 1.97  7.1
+# Both break even near 110, with `fsum` and `min` checking a vector and one
+# merge walk comparing; at 100 numpy loses about 5% (0.92-0.98 over the
+# two runs). 100 keeps the n = 32 decide inputs and every dim <= 64 solver,
+# scan and CLI input on the pure-Python path. No benchmark input lies
+# between 64 and 256 levels, so moving it to 112 would change no measured
+# query, and lowering it to 64 or below would send `solve`'s 64-level
+# resources to numpy, where they lose.
 _NUMPY_MIN_DIM = 100
+
+# Entries per `struct.pack_into` call when the numpy path reads a list or
+# tuple. One call over a million entries is slower than `np.fromiter`: its
+# star-argument tuple of every entry falls out of cache. In blocks of 4096,
+# validating a list is as fast as with `np.fromiter` at 100 entries, and
+# takes 0.67 of its time at 2 048, 0.68 at 20 000 and 0.83 at a million.
+_PACK_BLOCK = 4096
 
 
 def _check_beta(beta: float) -> None:
@@ -57,12 +65,14 @@ def _check_gap(E: float) -> None:
 class ProbabilityVector:
     """Probability vector, stored exactly renormalized, once, in the form its
     validation built: a tuple of floats below `_NUMPY_MIN_DIM` entries, a
-    read-only numpy array from there up (also where an entry is a numeric
-    string, which both paths read as `float` does). The stored form seeds
-    its own view, `entries` for a tuple and `array` for an array; the other
-    view is made on its first read and kept. Seeding also skips the lock
-    that cached_property takes on a first read before Python 3.12, about
-    0.3 us a vector on a 10 us qubit decision.
+    read-only numpy array from there up, whatever kind of number each entry
+    is (`_validated_array` packs a list with `struct`, and reads it with
+    `np.fromiter` where an entry is a numeric string, which both paths read
+    as `float` does). The stored form seeds its own view, `entries` for a
+    tuple and `array` for an array; the other view is made on its first
+    read and kept. Seeding also skips the lock that cached_property takes
+    on a first read before Python 3.12, about 0.3 us a vector on a 10 us
+    qubit decision.
 
     Takes any sequence of numbers, such as a list, tuple or numpy array;
     each entry is read as a float. Below the threshold the checks run at
@@ -137,17 +147,32 @@ def _validated_array(raw: Sequence[float]):
     vectors: the renormalized entries as a read-only array, or None when a
     check fails or an entry is not a number that numpy reads. The scalar
     loop then decides: it raises the same error, naming the same entry.
-    A list or tuple is read once, by `np.fromiter`. An entry given as a
-    numeric string is read as `float` reads it, so such a vector keeps the
-    array form, with the scalar loop's values. The total is `math.fsum` of
-    the entries, from `_exact_sum` or, where that cannot be sure, from
-    `fsum` itself, so the renormalization is the scalar loop's, bit for bit.
+    A list or tuple is packed into the array by `struct`, in the array's
+    native byte order, `_PACK_BLOCK` entries a call, each entry converted
+    as `float` converts it (an int, bool, numpy scalar, Decimal, Fraction or
+    float subclass alike): one C loop, where `np.fromiter` takes about 1.5
+    times as long. An entry that `struct` refuses sends the whole list to
+    `np.fromiter`: a numeric string is read there as `float` reads it, so
+    such a vector keeps the array form, with the scalar loop's values; None,
+    a complex number, a nested list or an int past the float range fail
+    there. The total is `math.fsum` of the entries, from `_exact_sum` or,
+    where that cannot be sure, from `fsum` itself, so the renormalization
+    is the scalar loop's, bit for bit.
     """
+    import struct
+
     import numpy as np
 
     try:
         if isinstance(raw, (list, tuple)):
-            a = np.fromiter(raw, float, count=len(raw))
+            n = len(raw)
+            a = np.empty(n)
+            try:
+                for i in range(0, n, _PACK_BLOCK):
+                    block = raw[i : i + _PACK_BLOCK] if n > _PACK_BLOCK else raw
+                    struct.pack_into(f"{len(block)}d", a, 8 * i, *block)
+            except struct.error:  # np.fromiter reads or rejects the entry
+                a = np.fromiter(raw, float, count=n)
         else:
             a = np.array(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):

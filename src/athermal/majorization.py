@@ -23,10 +23,10 @@ on the path of the target's form, with identical verdicts:
   (`_elbows_by_numpy`). The same sort, prefix sums and merge rule in
   whole-array steps, and `np.interp` (`alphas_at`) at the compared
   ordinates. A full decision from raw lists at n = 2048 takes about a
-  quarter of its pure-Python time (0.5-0.7 ms, 2-CPU x86-64). Validating
-  the four raw lists (`core.ProbabilityVector`) takes 0.45-0.50 of it, the
-  two boundary builds 0.46-0.50 and the comparison 0.05 (medians over eight
-  seeded pairs, four processes).
+  seventh of its pure-Python time (0.43-0.65 ms, 2-CPU x86-64).
+  Validating the four raw lists (`core.ProbabilityVector`) takes 0.43 of
+  it, the two boundary builds 0.41-0.52 and the comparison 0.05-0.07
+  (medians over eight seeded decide pairs, two processes).
 """
 
 from __future__ import annotations
@@ -162,15 +162,21 @@ def _elbows_by_numpy(state: AthermalityState) -> TestingBoundary | None:
     The order is the stable reverse sort's. numpy's default argsort of
     -ratio may leave the indices of equal keys in any order; with the runs
     of equal sorted keys numbered along the sort, one integer sort of
-    run * n + index keeps every run in its place and puts its indices in
-    ascending order, which is the stable order. It runs only where keys tie,
-    and leaves the sorted ratios as they are.
+    run << b | index, where 2**b > n, keeps every run in its place and puts
+    its indices in ascending order, which is the stable order, and a mask
+    then drops the run. It runs only where keys tie, and leaves the sorted
+    ratios as they are.
 
     cumsum adds in sequence like the scalar loop. A segment starts where a
     ratio falls below its predecessor's floor; that is the scalar rule
     (against the segment's first ratio) whenever every segment's last ratio
-    clears its first ratio's floor. None when some segment drifts further:
-    the scalar pass then decides.
+    clears its first ratio's floor. A segment of equal ratios always does,
+    so that check runs only where some segment merges unequal ones. None
+    when some segment drifts further: the scalar pass then decides.
+
+    Each numpy call costs microseconds at these sizes, so the elbows go
+    straight into preallocated arrays, and only a boundary with elbows
+    that share an ordinate takes a second, filtered copy.
     """
     import numpy as np
 
@@ -178,27 +184,42 @@ def _elbows_by_numpy(state: AthermalityState) -> TestingBoundary | None:
     n = len(r)
     with np.errstate(over="ignore"):  # a subnormal g_i gives ratio inf, as in floats
         ratio = r / g
-    order = np.argsort(-ratio)
-    sr = ratio[order]
-    tied = sr[1:] == sr[:-1]
-    if tied.any():  # each run of equal keys back in index order
-        run = np.cumsum(np.concatenate(([True], ~tied)))
-        order = np.sort(run * n + order) % n
+    order = (-ratio).argsort()
+    sr = ratio.take(order)
+    new = sr[1:] != sr[:-1]  # a run of equal keys starts
+    ties = n - 1 - np.count_nonzero(new)
+    if ties:  # each run of equal keys back in index order
+        bits = n.bit_length()
+        key = np.zeros(n, np.int64)
+        new.cumsum(out=key[1:])
+        key <<= bits
+        key |= order
+        key.sort()
+        key &= (1 << bits) - 1
+        order = key
     floor = sr * (1.0 - COLLINEARITY_TOL)
-    starts = np.flatnonzero(sr[1:] < floor[:-1]) + 1
-    firsts = np.concatenate(([0], starts))
-    lasts = np.concatenate((starts, [n])) - 1
-    if (sr[lasts] < floor[firsts]).any():
-        return None
-    x = np.cumsum(r[order])
-    y = np.cumsum(g[order])
-    ends = starts - 1  # an elbow closes each segment but the last
+    ends = (sr[1:] < floor[:-1]).nonzero()[0]  # an elbow closes each segment but the last
+    if len(ends) + ties < n - 1:  # some segment merges ratios that differ
+        firsts = np.concatenate(([0], ends + 1))
+        lasts = np.append(ends, n - 1)
+        if (sr[lasts] < floor[firsts]).any():
+            return None
+    x = r.take(order)
+    x.cumsum(out=x)
+    y = g.take(order)
+    y.cumsum(out=y)
+    m = len(ends)
+    xa, ya = np.empty(m + 2), np.empty(m + 2)
+    xa[0] = ya[0] = 0.0
+    xa[-1] = ya[-1] = 1.0
+    x.take(ends, out=xa[1:-1])
+    y.take(ends, out=ya[1:-1])
     # Of elbows that share an ordinate keep the last, the one `alpha_at`
     # takes, and none at ordinate 1: the rest weighs under an ulp of 1.
-    ye = y[ends]
-    ends = ends[ye < np.append(ye[1:], 1.0)]
-    xa = np.concatenate(([0.0], x[ends], [1.0]))
-    ya = np.concatenate(([0.0], y[ends], [1.0]))
+    keep = ya[1:-1] < ya[2:]
+    if np.count_nonzero(keep) < m:
+        keep = np.concatenate(([True], keep, [True]))
+        xa, ya = xa[keep], ya[keep]
     xa.flags.writeable = ya.flags.writeable = False
     return TestingBoundary(xa, ya)
 

@@ -9,9 +9,12 @@ the same first failed check. The numpy path's renormalising total
 midpoints.
 """
 
+import itertools
 import math
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -308,6 +311,79 @@ def test_drifting_chain_takes_the_sequential_pass(monkeypatch):
     assert majorization._elbows_by_numpy(validate_state(*_pairs("plain", 2048)[0][0])) is not None
 
 
+def _near_ties(rng, n):
+    """Runs of eight levels whose ratios r/g step down by 2e-15: each run is
+    one segment of unequal ratios that does not drift."""
+    r, g = _plain(rng, n)
+    for start in range(0, n - 8, max(16, n // 8)):
+        run = np.arange(start, start + 8)
+        r[run] = g[run] * (r[start] / g[start]) * (1.0 - 2e-15 * np.arange(8))
+    return r / r.sum(), g
+
+
+def _sub_ulp_runs(rng, n):
+    """Runs of eight levels with exactly tied ratios and Gibbs masses near
+    2**-100, below an ulp of the prefix sum: each run's elbow repeats the
+    ordinate of the elbow before it. The masses are powers of two, so the
+    products and every renormalization keep the ties exact."""
+    r, g = _plain(rng, n)
+    for start in range(0, n - 8, max(16, n // 8)):
+        run = np.arange(start, start + 8)
+        g[run] = 2.0 ** -rng.integers(100, 110, 8).astype(float)
+        r[run] = g[run] * rng.uniform(0.5, 2.0)
+    return r / r.sum(), g / g.sum()
+
+
+CENSUS = {
+    "plain": _plain,
+    "degenerate": _degenerate,
+    "exact_ties": _exact_ties,
+    "near_ties": _near_ties,
+    "sub_ulp_runs": _sub_ulp_runs,
+    "gibbs_tail": _gibbs_tail,
+}
+
+
+def _sorted_ratio_census(r, g):
+    """(exact ties, unequal ratios merged, segments) of the sorted ratios."""
+    sr = np.sort(np.asarray(r) / np.asarray(g))[::-1]
+    start = sr[1:] < sr[:-1] * (1.0 - COLLINEARITY_TOL)
+    tied = sr[1:] == sr[:-1]
+    return int(tied.sum()), int((~start & ~tied).sum()), int(start.sum()) + 1
+
+
+@pytest.mark.parametrize("n", (_NUMPY_MIN_DIM, 150, 2048, 20_000))
+@pytest.mark.parametrize("family", list(CENSUS))
+def test_boundary_census(monkeypatch, family, n):
+    """`_elbows_by_numpy` against the scalar pass, bit for bit, on three
+    seeded inputs of each family and their partial thermalisations: exact
+    tied runs (the tie order), near ties that merge without drifting (the
+    full drift check), and sub-ulp runs and Gibbs tails (elbows that share an
+    ordinate or reach 1)."""
+    for seed in range(3):
+        rng = np.random.default_rng([n, seed, list(CENSUS).index(family)])
+        r, g = CENSUS[family](rng, n)
+        ties, near, segments = _sorted_ratio_census(r, g)
+        lam = rng.uniform(0.2, 0.8)
+        elbows = []
+        for raw in ((r, g), (lam * r + (1.0 - lam) * g, g)):
+            _force(monkeypatch, NUMPY)
+            state = validate_state(*(v.tolist() for v in raw))
+            fast = majorization._elbows_by_numpy(state)
+            _force(monkeypatch, PURE_PYTHON)
+            scalar = majorization._build_elbows(state)
+            assert fast is not None and isinstance(fast.xs, np.ndarray)
+            for a, b in ((fast.xs, scalar.xs), (fast.ys, scalar.ys)):
+                assert a.tobytes() == np.array(b).tobytes()
+            elbows.append(len(scalar.xs))
+        if family in ("degenerate", "exact_ties", "sub_ulp_runs"):
+            assert ties > 0
+        if family == "near_ties":
+            assert near > 0
+        if family in ("sub_ulp_runs", "gibbs_tail"):
+            assert elbows[0] < segments + 1
+
+
 def test_switch_at_threshold():
     for n, on_numpy in ((_NUMPY_MIN_DIM - 1, False), (_NUMPY_MIN_DIM, True)):
         state = validate_state(*_pairs("plain", n)[0][0])
@@ -355,12 +431,28 @@ def _with(values, changes):
     return out
 
 
+class _Float(float):
+    pass
+
+
+def _spread(values, kinds):
+    """values with about 16 entries, evenly spaced from index 1 on and so in
+    every pack block, turned into the kinds in turn, each made from the float
+    it replaces."""
+    out = list(values)
+    for k, i in enumerate(range(1, len(out), max(1, len(out) // 16))):
+        out[i] = kinds[k % len(kinds)](out[i])
+    return out
+
+
 def _bad_inputs(n):
     """(r, g) pairs, each with one defect (two where the first must be named:
     NaN before a negative entry, a negative entry before NaN, +inf before
-    -inf), and one valid pair with an entry given as a string."""
+    -inf), and valid pairs with entries of other kinds than float: a string,
+    and the kinds `struct` packs as `float` reads them (`_packed_inputs`)."""
     flat = [1.0 / n] * n
     nan, inf = float("nan"), float("inf")
+    mid = n // 2
     return {
         "nan": (_with(flat, {1: nan, n - 1: -1.0}), flat),
         "+inf": (_with(flat, {1: inf}), flat),
@@ -376,6 +468,24 @@ def _bad_inputs(n):
         "not_a_number": (_with(flat, {1: "x"}), flat),
         "none": (flat, _with(flat, {1: None})),
         "nested": (_with(flat, {1: [0.5 / n, 0.5 / n]}), flat),
+        "huge_int": (flat, _with(flat, {n - 1: 10**400})),
+        "none_mid": (_with(flat, {mid: None}), flat),
+        **_packed_inputs(n),
+    }
+
+
+def _packed_inputs(n):
+    """Valid pairs whose entries `struct` packs: fractions, decimals, numpy
+    scalars and a float subclass worth 1/n each, and pure states of int,
+    bool, numpy and -0.0 zeros with a one of another kind."""
+    kinds = _spread([1.0 / n] * n, (Fraction, Decimal, _Float, np.float64))
+    zeros = _spread([0.0] * n, (int, np.int64, bool, float.__neg__, np.float32))
+    halves = _with(zeros, {0: np.float32(0.5), n - 1: np.float32(0.5)})
+    return {
+        "kinds": (kinds, [1.0 / n] * n),
+        "bool_one": (_with(zeros, {0: True}), kinds),
+        "int_one": (_with(zeros, {n // 2: np.int64(1)}), kinds),
+        "float32_halves": (halves, kinds),
     }
 
 
@@ -384,18 +494,18 @@ def _outcome(monkeypatch, threshold, r, g):
     _force(monkeypatch, threshold)
     try:
         state = validate_state(r, g)
-    except (TypeError, ValueError) as exc:  # AthermalError is a ValueError
+    except (TypeError, ValueError, OverflowError) as exc:  # AthermalError is a ValueError
         return type(exc), str(exc)
     return state.r.entries, state.g.entries
 
 
 def _float_error(x):
-    with pytest.raises((TypeError, ValueError)) as info:
+    with pytest.raises((TypeError, ValueError, OverflowError)) as info:
         float(x)
     return type(info.value), str(info.value)
 
 
-@pytest.mark.parametrize("n", (3, 5000))
+@pytest.mark.parametrize("n", (3, _NUMPY_MIN_DIM, 5000, 2 * core._PACK_BLOCK + 3))
 def test_validation_errors_match(monkeypatch, n):
     bad = _bad_inputs(n)
     expected = {
@@ -420,6 +530,9 @@ def test_validation_errors_match(monkeypatch, n):
         "not_a_number": _float_error("x"),
         "none": _float_error(None),
         "nested": _float_error([]),
+        "huge_int": _float_error(10**400),
+        "none_mid": _float_error(None),
+        **dict.fromkeys(_packed_inputs(n)),  # valid
     }
     for name, (r, g) in bad.items():
         scalar = _outcome(monkeypatch, PURE_PYTHON, r, g)
@@ -427,6 +540,9 @@ def test_validation_errors_match(monkeypatch, n):
         assert vector == scalar, name
         if expected[name] is None:
             assert all(type(entries) is tuple for entries in scalar), name
+            state = validate_state(r, g)  # still forced onto the numpy path
+            assert isinstance(state.r._stored, np.ndarray), name
+            assert isinstance(state.g._stored, np.ndarray), name
             continue
         kind, message = expected[name]
         assert scalar[0] is kind, name
@@ -448,8 +564,19 @@ def _masses(rng, n):
     return w / w.sum()
 
 
-@pytest.mark.parametrize("kind", [list, tuple, np.array])
-@pytest.mark.parametrize("n", (_NUMPY_MIN_DIM, 2048, 20_000))
+def _mixed(values):
+    """The values as floats, exact Fractions, Decimals, numpy scalars and a
+    float subclass in turn, in a list."""
+    kinds = itertools.cycle((float, Fraction, Decimal, np.float64, _Float))
+    return [kind(x) for kind, x in zip(kinds, values)]
+
+
+def _strings(values):
+    return [repr(x) for x in values]
+
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array, _mixed, _strings])
+@pytest.mark.parametrize("n", (_NUMPY_MIN_DIM, 2048, 2 * core._PACK_BLOCK + 3, 20_000))
 def test_validation_parity_by_input_kind(monkeypatch, kind, n):
     for seed in range(3):
         raw = kind(_masses(np.random.default_rng([n, seed]), n).tolist())
@@ -460,6 +587,29 @@ def test_validation_parity_by_input_kind(monkeypatch, kind, n):
         assert isinstance(vector._stored, np.ndarray)
         assert np.array(vector.entries).tobytes() == np.array(scalar.entries).tobytes()
         assert min(x for x in vector.entries if x > 0.0) < 1e-300
+
+
+@pytest.mark.parametrize("n", (_NUMPY_MIN_DIM, 2 * core._PACK_BLOCK + 3))
+def test_only_refused_entries_are_read_by_fromiter(monkeypatch, n):
+    """Every kind of entry but a string is packed; one string in the last
+    block sends the whole list to `np.fromiter`, which reads the same values."""
+    fromiter, calls = np.fromiter, []
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[0]))
+        return fromiter(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fromiter", spy)
+    _force(monkeypatch, NUMPY)
+    values = _masses(np.random.default_rng(n), n).tolist()
+    packed = [tuple(values), _mixed(values)]
+    packed += [v for pair in _packed_inputs(n).values() for v in pair]
+    for raw in packed:
+        assert isinstance(core.ProbabilityVector(raw)._stored, np.ndarray)
+    assert calls == []
+    vector = core.ProbabilityVector(_with(values, {n - 1: repr(values[-1])}))
+    assert calls == [n]
+    assert vector.array.tobytes() == core.ProbabilityVector(values).array.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
