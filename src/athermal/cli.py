@@ -207,9 +207,9 @@ def _cmd_temperature(args) -> tuple[int, dict]:
 def _cmd_overlap(args) -> tuple[int, dict]:
     resource, _ = load_state(args.state)
     target = load_target(args.target)
-    value = max_ground_overlap(resource, target, args.ground_degeneracy)
+    value = max_ground_overlap(resource, target)
     _side_file(args, [resource], ["resource"])
-    return EXIT_OK, {"ground_degeneracy": args.ground_degeneracy, "o_max": value}
+    return EXIT_OK, {"ground_degeneracy": target.ground_degeneracy(), "o_max": value}
 
 
 def _load_pair(args) -> tuple[AthermalityState, AthermalityState, float]:
@@ -367,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("overlap", help="maximal ground-state overlap")
     p.add_argument("--state", "-s", required=True)
     p.add_argument("--target", "-t", required=True)
-    p.add_argument("--ground-degeneracy", type=int, default=1)
     add_common(p, "svg", "csv")
     p.set_defaults(func=_cmd_overlap)
 

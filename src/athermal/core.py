@@ -260,15 +260,8 @@ class GibbsContext:
     def dim(self) -> int:
         return len(self.energies)
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.energies[0] == self.energies[-1]
-
     def ground_degeneracy(self) -> int:
-        return sum(1 for h in self.energies if h == self.energies[0])
-
-    def top_degeneracy(self) -> int:
-        return sum(1 for h in self.energies if h == self.energies[-1])
+        return self.energies.count(self.energies[0])
 
     def apply_permutation(self, values: Sequence[float]) -> tuple[float, ...]:
         """Reorder a list paired with the originally supplied energies."""

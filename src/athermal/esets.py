@@ -58,6 +58,10 @@ DEFAULT_W_MIN = 1e-10
 ENDPOINT_RESOLUTION = 1e-10  # bracket width in beta*E of each interval end
 
 _TANGENT_EPS = 1e-9
+# `construct_gap_example` refuses |a - 1| below this, where the dip parting
+# the witness's intervals falls under DOMINATION_SLACK: up to 9.0e-12 its
+# gap set was one interval, from 9.1e-12 two. The band moves with the slack.
+_NEAR_ONE = 1e-11
 # Steps `_root` may spend beyond bisection's count before it only bisects.
 _SPARE_STEPS = 8
 # Points per block of `_scan` (64 KiB float arrays). Whole-grid temporaries
@@ -417,18 +421,15 @@ def gap_set(
             E = _root(f, lo, hi, ENDPOINT_RESOLUTION / beta)
             roots.append((E, f(E)[0] >= 0.0))
 
-    # w ascending means E descending: each change ends or starts an interval
-    intervals: list[GapInterval] = []
-    top = (e_max, True) if inside[0] else None
-    for end in roots:
-        if top is None:
-            top = end
-            continue
-        if top[0] > end[0]:
-            intervals.append(GapInterval(end[0], top[0], end[1], top[1]))
-        top = None
-    if top is not None:  # feasible on to E -> 0, open there
-        intervals.append(GapInterval(0.0, top[0], False, top[1]))
+    # w ascending means E descending, and membership flips at every change:
+    # closed at e_max if feasible there, open at E -> 0 if feasible on to it
+    ends = ([(e_max, True)] if inside[0] else []) + roots
+    if inside[-1]:
+        ends.append((0.0, False))
+    intervals = [
+        GapInterval(lo[0], hi[0], lo[1], hi[1])
+        for hi, lo in zip(ends[::2], ends[1::2]) if hi[0] > lo[0]
+    ]
     intervals.reverse()  # ascending in E
     return EnergyGapSet(tuple(intervals), step)
 
@@ -480,8 +481,8 @@ def construct_gap_example(a: float) -> AthermalityState:
     ratio 1/a via the region-preserving reflection (x, y) -> (1-y, 1-x),
     which maps the ratio-1/a elbow curve onto the ratio-a curve.
     """
-    if a == 1.0:
-        raise TrivialRatio("a = 1 is trivial: every gap is feasible")
+    if abs(a - 1.0) < _NEAR_ONE:
+        raise TrivialRatio(f"a = {a!r} lies within {_NEAR_ONE} of 1: too near for a witness")
     if not (math.isfinite(a) and a > 0.0):
         raise TrivialRatio(f"construction requires a > 0, a != 1, got {a!r}")
     try:

@@ -343,7 +343,7 @@ def _conditions(
 
     As beta~ -> +inf the k-level mass tends to k/d below the ground
     degeneracy d, else to 1: the limit `_condition` tags against."""
-    if target.is_degenerate:
+    if target.energies[0] == target.energies[-1]:
         raise DegenerateTarget("target energies are completely degenerate")
     boundary = compute_elbows(resource)
     if len(target.energies) == 2:  # L_1 is linear: `_qubit_root`'s closed form
@@ -359,9 +359,10 @@ def _searched_conditions(
     """`_conditions` by the root search, for a target of any level count
     (`_conditions` hands it 3 or more, the tests 2 as well, against the
     closed form). The size switch picks only the alpha and root kernels."""
-    h, beta, d = target.energies, target.beta, target.ground_degeneracy()
+    h, beta = target.energies, target.beta
     if heating:
-        h, beta, d = tuple(-x for x in reversed(h)), -beta, target.top_degeneracy()
+        h, beta = tuple(-x for x in reversed(h)), -beta
+    d = h.count(h[0])
     # L_k is unchanged by a common shift; from h - h_0 the exponents x h_i
     # round to the spread of the energies, not to their distance from 0.
     h = tuple(x - h[0] for x in h)
@@ -458,16 +459,17 @@ def _qubit_root(
 
 
 def max_ground_overlap(
-    resource: AthermalityState, target: GibbsContext, ground_degeneracy: int = 1
+    resource: AthermalityState, target: GibbsContext, ground_degeneracy: int | None = None
 ) -> float:
-    """Largest reachable overlap with the target's (degenerate) ground space."""
-    if ground_degeneracy != target.ground_degeneracy():
+    """Largest reachable overlap with the target's (degenerate) ground space,
+    whose dimension d is read from the energies; a given d must match it."""
+    h, d = target.energies, target.ground_degeneracy()
+    if ground_degeneracy not in (None, d):
         raise WrongDegeneracy(
             f"ground degeneracy {ground_degeneracy} inconsistent with energies "
-            f"(multiplicity {target.ground_degeneracy()})"
+            f"(multiplicity {d})"
         )
-    h, k = target.energies, ground_degeneracy
-    y = _mass(_sweep(h, target.beta)[k - 1]) if k < len(h) else 1.0
+    y = _mass(_sweep(h, target.beta)[d - 1]) if d < len(h) else 1.0
     return alpha_at(compute_elbows(resource), y)
 
 

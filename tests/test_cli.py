@@ -607,6 +607,25 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["o_max"] == pytest.approx(0.9)
 
+    def test_overlap_reads_ground_degeneracy_from_target(self, capsys, tmp_path):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(
+            {"energies": [0, 0, 1], "beta": 1.0, "populations": [0.6, 0.3, 0.1]}))
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"energies": [0, 0, 1], "beta": 1.0}))
+        code, out, err = _run(capsys, ["overlap", "-s", str(state), "-t", str(target)])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["ground_degeneracy"] == 2
+        resource, _ = load_state(str(state))
+        assert doc["o_max"] == tempbounds.max_ground_overlap(
+            resource, core.GibbsContext((0.0, 0.0, 1.0), 1.0), 2)
+        # the option is gone: the count is the target's, never restated
+        code, out, err = _run(capsys, ["overlap", "-s", str(state), "-t", str(target),
+                                       "--ground-degeneracy", "2"])
+        assert _input_error(code, err)["code"] == "UsageError"
+        assert out == ""
+
     def test_convert_feasible_exit_0(self, capsys, resource_file, target_file):
         code, out, _ = _run(
             capsys, ["convert", "--from", resource_file, "--to", target_file]
@@ -1164,7 +1183,7 @@ _FUZZ_STATES = [
 _FUZZ_COMMANDS = {
     "cool": [("-s", "state"), ("-t", "state")],
     "heat": [("-s", "state"), ("-t", "state")],
-    "overlap": [("-s", "state"), ("-t", "state"), ("--ground-degeneracy", "int")],
+    "overlap": [("-s", "state"), ("-t", "state")],
     "convert": [("--from", "state"), ("--to", "state")],
     "oracle": [("--from", "state"), ("--to", "state"), ("--tol", "float")],
     "monotones": [("-s", "state"), ("-E", "float"), ("-E", "float")],

@@ -319,7 +319,7 @@ class TestConstructGapExample:
         with pytest.raises(BisectionError):
             construct_gap_example(a)
 
-    @pytest.mark.parametrize("a", [1.0 - 1e-10, 1.0 + 1e-10, 1.0 - 1e-11])
+    @pytest.mark.parametrize("a", [1.0 - 1e-10, 1.0 + 1e-10, 1.0 - 1e-11, 1.0 + 1e-11])
     def test_ratio_near_one_ends(self, monkeypatch, a):
         # Near a = 1 the construction's curves change only by rounding over
         # much of each root's bracket, and both roots run to adjacent floats
@@ -343,6 +343,13 @@ class TestConstructGapExample:
         monkeypatch.setattr(esets, "_root", counted)
         resource = construct_gap_example(a)
         assert len(gap_set(resource, 1.0, a).intervals) == 2
+
+    @pytest.mark.parametrize("d", [1e-15, 1e-12, 9e-12])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rejects_ratio_within_band_of_one(self, d, sign):
+        # there the separating dip lies under DOMINATION_SLACK: one interval
+        with pytest.raises(TrivialRatio):
+            construct_gap_example(1.0 + sign * d)
 
     def test_rejects_trivial_and_nonpositive(self):
         with pytest.raises(TrivialRatio):

@@ -503,6 +503,17 @@ class TestMaxGroundOverlap:
         resource = validate_state((0.5, 0.3, 0.2), (1 / 3, 1 / 3, 1 / 3))
         assert max_ground_overlap(resource, GibbsContext((0.0,) * 3, 1.0), 3) == 1.0
 
+    @pytest.mark.parametrize(
+        "energies, d",
+        [((0.0, 0.0, 1.0, 2.0), 2), ((0.7, 0.0, 1.5, 0.0, 0.0), 3), ((0.3,) * 4, 4)],
+    )
+    def test_ground_degeneracy_read_from_energies(self, energies, d):
+        target = GibbsContext(energies, 0.8)
+        resource = validate_state((0.4, 0.3, 0.2, 0.1), (0.25,) * 4)
+        assert target.ground_degeneracy() == d
+        assert max_ground_overlap(resource, target).hex() == (
+            max_ground_overlap(resource, target, d).hex())
+
     def test_rejects_wrong_degeneracy(self):
         with pytest.raises(WrongDegeneracy):
             max_ground_overlap(_free((0.8, 0.2)), QUBIT, 2)
