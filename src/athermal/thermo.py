@@ -1,6 +1,8 @@
 """Gibbs vectors, partition functions, and the pinching reduction.
 
-numpy is imported only by the density-matrix code that builds arrays.
+A density matrix is written in the basis of its `GibbsContext`'s sorted
+energies: entry (i, j) pairs `energies[i]` with `energies[j]`. numpy is
+imported only by the density-matrix code that builds arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ if TYPE_CHECKING:
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-10
-DEGENERACY_TOL = 1e-12
 
 
 def shifted_weights(
@@ -65,7 +66,7 @@ class DensityMatrix:
     def __post_init__(self):
         import numpy as np
 
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)  # a copy: no caller view writes it
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         if not np.isfinite(m).all():  # NaN would pass every tolerance below
@@ -87,42 +88,21 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def _degeneracy_blocks(g: Sequence[float]) -> list[list[int]]:
-    """Group indices whose Gibbs entries are equal within the relative
-    DEGENERACY_TOL."""
-    blocks: list[list[int]] = []
-    reps: list[float] = []
-    for i, gi in enumerate(g):
-        for b, rep in enumerate(reps):
-            if abs(gi - rep) <= DEGENERACY_TOL * max(abs(gi), abs(rep)):
-                blocks[b].append(i)
-                break
-        else:
-            blocks.append([i])
-            reps.append(gi)
-    return blocks
-
-
-def pinch(rho: DensityMatrix, g: ProbabilityVector) -> DensityMatrix:
-    """Zero all entries of rho outside the degeneracy blocks of g.
-
-    g is the diagonal of the reference Gibbs state in the computational
-    basis; blocks are sets of indices with equal Gibbs entries.
-    """
-    if rho.dim != g.dim:
-        raise DimensionMismatch(f"rho dim {rho.dim} != Gibbs dim {g.dim}")
+def pinch(rho: DensityMatrix, gibbs: GibbsContext) -> DensityMatrix:
+    """Zero every entry of rho between levels of different energy: rho is
+    written in the basis of `gibbs.energies`, and keeps (i, j) iff E_i == E_j."""
+    if rho.dim != gibbs.dim:
+        raise DimensionMismatch(f"rho dim {rho.dim} != Gibbs dim {gibbs.dim}")
     import numpy as np
 
-    mask = np.zeros((g.dim, g.dim), dtype=bool)
-    for block in _degeneracy_blocks(g.entries):
-        idx = np.asarray(block)
-        mask[np.ix_(idx, idx)] = True
-    return DensityMatrix(np.where(mask, rho.matrix, 0.0))
+    e = np.array(gibbs.energies)
+    return DensityMatrix(np.where(e[:, None] == e, rho.matrix, 0.0))
 
 
 def to_quasiclassical(rho: DensityMatrix, gibbs: GibbsContext) -> AthermalityState:
     """Populations of rho pinched against the Gibbs state of `gibbs`.
 
+    rho is written in the basis of `gibbs.energies`, as for `pinch`.
     Pinching changes no diagonal entry, so they are read off rho itself. A
     diagonal entry is at least the smallest eigenvalue, so at least
     -PSD_TOL: a negative one is read as 0, its mass taken from the largest

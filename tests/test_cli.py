@@ -114,6 +114,28 @@ class TestStateFiles:
         assert code == 0 and out == expected
         assert len(calls) == 1
 
+    def test_density_matrix_unsorted_energies(self, capsys, tmp_path, target_file):
+        """A density matrix is listed in the order of its file's energies:
+        read with energies out of order, and with coherences, it is the
+        populations file of its diagonal permuted into sorted order."""
+        sorted_pops, dm = tmp_path / "sorted.json", tmp_path / "dm.json"
+        sorted_pops.write_text(
+            json.dumps(
+                {"energies": [0.0, 0.5, LN4], "beta": 1.0, "populations": [0.6, 0.3, 0.1]}
+            )
+        )
+        rho = [
+            [[0.1, 0.0], [0.05, 0.02], [0.02, 0.0]],
+            [[0.05, -0.02], [0.6, 0.0], [0.05, 0.0]],
+            [[0.02, 0.0], [0.05, 0.0], [0.3, 0.0]],
+        ]
+        dm.write_text(
+            json.dumps({"energies": [LN4, 0.0, 0.5], "beta": 1.0, "density_matrix": rho})
+        )
+        _, expected, _ = _run(capsys, ["cool", "-s", str(sorted_pops), "-t", target_file])
+        code, out, _ = _run(capsys, ["cool", "-s", str(dm), "-t", target_file])
+        assert code == 0 and out == expected
+
     def test_density_matrix_negative_within_psd_tol(self, capsys, tmp_path):
         dm = tmp_path / "dm.json"
         dm.write_text(

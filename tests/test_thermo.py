@@ -12,7 +12,7 @@ from athermal import (
     pinch,
     to_quasiclassical,
 )
-from athermal.core import ProbabilityVector, validate_state
+from athermal.core import validate_state
 from athermal.errors import DimensionMismatch, InvalidDensityMatrix, NonFiniteBeta
 
 
@@ -108,12 +108,27 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
 
+    def test_caller_array_is_not_aliased(self):
+        """The validated matrix is a copy: the caller's complex array stays
+        writeable, and a view taken before validation cannot change it."""
+        m = np.eye(2, dtype=complex) / 2
+        view = m.view()
+        rho = DensityMatrix(m)
+        assert m.flags.writeable
+        view[0, 0] = view[1, 1] = 0.9
+        assert np.diag(rho.matrix).tolist() == [0.5, 0.5]
+
+
+def _random_density_matrix(rng, n):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = a @ a.conj().T
+    return DensityMatrix(m / np.trace(m).real)
+
 
 class TestPinch:
     def test_kills_coherences_across_blocks(self):
         rho = DensityMatrix(np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex))
-        g = ProbabilityVector((0.8, 0.2))
-        out = pinch(rho, g)
+        out = pinch(rho, GibbsContext((0.0, math.log(4.0)), 1.0))
         assert out.matrix[0, 1] == 0.0
         assert out.matrix[0, 0] == 0.6
 
@@ -123,15 +138,39 @@ class TestPinch:
                 [[0.4, 0.1, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.2]], dtype=complex
             )
         )
-        g = ProbabilityVector((0.4, 0.4, 0.2))
-        out = pinch(rho, g)
+        out = pinch(rho, GibbsContext((0.0, 0.0, 1.0), 1.0))
         assert out.matrix[0, 1] == 0.1
         assert out.matrix[0, 2] == 0.0
 
     def test_dim_mismatch(self):
         rho = DensityMatrix(np.eye(3) / 3.0)
         with pytest.raises(DimensionMismatch):
-            pinch(rho, ProbabilityVector((0.5, 0.5)))
+            pinch(rho, GibbsContext((0.0, 1.0), 1.0))
+
+    def test_underflowed_levels_stay_apart(self):
+        """Levels 25-39 of a ladder at beta = 30 all have Gibbs entry 0.0,
+        yet their energies differ: no coherence survives between them."""
+        ctx = GibbsContext(tuple(float(h) for h in range(40)), 30.0)
+        assert set(gibbs_vector(ctx.energies, ctx.beta).entries[25:]) == {0.0}
+        rho = _random_density_matrix(np.random.default_rng(3), 40)
+        out = pinch(rho, ctx).matrix
+        assert np.array_equal(out, np.diag(np.diag(rho.matrix)))
+
+    def test_nearly_equal_energies_are_two_blocks(self):
+        """Energies 1e-13 apart have Gibbs entries equal to within 1e-12,
+        but they are different energies."""
+        rho = DensityMatrix(np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex))
+        out = pinch(rho, GibbsContext((0.0, 1e-13), 1.0))
+        assert out.matrix[0, 1] == out.matrix[1, 0] == 0.0
+
+    def test_tie_in_unsorted_listing_shares_a_block(self):
+        """Energies listed as (1, 0, 1) sort to (0, 1, 1); rho is written in
+        the sorted basis, where levels 1 and 2 are the tie."""
+        ctx = GibbsContext((1.0, 0.0, 1.0), 0.7)
+        rho = _random_density_matrix(np.random.default_rng(5), 3)
+        out = pinch(rho, ctx).matrix
+        assert out[1, 2] == rho.matrix[1, 2] != 0.0
+        assert out[0, 1] == out[0, 2] == 0.0
 
 
 class TestToQuasiclassical:
@@ -174,10 +213,8 @@ class TestToQuasiclassical:
         ctx = GibbsContext((0.0, 0.5, 0.5, 1.0, 1.0, 1.0), 1.3)
         g = gibbs_vector(ctx.energies, ctx.beta)
         for _ in range(20):
-            a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-            m = a @ a.conj().T
-            rho = DensityMatrix(m / np.trace(m).real)
-            pinched = pinch(rho, g).matrix
+            rho = _random_density_matrix(rng, 6)
+            pinched = pinch(rho, ctx).matrix
             assert pinched[1, 2] != 0.0 and pinched[0, 1] == 0.0
             expected = validate_state(list(np.diag(pinched).real), list(g.entries))
             assert to_quasiclassical(rho, ctx) == expected
