@@ -48,7 +48,6 @@ from .thermo import (
     DensityMatrix,
     gibbs_vector,
     log_partition,
-    pinch,
     to_quasiclassical,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "log_partition",
     "lp_feasible",
     "max_ground_overlap",
-    "pinch",
     "qubit_beta_bounds",
     "qubit_energy_change",
     "relatively_majorizes",

@@ -290,10 +290,6 @@ class AthermalityState:
     def dim(self) -> int:
         return self.r.dim
 
-    @property
-    def is_free(self) -> bool:
-        return self.r.entries == self.g.entries
-
 
 def validate_state(r: Sequence[float], g: Sequence[float]) -> AthermalityState:
     """Validate and renormalize a raw (populations, Gibbs) pair."""
@@ -325,14 +321,6 @@ class ExtendedBeta(float):
         if not math.isfinite(value):
             raise ValueError(f"finite beta with non-finite value {value!r}")
         return cls(value)
-
-    @classmethod
-    def pos_inf(cls) -> "ExtendedBeta":
-        return cls(math.inf)
-
-    @classmethod
-    def neg_inf(cls) -> "ExtendedBeta":
-        return cls(-math.inf)
 
     @property
     def is_finite(self) -> bool:

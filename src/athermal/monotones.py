@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .core import AthermalityState, _check_beta
+from .core import AthermalityState, _check_beta, _check_gap
 from .majorization import (
     TestingBoundary,
     _first_shortfall,
@@ -21,7 +21,7 @@ from .majorization import (
     compute_elbows,
     relatively_majorizes,
 )
-from .tempbounds import _qubit_side
+from .tempbounds import _qubit_root
 
 # Elbow ordinates this close to 1/2 have no finite critical gap; a failed one
 # is named by a gap beside it, at most DEGENERATE_PERTURBATION off in ordinate.
@@ -39,12 +39,16 @@ class CriticalEnergySet:
 
 def cooling_monotone(state: AthermalityState, beta: float, E: float) -> float:
     """How far below the background temperature a gap-E qubit can be driven."""
-    return _qubit_side(state, E, beta, 1.0) - beta
+    _check_gap(E)
+    _check_beta(beta)
+    return _qubit_root(compute_elbows(state), beta, E)[0] - beta
 
 
 def heating_monotone(state: AthermalityState, beta: float, E: float) -> float:
     """How far above the background temperature a gap-E qubit can be driven."""
-    return beta - _qubit_side(state, E, beta, -1.0)
+    _check_gap(E)
+    _check_beta(beta)
+    return beta + _qubit_root(compute_elbows(state), -beta, E)[0]
 
 
 def critical_energies(target: AthermalityState, beta: float) -> CriticalEnergySet:

@@ -424,16 +424,6 @@ def qubit_beta_bounds(
             ExtendedBeta(0.0 - _qubit_root(boundary, -beta, E)[0]))
 
 
-def _qubit_side(
-    resource: AthermalityState, E: float, beta: float, sign: float
-) -> float:
-    """One side of `qubit_beta_bounds` as a plain float: beta~_max for
-    sign = +1, beta~_min for sign = -1; the other side is not settled."""
-    _check_gap(E)
-    _check_beta(beta)
-    return sign * _qubit_root(compute_elbows(resource), sign * beta, E)[0]
-
-
 def _qubit_root(
     boundary: TestingBoundary, beta: float, E: float
 ) -> tuple[float, float]:

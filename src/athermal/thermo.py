@@ -1,4 +1,4 @@
-"""Gibbs vectors, partition functions, and the pinching reduction.
+"""Gibbs vectors, partition functions, and the quasi-classical reduction.
 
 A density matrix is written in the basis of its `GibbsContext`'s sorted
 energies: entry (i, j) pairs `energies[i]` with `energies[j]`. numpy is
@@ -88,25 +88,14 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def pinch(rho: DensityMatrix, gibbs: GibbsContext) -> DensityMatrix:
-    """Zero every entry of rho between levels of different energy: rho is
-    written in the basis of `gibbs.energies`, and keeps (i, j) iff E_i == E_j."""
-    if rho.dim != gibbs.dim:
-        raise DimensionMismatch(f"rho dim {rho.dim} != Gibbs dim {gibbs.dim}")
-    import numpy as np
-
-    e = np.array(gibbs.energies)
-    return DensityMatrix(np.where(e[:, None] == e, rho.matrix, 0.0))
-
-
 def to_quasiclassical(rho: DensityMatrix, gibbs: GibbsContext) -> AthermalityState:
     """Populations of rho pinched against the Gibbs state of `gibbs`.
 
-    rho is written in the basis of `gibbs.energies`, as for `pinch`.
-    Pinching changes no diagonal entry, so they are read off rho itself. A
-    diagonal entry is at least the smallest eigenvalue, so at least
-    -PSD_TOL: a negative one is read as 0, its mass taken from the largest
-    entry to keep the trace that `DensityMatrix` checked.
+    rho is written in the basis of `gibbs.energies`. Pinching, the dephasing
+    onto the energy eigenspaces, changes no diagonal entry, so they are read
+    off rho itself. A diagonal entry is at least the smallest eigenvalue, so
+    at least -PSD_TOL: a negative one is read as 0, its mass taken from the
+    largest entry to keep the trace that `DensityMatrix` checked.
     """
     g = gibbs_vector(gibbs.energies, gibbs.beta)
     if rho.dim != g.dim:

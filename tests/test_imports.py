@@ -78,6 +78,31 @@ def test_public_names_resolve():
     assert result == {"callable": True, "numpy": False}
 
 
+PUBLIC_NAMES = [
+    "AthermalityState", "CoolingReport", "CriticalEnergySet", "DensityMatrix",
+    "EnergyGapSet", "ExtendedBeta", "FeasibilityResult", "GapInterval",
+    "GibbsContext", "HeatingReport", "ProbabilityVector", "TestingBoundary",
+    "alpha_at", "beta_max", "beta_min", "compute_elbows", "construct_gap_example",
+    "convertible_via_monotones", "cooling_monotone", "critical_energies",
+    "fa_point", "gap_membership", "gap_set", "gibbs_vector", "heating_monotone",
+    "log_partition", "lp_feasible", "max_ground_overlap", "qubit_beta_bounds",
+    "qubit_energy_change", "relatively_majorizes", "to_quasiclassical",
+    "validate_state",
+]
+
+
+def test_public_surface_is_pinned():
+    """A change to the public names is deliberate: it edits this list."""
+    import athermal
+    from athermal import ExtendedBeta
+
+    assert sorted(athermal.__all__) == PUBLIC_NAMES
+    assert all(hasattr(athermal, name) for name in PUBLIC_NAMES)
+    # a tag is ExtendedBeta(+-math.inf): the class has no alias for one
+    members = {name for name in vars(ExtendedBeta) if not name.startswith("_")}
+    assert members == {"finite", "is_finite", "kind", "value", "to_json"}
+
+
 PURE_COMMANDS = {  # name: (argv, exit code)
     "cool": (["cool", "-s", "{resource}", "-t", "{target}"], 0),
     "heat": (["heat", "-s", "{resource}", "-t", "{target}"], 0),

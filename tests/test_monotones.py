@@ -9,11 +9,12 @@ from athermal import (
     cooling_monotone,
     critical_energies,
     heating_monotone,
+    qubit_beta_bounds,
     relatively_majorizes,
     validate_state,
 )
 from athermal import monotones
-from athermal.errors import NonPositiveBeta, NonPositiveGap
+from athermal.errors import GapTooSmall, NonPositiveBeta, NonPositiveGap
 
 
 def _random_state(rng, dim):
@@ -73,6 +74,45 @@ class TestMonotoneValues:
             cooling_monotone(state, 1.0, -1.0)
         with pytest.raises(NonPositiveBeta):
             heating_monotone(state, 0.0, 1.0)
+
+
+class TestMonotonesAreQubitBound:
+    """Each monotone is its side of the qubit temperature bound less beta,
+    to the bit: beta~_max - beta and beta - beta~_min."""
+
+    @staticmethod
+    def _assert_bound(state, beta, E):
+        bmax, bmin = qubit_beta_bounds(state, E, beta)
+        assert cooling_monotone(state, beta, E) == bmax - beta
+        assert heating_monotone(state, beta, E) == beta - bmin
+
+    def test_seeded_resources(self):
+        rng = np.random.default_rng(50)
+        for _ in range(600):
+            state = _random_state(rng, int(rng.integers(2, 7)))
+            self._assert_bound(state, float(rng.uniform(0.2, 3.0)),
+                               float(rng.uniform(0.01, 5.0)))
+
+    def test_pure_free_and_far_gap(self):
+        pure = validate_state((1.0, 0.0), (0.8, 0.2))
+        assert cooling_monotone(pure, 1.0, 2.0) == math.inf
+        self._assert_bound(pure, 1.0, 2.0)
+        free = _free((0.6, 0.25, 0.15))
+        assert cooling_monotone(free, 1.3, 1.0) == heating_monotone(free, 1.3, 1.0) == 0.0
+        self._assert_bound(free, 1.3, 1.0)
+        resource = validate_state((0.9, 0.1), (0.8, 0.2))
+        for beta in (0.5, 1.0, 2.0):
+            self._assert_bound(resource, beta, 800.0 / beta)
+
+    def test_subnormal_gap_overflows_all_three(self):
+        resource = validate_state((0.9, 0.1), (0.8, 0.2))
+        for call in (
+            lambda: qubit_beta_bounds(resource, 1e-320, 1.0),
+            lambda: cooling_monotone(resource, 1.0, 1e-320),
+            lambda: heating_monotone(resource, 1.0, 1e-320),
+        ):
+            with pytest.raises(GapTooSmall):
+                call()
 
 
 class TestCriticalEnergies:

@@ -78,7 +78,7 @@ class TestBetaMax:
 
     def test_pure_ground_resource_unbounded(self):
         resource = validate_state((1.0, 0.0), (0.8, 0.2))
-        assert beta_max(resource, QUBIT).beta_max == ExtendedBeta.pos_inf()
+        assert beta_max(resource, QUBIT).beta_max == ExtendedBeta(math.inf)
 
     def test_rejects_degenerate_target(self):
         with pytest.raises(DegenerateTarget):
@@ -119,7 +119,7 @@ class TestBetaMin:
 
     def test_pure_excited_resource_unbounded(self):
         resource = validate_state((0.0, 1.0), (0.8, 0.2))
-        assert beta_min(resource, QUBIT).beta_min == ExtendedBeta.neg_inf()
+        assert beta_min(resource, QUBIT).beta_min == ExtendedBeta(-math.inf)
 
     def test_population_inversion_possible(self):
         resource = validate_state((0.02, 0.98), (0.8, 0.2))
@@ -376,11 +376,11 @@ class TestQubitBetaBounds:
             if bmax.is_finite:
                 assert bmax.value == pytest.approx(general_max.value, rel=1e-9)
             else:
-                assert general_max == ExtendedBeta.pos_inf()
+                assert general_max == ExtendedBeta(math.inf)
             if bmin.is_finite:
                 assert bmin.value == pytest.approx(general_min.value, rel=1e-9)
             else:
-                assert general_min == ExtendedBeta.neg_inf()
+                assert general_min == ExtendedBeta(-math.inf)
 
     def test_two_level_targets_agree_bit_for_bit(self):
         # beta_max and beta_min take the closed form on every 2-level target
