@@ -292,11 +292,8 @@ class AthermalityState:
 
 
 def validate_state(r: Sequence[float], g: Sequence[float]) -> AthermalityState:
-    """Validate and renormalize a raw (populations, Gibbs) pair."""
-    if len(r) == 0 or len(g) == 0:
-        raise DimensionMismatch("input lists must be non-empty")
-    if len(r) != len(g):
-        raise DimensionMismatch(f"lengths differ: {len(r)} vs {len(g)}")
+    """Validate and renormalize a raw (populations, Gibbs) pair; the errors
+    are `ProbabilityVector`'s (r, then g) and `AthermalityState`'s."""
     return AthermalityState(ProbabilityVector(r), ProbabilityVector(g))
 
 

@@ -113,7 +113,6 @@ def _failed_check(
 ) -> tuple[int, float, str] | None:
     """(k, E_k, kind) of the first check that `convertible_via_monotones`
     fails, or None when it passes them all."""
-    _check_beta(beta)
     src = compute_elbows(source)
     tgt = compute_elbows(target)
     for group, (ks, xs, ys) in enumerate(_checks(tgt)):

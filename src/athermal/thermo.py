@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .core import AthermalityState, GibbsContext, ProbabilityVector
+from .core import AthermalityState, GibbsContext, ProbabilityVector, validate_state
 from .errors import DimensionMismatch, InvalidDensityMatrix, NonFiniteBeta
 
 if TYPE_CHECKING:
@@ -89,21 +89,19 @@ class DensityMatrix:
 
 
 def to_quasiclassical(rho: DensityMatrix, gibbs: GibbsContext) -> AthermalityState:
-    """Populations of rho pinched against the Gibbs state of `gibbs`.
+    """`validate_state` of rho's pinched populations and of the entries of
+    `gibbs_vector(gibbs.energies, gibbs.beta)`: the rule that loads every state.
 
     rho is written in the basis of `gibbs.energies`. Pinching, the dephasing
-    onto the energy eigenspaces, changes no diagonal entry, so they are read
-    off rho itself. A diagonal entry is at least the smallest eigenvalue, so
-    at least -PSD_TOL: a negative one is read as 0, its mass taken from the
-    largest entry to keep the trace that `DensityMatrix` checked.
+    onto the energy eigenspaces, keeps rho's diagonal, which is read off rho
+    itself. An entry is at least the smallest eigenvalue, so at least -PSD_TOL:
+    a negative one is read as 0, its mass moved to the largest entry to keep the trace.
     """
-    g = gibbs_vector(gibbs.energies, gibbs.beta)
-    if rho.dim != g.dim:
-        raise DimensionMismatch(f"rho dim {rho.dim} != Gibbs dim {g.dim}")
     import numpy as np
 
     populations = np.diag(rho.matrix).real
     negative = np.minimum(populations, 0.0)
     populations = populations - negative
     populations[populations.argmax()] += negative.sum()
-    return AthermalityState(ProbabilityVector(populations.tolist()), g)
+    g = gibbs_vector(gibbs.energies, gibbs.beta).entries
+    return validate_state(populations.tolist(), g)

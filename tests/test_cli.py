@@ -136,6 +136,59 @@ class TestStateFiles:
         code, out, _ = _run(capsys, ["cool", "-s", str(dm), "-t", target_file])
         assert code == 0 and out == expected
 
+    def test_density_matrix_twins_print_alike(self, capsys, tmp_path):
+        """A populations file and the density_matrix file of its diagonal, in
+        the file's unsorted energies and with a coherence in every other
+        one, load through one rule and print the same bytes. Seeded twins of
+        2-8 levels: 16 as drawn, then 8 whose Gibbs vector changes when
+        `validate_state` renormalises it."""
+        rng = np.random.default_rng(3)
+        twins, changing = [], 0
+        while len(twins) < 24:
+            n = int(rng.integers(2, 9))
+            levels = rng.uniform(0.0, 3.0, size=int(rng.integers(1, n + 1)))
+            doc = {"energies": rng.choice(levels, size=n).tolist(),
+                   "beta": float(rng.uniform(0.2, 3.0))}
+            g = thermo.gibbs_vector(sorted(doc["energies"]), doc["beta"]).entries
+            renormalised = core.ProbabilityVector(g).entries != g
+            if len(twins) >= 16 and not renormalised:
+                continue
+            changing += renormalised
+            twins.append((doc, rng.dirichlet(np.ones(n)).tolist()))
+        assert changing >= 8
+        for i, (doc, pops) in enumerate(twins):
+            n = len(pops)
+            rho = [[[pops[a] if a == b else 0.0, 0.0] for b in range(n)] for a in range(n)]
+            if i % 2:  # a coherence that keeps rho positive
+                c = 0.5 * math.sqrt(pops[0] * pops[-1])
+                rho[0][-1], rho[-1][0] = [0.6 * c, 0.8 * c], [0.6 * c, -0.8 * c]
+            paths = {}
+            for name, extra in (
+                ("pop", {"populations": pops}),
+                ("dm", {"density_matrix": rho}),
+                ("other", {"populations": rng.dirichlet(np.ones(n)).tolist()}),
+                ("target", {"beta": 1.5 * doc["beta"]}),
+            ):
+                paths[name] = tmp_path / f"{name}{i}.json"
+                paths[name].write_text(json.dumps({**doc, **extra}))
+            target, other = str(paths["target"]), str(paths["other"])
+            outputs = {}
+            for name in ("pop", "dm"):
+                path = str(paths[name])
+                outputs[name] = [
+                    _run(capsys, argv)[:2]
+                    for argv in (
+                        ["cool", "-s", path, "-t", target],
+                        ["heat", "-s", path, "-t", target],
+                        ["overlap", "-s", path, "-t", target],
+                        ["monotones", "-s", path, "-E", "0.7", "-E", "2.0"],
+                        ["critical-energies", "-s", path],
+                        ["eset", "-s", path, "--beta-tilde", str(0.5 * doc["beta"])],
+                        ["convert", "--from", path, "--to", other],
+                    )
+                ]
+            assert outputs["dm"] == outputs["pop"], i
+
     def test_density_matrix_negative_within_psd_tol(self, capsys, tmp_path):
         dm = tmp_path / "dm.json"
         dm.write_text(

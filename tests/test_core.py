@@ -98,7 +98,7 @@ class TestValidateState:
             validate_state((0.9, 0.1), (0.5, 0.3, 0.2))
 
     def test_rejects_empty_lists(self):
-        with pytest.raises(DimensionMismatch, match="non-empty"):
+        with pytest.raises(DimensionMismatch, match="probability vector must have dim >= 1"):
             validate_state([], [])
 
     def test_state_of_vectors_of_different_lengths(self):

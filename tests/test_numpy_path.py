@@ -463,7 +463,7 @@ def _bad_inputs(n):
         "overflow": ([1e308] * n, flat),
         "+inf_-inf": (_with(flat, {1: inf, n - 1: -inf}), flat),
         "zero_gibbs": (flat, _with(flat, {0: 0.0, 1: 2.0 / n})),
-        "length": (flat, flat[:-1]),
+        "length": (flat, [1.0 / (n - 1)] * (n - 1)),
         "string": (_with([0.5 / (n - 1)] * n, {n - 1: "0.5"}), flat),
         "not_a_number": (_with(flat, {1: "x"}), flat),
         "none": (flat, _with(flat, {1: None})),
@@ -524,7 +524,7 @@ def test_validation_errors_match(monkeypatch, n):
         # fsum raises ValueError on inf - inf: the loop names the first
         "+inf_-inf": (NonFiniteEntry, "non-finite entry inf"),
         "zero_gibbs": (RankDeficientGibbs, "Gibbs vector must be strictly positive"),
-        "length": (DimensionMismatch, f"lengths differ: {n} vs {n - 1}"),
+        "length": (DimensionMismatch, f"population dim {n} != Gibbs dim {n - 1}"),
         "string": None,  # valid
         # float()'s own error, whose wording varies with the Python version
         "not_a_number": _float_error("x"),

@@ -158,14 +158,24 @@ class TestToQuasiclassical:
         assert state.r.entries == pytest.approx((0.7, 0.3), abs=1e-15)
 
     def test_populations_are_pinched_diagonal(self):
-        """Pinching keeps the diagonal: the populations are exactly rho's
-        diagonal, whatever its coherences inside or across degenerate blocks."""
+        """Pinching keeps the diagonal: the state is `validate_state` of rho's
+        diagonal and the Gibbs vector's entries, the rule a populations file
+        loads by, whatever rho's coherences inside or across degenerate
+        blocks. One fixed 6-level context, then 600 seeded ones of 2-8 levels,
+        energies unsorted and drawn with repeats from fewer levels, so most
+        have degenerate blocks."""
         rng = np.random.default_rng(7)
         ctx = GibbsContext((0.0, 0.5, 0.5, 1.0, 1.0, 1.0), 1.3)
-        g = gibbs_vector(ctx.energies, ctx.beta)
-        for _ in range(20):
-            rho = _random_density_matrix(rng, 6)
-            assert rho.matrix[1, 2] != 0.0 and rho.matrix[0, 1] != 0.0
+        for i in range(620):
+            n = ctx.dim
+            if i >= 20:
+                n = int(rng.integers(2, 9))
+                levels = rng.normal(scale=3.0, size=int(rng.integers(1, n + 1)))
+                beta = math.exp(rng.uniform(-3.0, 2.0))
+                ctx = GibbsContext(tuple(rng.choice(levels, size=n)), beta)
+            g = gibbs_vector(ctx.energies, ctx.beta)
+            rho = _random_density_matrix(rng, n)
+            assert np.all(rho.matrix != 0.0)
             expected = validate_state(list(np.diag(rho.matrix).real), list(g.entries))
             assert to_quasiclassical(rho, ctx) == expected
 
